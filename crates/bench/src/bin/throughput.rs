@@ -1,6 +1,7 @@
 //! Refs/sec throughput baseline for the simulation engine's hot paths.
 //!
-//! Times each kernel over the same VCCOM trace and reports the best of
+//! Times each kernel over the same VCCOM trace (the one-pass engine also
+//! over one storage and one network trace) and reports the best of
 //! several repeats, so the numbers are comparable across commits:
 //!
 //! * `generation` — synthesizing the trace itself;
@@ -15,6 +16,11 @@
 //!   references (trace length × grid cells: one traversal replaces that
 //!   many per-config simulation steps); the honest per-pass numbers ride
 //!   along as `trace_refs` / `trace_refs_per_sec`;
+//! * `one_pass_sweep_storage` / `one_pass_sweep_network` — the same grid
+//!   over S-OLTP and N-GATEWAY. The engine's cost per reference depends
+//!   on footprint and locality, so one CPU trace would misstate it.
+//!   Every one-pass kernel carries its `workload` and a `phase_share`
+//!   split of its time from ablation runs (see [`PhaseSplit`]);
 //! * `fifo_random_policy` — the replacement-policy matrix's non-LRU hot
 //!   path: the same 8-way cache under FIFO and then seeded-random
 //!   replacement (`refs` counts both passes).
@@ -33,14 +39,22 @@
 //! `EXPERIMENTS.md`.
 
 use smith85_cachesim::{
-    AssocAnalyzer, CacheConfig, Simulator, StackAnalyzer, UnifiedCache,
+    AssocAnalyzer, CacheConfig, GridSpec, OnePassEngine, OnePassGrid, Simulator, StackAnalyzer,
+    UnifiedCache, WritePolicy,
 };
+use smith85_core::experiments::resolve_named_workload;
 use smith85_synth::catalog;
 use smith85_trace::MemoryAccess;
 use std::time::Instant;
 
 /// The workload every kernel is timed on.
 const TRACE: &str = "VCCOM";
+/// The one-pass kernels and the workload each sweeps: one per family.
+const ONE_PASS_KERNELS: [(&str, &str); 3] = [
+    ("one_pass_sweep", TRACE),
+    ("one_pass_sweep_storage", "S-OLTP"),
+    ("one_pass_sweep_network", "N-GATEWAY"),
+];
 /// Timed repeats per kernel; the best (least interfered-with) one counts.
 const REPEATS: usize = 3;
 
@@ -52,23 +66,139 @@ struct KernelResult {
     grid: Option<GridInfo>,
 }
 
-/// Grid dimensions for the `one_pass_sweep` kernel, plus the raw
+/// Grid dimensions for a one-pass kernel, plus the raw
 /// single-traversal numbers behind its effective-refs figure.
 struct GridInfo {
+    workload: &'static str,
     sizes: usize,
     ways: usize,
     cells: usize,
     trace_refs: usize,
+    phases: PhaseSplit,
+}
+
+/// Rounds of interleaved ablation timings behind a [`PhaseSplit`].
+const ABLATION_ROUNDS: usize = 7;
+
+/// The one-pass engine's time split by phase, as shares of the full
+/// paper-grid sweep. Each share comes from an ablation run of the same
+/// trace through a grid that drops that phase's work and keeps the
+/// rest:
+///
+/// * `dirty` — the full grid under write-through with allocate: the
+///   same recency work without the dirty bitset;
+/// * `fenwick` — only the sizes with at least two sets at 8 ways, no
+///   fully-associative points: the same twelve set-associative levels
+///   without the single-set Fenwick level;
+/// * `base` — one direct-mapped 32-byte cell: interning, cold inserts
+///   and per-reference bookkeeping over a one-way walk;
+/// * `walk` — the rest: the set-associative level walk.
+///
+/// Every round times the full grid and the three ablations back to back,
+/// and each ratio to the full grid is the median over the rounds, so
+/// host drift between rounds cancels. The ablations overlap a little
+/// (each keeps the others' phases), so the shares are estimates, not an
+/// exact partition.
+struct PhaseSplit {
+    base: f64,
+    walk: f64,
+    fenwick: f64,
+    dirty: f64,
+}
+
+impl PhaseSplit {
+    fn measure(replay: &[MemoryAccess]) -> PhaseSplit {
+        let full = GridSpec::paper_grid();
+        let no_dirty = GridSpec {
+            write_policy: WritePolicy::WriteThrough { allocate: true },
+            ..full.clone()
+        };
+        let max_ways = full.ways.iter().copied().max().unwrap_or(1);
+        let no_fenwick = GridSpec {
+            sizes: full
+                .sizes
+                .iter()
+                .copied()
+                .filter(|&size| size / (full.line_size * max_ways) >= 2)
+                .collect(),
+            include_fully_associative: false,
+            ..full.clone()
+        };
+        let base = GridSpec::new(vec![32], vec![1]);
+        let ablations = [no_dirty, no_fenwick, base];
+        let mut ratios: [Vec<f64>; 3] = Default::default();
+        for _ in 0..ABLATION_ROUNDS {
+            let full_secs = time_once(|| {
+                sweep(&full, replay);
+            });
+            for (spec, ratio) in ablations.iter().zip(&mut ratios) {
+                let secs = time_once(|| {
+                    sweep(spec, replay);
+                });
+                ratio.push(secs / full_secs.max(1e-12));
+            }
+        }
+        let [no_dirty, no_fenwick, base] = ratios.map(|mut r| {
+            r.sort_by(f64::total_cmp);
+            r[r.len() / 2]
+        });
+        let dirty = 1.0 - no_dirty;
+        let fenwick = 1.0 - no_fenwick;
+        PhaseSplit {
+            base,
+            walk: 1.0 - base - fenwick - dirty,
+            fenwick,
+            dirty,
+        }
+    }
+}
+
+/// One traversal of `replay` through a fresh engine for `spec`.
+fn sweep(spec: &GridSpec, replay: &[MemoryAccess]) -> OnePassGrid {
+    let mut engine = OnePassEngine::new(spec).expect("valid grid");
+    engine.observe_slice(replay);
+    engine.finish()
+}
+
+/// The paper grid over `replay`, with its ablation phase split.
+fn one_pass_kernel(
+    name: &'static str,
+    workload: &'static str,
+    replay: &[MemoryAccess],
+) -> KernelResult {
+    let spec = GridSpec::paper_grid();
+    let cells = OnePassEngine::new(&spec)
+        .expect("paper grid is inside the one-pass envelope")
+        .cells()
+        .len();
+    // One traversal produces every cell, so the comparable refs/sec
+    // figure is trace length x cells — what the per-config path would
+    // have to touch for the same answer.
+    let mut result = kernel(name, replay.len() * cells, || {
+        let grid = sweep(&spec, replay);
+        assert!(grid.miss_ratio(1024, 1).expect("cell in the grid") > 0.0);
+    });
+    result.grid = Some(GridInfo {
+        workload,
+        sizes: spec.sizes.len(),
+        ways: spec.ways.len(),
+        cells,
+        trace_refs: replay.len(),
+        phases: PhaseSplit::measure(replay),
+    });
+    result
+}
+
+fn time_once(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64()
 }
 
 fn time_best<F: FnMut()>(mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPEATS {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
+    (0..REPEATS)
+        .map(|_| time_once(&mut f))
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn kernel(name: &'static str, refs: usize, f: impl FnMut()) -> KernelResult {
@@ -143,27 +273,18 @@ fn run_kernels(len: usize, journal: Option<&str>) -> Vec<KernelResult> {
         assert_eq!(c.stats().total_refs(), len as u64);
     }));
 
-    let grid_spec = smith85_cachesim::GridSpec::paper_grid();
-    let grid_cells = smith85_cachesim::OnePassEngine::new(&grid_spec)
-        .expect("paper grid is inside the one-pass envelope")
-        .cells()
-        .len();
-    // One traversal produces every cell, so the comparable refs/sec
-    // figure is trace length x cells — what the per-config path would
-    // have to touch for the same answer.
-    let mut one_pass = kernel("one_pass_sweep", len * grid_cells, || {
-        let mut e = smith85_cachesim::OnePassEngine::new(&grid_spec).expect("valid grid");
-        e.observe_slice(replay);
-        let grid = e.finish();
-        assert!(grid.miss_ratio(1024, 1).expect("cell in the grid") > 0.0);
-    });
-    one_pass.grid = Some(GridInfo {
-        sizes: grid_spec.sizes.len(),
-        ways: grid_spec.ways.len(),
-        cells: grid_cells,
-        trace_refs: len,
-    });
-    results.push(one_pass);
+    for (name, workload) in ONE_PASS_KERNELS {
+        let trace: Vec<MemoryAccess> = if workload == TRACE {
+            replay.to_vec()
+        } else {
+            resolve_named_workload(workload, None)
+                .expect("the one-pass workloads are catalog profiles")
+                .stream()
+                .take(len)
+                .collect()
+        };
+        results.push(one_pass_kernel(name, workload, &trace));
+    }
 
     let mut builder = smith85_core::session::SimSession::builder();
     if let Some(path) = journal {
@@ -185,8 +306,9 @@ fn run_kernels(len: usize, journal: Option<&str>) -> Vec<KernelResult> {
 fn render_json(mode: &str, len: usize, journaled: bool, results: &[KernelResult]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    // v3 adds the fifo_random_policy kernel; every v2 field is kept.
-    s.push_str("  \"schema\": \"smith85-throughput-v3\",\n");
+    // v4 adds the storage and network one-pass kernels and every
+    // one-pass kernel's workload and phase_share; every v3 field is kept.
+    s.push_str("  \"schema\": \"smith85-throughput-v4\",\n");
     s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     s.push_str(&format!("  \"journaled\": {journaled},\n"));
     s.push_str(&format!("  \"trace\": \"{TRACE}\",\n"));
@@ -195,14 +317,22 @@ fn render_json(mode: &str, len: usize, journaled: bool, results: &[KernelResult]
     s.push_str("  \"kernels\": [\n");
     for (i, r) in results.iter().enumerate() {
         let grid = r.grid.as_ref().map_or(String::new(), |g| {
+            let p = &g.phases;
             format!(
-                ", \"grid_sizes\": {}, \"grid_ways\": {}, \"grid_cells\": {}, \
-                 \"trace_refs\": {}, \"trace_refs_per_sec\": {:.0}",
+                ", \"workload\": \"{}\", \"grid_sizes\": {}, \"grid_ways\": {}, \
+                 \"grid_cells\": {}, \"trace_refs\": {}, \"trace_refs_per_sec\": {:.0}, \
+                 \"phase_share\": {{\"base\": {:.3}, \"walk\": {:.3}, \"fenwick\": {:.3}, \
+                 \"dirty\": {:.3}}}",
+                g.workload,
                 g.sizes,
                 g.ways,
                 g.cells,
                 g.trace_refs,
                 g.trace_refs as f64 / r.best_secs.max(1e-12),
+                p.base,
+                p.walk,
+                p.fenwick,
+                p.dirty,
             )
         });
         s.push_str(&format!(
@@ -237,7 +367,7 @@ fn main() {
     let results = run_kernels(len, journal.as_deref());
     for r in &results {
         println!(
-            "{:<16} {:>9} refs  {:>9.1} ms  {:>12.0} refs/sec",
+            "{:<22} {:>9} refs  {:>9.1} ms  {:>12.0} refs/sec",
             r.name,
             r.refs,
             r.best_secs * 1e3,

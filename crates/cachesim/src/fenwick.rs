@@ -1,10 +1,16 @@
 //! A Fenwick (binary indexed) tree over reference timestamps, used by the
-//! stack-distance analyzer to count distinct lines in O(log n).
+//! stack-distance analyzer and the one-pass engine's fully-associative
+//! level to count distinct lines in O(log n).
 
 /// Fenwick tree over `1..=capacity` holding small signed counts.
+///
+/// Counts are `i32`: every user keeps at most one mark per distinct
+/// line, so no node ever holds more than the distinct-line count, which
+/// the users assert stays below `i32::MAX`. Half-width nodes halve the
+/// cache footprint of the walk.
 #[derive(Debug, Clone)]
 pub(crate) struct Fenwick {
-    tree: Vec<i64>,
+    tree: Vec<i32>,
 }
 
 impl Fenwick {
@@ -25,7 +31,7 @@ impl Fenwick {
     /// # Panics
     ///
     /// Panics if `pos` is zero or exceeds the capacity.
-    pub(crate) fn add(&mut self, pos: usize, delta: i64) {
+    pub(crate) fn add(&mut self, pos: usize, delta: i32) {
         assert!(pos >= 1 && pos < self.tree.len(), "position {pos} out of range");
         let mut i = pos;
         while i < self.tree.len() {
@@ -35,7 +41,7 @@ impl Fenwick {
     }
 
     /// Sum over `1..=pos`.
-    pub(crate) fn prefix_sum(&self, pos: usize) -> i64 {
+    pub(crate) fn prefix_sum(&self, pos: usize) -> i32 {
         let mut i = pos.min(self.tree.len() - 1);
         let mut sum = 0;
         while i > 0 {
@@ -46,7 +52,7 @@ impl Fenwick {
     }
 
     /// Sum over the closed range `lo..=hi` (empty ranges sum to zero).
-    pub(crate) fn range_sum(&self, lo: usize, hi: usize) -> i64 {
+    pub(crate) fn range_sum(&self, lo: usize, hi: usize) -> i32 {
         if lo > hi {
             return 0;
         }
@@ -93,18 +99,18 @@ mod tests {
     #[test]
     fn matches_naive_reference() {
         let mut f = Fenwick::new(64);
-        let mut naive = vec![0i64; 65];
+        let mut naive = vec![0i32; 65];
         let mut state = 0x9e3779b97f4a7c15u64;
         for _ in 0..500 {
             state ^= state >> 12;
             state ^= state << 25;
             state ^= state >> 27;
             let pos = (state % 64 + 1) as usize;
-            let delta = ((state >> 8) % 5) as i64 - 2;
+            let delta = ((state >> 8) % 5) as i32 - 2;
             f.add(pos, delta);
             naive[pos] += delta;
             let q = (state >> 16) % 64 + 1;
-            let expect: i64 = naive[1..=q as usize].iter().sum();
+            let expect: i32 = naive[1..=q as usize].iter().sum();
             assert_eq!(f.prefix_sum(q as usize), expect);
         }
     }

@@ -29,7 +29,62 @@
 //!   cells need exact distances up to thousands of ways): the classic
 //!   Bennett–Kruskal scheme — a pre-sized [`Fenwick`] tree over
 //!   reference timestamps counts distinct lines since the previous
-//!   access in `O(log n)` instead of `O(distance)`.
+//!   access in `O(log n)` instead of `O(distance)`. Every line holds
+//!   exactly one mark, at or before the current time, so the count is
+//!   `lines - prefix_sum(prev)`: one prefix sum, over `i32` nodes.
+//!
+//! # Pruning by set refinement
+//!
+//! Under bit-selection indexing with power-of-two set counts, every set
+//! of a level with more sets lies inside one set of each level with
+//! fewer sets. A line's within-set LRU depth can therefore only shrink
+//! as the set count grows. Levels are kept in ascending set count, and
+//! the engine skips two kinds of work whose answer is already fixed:
+//!
+//! * **Repeats.** A reference to the previous reference's line is at
+//!   depth 1 at every level: every cell hits and no recency changes. It
+//!   is counted per access kind and returns without interning, walking
+//!   or touching the Fenwick tree. A write still dirties every copy; a
+//!   read changes nothing, because no cell misses at depth 1.
+//! * **Early exit.** The walk runs coarse to fine and stops at the first
+//!   level reporting depth 1. Every finer level is at depth 1 too: its
+//!   recency is already right, and no cell misses, so there is no dirty
+//!   push to count.
+//!
+//! [`OnePassEngine::finish`] folds both tallies into each level's
+//! depth-1 bucket, so every level's histogram still counts every warm
+//! reference once.
+//!
+//! # Cost
+//!
+//! Time per 250,000-reference sweep of the 54-cell paper grid, before
+//! and after the pruning (median of three interleaved `throughput`
+//! runs, each best of three, on a 2-logical-CPU Intel Xeon host):
+//!
+//! | trace     | before            | after             | speed-up |
+//! |-----------|-------------------|-------------------|----------|
+//! | VCCOM     | 66.5 ms, 3.8M r/s | 39.8 ms, 6.3M r/s | 1.67×    |
+//! | S-OLTP    | 110 ms, 2.3M r/s  | 111 ms, 2.3M r/s  | 1.0×     |
+//! | N-GATEWAY | 64.7 ms, 3.9M r/s | 29.6 ms, 8.4M r/s | 2.2×     |
+//!
+//! The gain follows the share of repeats and short walks: on the
+//! benchmark's grid-sweep profiles, 17–47% of CPU and 55–82% of network
+//! references repeat the previous line, and a warm lookup walks 5–8 of
+//! the paper grid's 13 levels. Storage streams gain nothing: 0–2% of
+//! their references repeat, and a warm lookup walks 12.8–13 levels.
+//! The `phase_share` ablation kernels of
+//! the `throughput` bench split each sweep's own time into interning
+//! and bookkeeping (`base`), the set-associative walk, the Fenwick level
+//! and dirty bits, before → after:
+//!
+//! | trace     | base        | walk        | fenwick     | dirty       |
+//! |-----------|-------------|-------------|-------------|-------------|
+//! | VCCOM     | 0.13 → 0.19 | 0.33 → 0.22 | 0.33 → 0.40 | 0.21 → 0.19 |
+//! | S-OLTP    | 0.19 → 0.20 | 0.17 → 0.19 | 0.39 → 0.36 | 0.25 → 0.26 |
+//! | N-GATEWAY | 0.14 → 0.19 | 0.50 → 0.48 | 0.35 → 0.35 | 0.01 → 0.00 |
+//!
+//! See the one-pass section of `EXPERIMENTS.md` for how each ablation
+//! is built.
 //!
 //! Write-back traffic is tracked without per-cell caches via a
 //! **deferred dirty bitset**: one bit per (line, cell). A store sets
@@ -215,8 +270,12 @@ struct Level {
     /// resident.
     missed_by_dcap: Vec<Vec<u64>>,
     /// Capped-distance histogram per access kind: `hist[d][kind]`,
-    /// `d` in `1..=cap + 1`.
+    /// `d` in `1..=cap + 1`. Depth-1 accesses the walk skipped are
+    /// folded into `hist[1]` by [`OnePassEngine::finish`].
     hist: Vec<[u64; 3]>,
+    /// Per access kind, walks that stopped here because the line was at
+    /// depth 1: every finer level was skipped at depth 1 too.
+    early_exits: [u64; 3],
     recency: Recency,
 }
 
@@ -249,6 +308,7 @@ impl Level {
             cells,
             missed_by_dcap,
             hist: vec![[0; 3]; cap + 2],
+            early_exits: [0; 3],
             recency,
         }
     }
@@ -306,7 +366,7 @@ impl Level {
             }
             Recency::Fenwick { fen, last, time } => {
                 let prev = last[id as usize] as usize;
-                let depth = fen.range_sum(prev + 1, *time) as usize + 1;
+                let depth = fenwick_depth(fen, last.len(), prev);
                 *time += 1;
                 if *time > fen.capacity() {
                     grow_fenwick(fen, last);
@@ -332,10 +392,9 @@ impl Level {
                     None => cap + 1,
                 }
             }
-            Recency::Fenwick { fen, last, time } => {
+            Recency::Fenwick { fen, last, .. } => {
                 let prev = last[id as usize] as usize;
-                let depth = fen.range_sum(prev + 1, *time) as usize + 1;
-                depth.min(self.cap + 1)
+                fenwick_depth(fen, last.len(), prev).min(self.cap + 1)
             }
         }
     }
@@ -357,6 +416,15 @@ impl Level {
             }
         }
     }
+}
+
+/// Stack depth of the line last marked at timestamp `prev`: the distinct
+/// lines referenced since, plus the line itself. Each of the `marks`
+/// interned lines holds exactly one mark, at or before the current
+/// time, so the marks after `prev` are all marks minus those up to it —
+/// one prefix sum instead of a two-sided range sum.
+fn fenwick_depth(fen: &Fenwick, marks: usize, prev: usize) -> usize {
+    marks - fen.prefix_sum(prev) as usize + 1
 }
 
 /// Rebuilds `fen` at double capacity, carrying over the one mark per
@@ -401,10 +469,15 @@ pub struct OnePassEngine {
     all_cells_mask: Vec<u64>,
     /// Scratch: union of per-level missed masks for the current access.
     scratch_missed: Vec<u64>,
-    /// Scratch: capped distance per level for the current access.
+    /// Scratch: capped distance per walked level for the current access.
     dcaps: Vec<u32>,
     /// Dirty pushes counted so far per cell (deferred accounting).
     cell_dirty_pushes: Vec<u64>,
+    /// The previous reference's line and interned id.
+    prev: Option<(u64, u32)>,
+    /// Per access kind, references to the previous reference's line:
+    /// depth 1 at every level, folded into each `hist[1]` at the end.
+    repeats: [u64; 3],
     cold: [u64; 3],
     refs: [u64; 3],
     bytes_demanded: u64,
@@ -523,6 +596,8 @@ impl OnePassEngine {
             words_per_line,
             all_cells_mask,
             scratch_missed: vec![0; words_per_line],
+            prev: None,
+            repeats: [0; 3],
             cold: [0; 3],
             refs: [0; 3],
             bytes_demanded: 0,
@@ -599,9 +674,31 @@ impl OnePassEngine {
             self.bytes_written_through += u64::from(size);
         }
 
+        if let Some((prev_line, prev_id)) = self.prev {
+            if prev_line == line {
+                // Repeat: the line is MRU in its set at every level, so
+                // every cell hits and no recency changes. A write leaves
+                // every copy dirty; a read changes nothing, since no cell
+                // misses at depth 1.
+                self.repeats[kidx] += 1;
+                if is_write && self.copy_back {
+                    let base = prev_id as usize * self.words_per_line;
+                    self.dirty[base..base + self.words_per_line]
+                        .copy_from_slice(&self.all_cells_mask);
+                }
+                return;
+            }
+        }
+
         let next_id = self.line_addrs.len() as u32;
         let id = *self.intern.entry(line).or_insert(next_id);
+        self.prev = Some((line, id));
         if id == next_id {
+            // The Fenwick level's i32 counts hold one mark per line.
+            assert!(
+                self.line_addrs.len() < i32::MAX as usize,
+                "one-pass engine: distinct-line count reached i32::MAX"
+            );
             // Cold: first touch anywhere. Every cell misses; no walk
             // needed, the line simply becomes MRU at every level.
             self.cold[kidx] += 1;
@@ -619,10 +716,20 @@ impl OnePassEngine {
             return;
         }
 
-        for (li, level) in self.levels.iter_mut().enumerate() {
+        // Coarse to fine. Each set of a finer level lies inside one set
+        // of every coarser level, so the line's depth can only shrink
+        // down the walk: once it is 1, it is 1 at every finer level,
+        // whose recency is then already right and whose cells all hit.
+        let mut walked = 0;
+        for level in &mut self.levels {
             let dcap = level.observe_warm(line, id);
             level.hist[dcap][kidx] += 1;
-            self.dcaps[li] = dcap as u32;
+            self.dcaps[walked] = dcap as u32;
+            walked += 1;
+            if dcap == 1 {
+                level.early_exits[kidx] += 1;
+                break;
+            }
         }
 
         if self.copy_back {
@@ -634,9 +741,9 @@ impl OnePassEngine {
                 // missing this access evicted it (dirty) since then:
                 // count those pushes now, then settle the bits — a
                 // read refills missed cells clean, a write leaves
-                // every copy dirty again.
+                // every copy dirty again. Skipped levels miss nothing.
                 self.scratch_missed.fill(0);
-                for (level, &dcap) in self.levels.iter().zip(&self.dcaps) {
+                for (level, &dcap) in self.levels.iter().zip(&self.dcaps[..walked]) {
                     let mask = &level.missed_by_dcap[dcap as usize];
                     for (acc, &m) in self.scratch_missed.iter_mut().zip(mask) {
                         *acc |= m;
@@ -668,7 +775,22 @@ impl OnePassEngine {
     }
 
     /// Folds the histograms into per-cell [`CacheStats`].
-    pub fn finish(self) -> OnePassGrid {
+    pub fn finish(mut self) -> OnePassGrid {
+        // Depth-1 accesses no walk recorded: repeats at every level, and
+        // early exits at every level finer than the one they stopped at.
+        let mut carry = self.repeats;
+        for level in &mut self.levels {
+            for (k, c) in carry.iter_mut().enumerate() {
+                level.hist[1][k] += *c;
+                *c += level.early_exits[k];
+                debug_assert_eq!(
+                    level.hist.iter().map(|h| h[k]).sum::<u64>() + self.cold[k],
+                    self.refs[k],
+                    "every warm reference lands in each level's histogram once"
+                );
+            }
+        }
+
         let n_cells = self.cells.len();
         let total_lines = self.line_addrs.len();
         let mut dirty_pushes = self.cell_dirty_pushes;

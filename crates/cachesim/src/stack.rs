@@ -94,6 +94,12 @@ impl StackAnalyzer {
         let t = self.time;
         match self.last_pos.insert(line, t) {
             None => {
+                // The Fenwick tree's i32 counts hold at most one mark
+                // per distinct line.
+                assert!(
+                    self.last_pos.len() < i32::MAX as usize,
+                    "stack analyzer: distinct-line count reached i32::MAX"
+                );
                 self.cold[access.kind.index()] += 1;
             }
             Some(p) => {

@@ -5,11 +5,17 @@
 //! fully-associative) and write policies, and the miss counts also
 //! agree with the [`StackAnalyzer`] / [`AssocAnalyzer`] stack
 //! algorithms on their shared design points.
+//!
+//! The engine skips work where set refinement fixes the answer (repeats
+//! of the previous line, and levels finer than one at depth 1), so the
+//! cases below include traces dense in repeats, traces that overflow
+//! almost every level, grids with gaps between set counts, and the
+//! one-reference-at-a-time entry point.
 
 use proptest::prelude::*;
 use smith85_cachesim::{
     one_pass_grid, AssocAnalyzer, Cache, CacheConfig, CacheStats, ConfigError, GridSpec, Mapping,
-    StackAnalyzer, WritePolicy,
+    OnePassEngine, StackAnalyzer, WritePolicy,
 };
 use smith85_synth::catalog;
 use smith85_trace::{AccessKind, Addr, MemoryAccess};
@@ -80,6 +86,113 @@ fn seeded_stream(seed: u64, len: usize) -> Vec<MemoryAccess> {
             }
         })
         .collect()
+}
+
+/// Packet-train style stream: runs of one to four references of mixed
+/// kinds to one line of a small footprint, so repeats of the previous
+/// line (reads and writes) and depth-1 early exits are the common case.
+fn train_stream(seed: u64, len: usize) -> Vec<MemoryAccess> {
+    let mut state = seed;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut out = Vec::with_capacity(len);
+    while out.len() < len {
+        let line = next() % 96;
+        for _ in 0..=next() % 4 {
+            let addr = Addr::new(line * 16 + (next() % 4) * 4);
+            out.push(match next() % 6 {
+                0 | 1 => MemoryAccess::read(addr, 4),
+                2 => MemoryAccess::ifetch(addr, 4),
+                _ => MemoryAccess::write(addr, 4),
+            });
+        }
+    }
+    out.truncate(len);
+    out
+}
+
+fn family_trace(name: &str, len: usize) -> Vec<MemoryAccess> {
+    smith85_families::by_name(name)
+        .expect("family catalog profile")
+        .try_generator()
+        .expect("catalog profiles are valid")
+        .take(len)
+        .collect()
+}
+
+/// Share of references to the same line as the reference before.
+fn repeat_share(trace: &[MemoryAccess], line_size: usize) -> f64 {
+    let repeats = trace
+        .windows(2)
+        .filter(|w| w[0].line(line_size) == w[1].line(line_size))
+        .count();
+    repeats as f64 / trace.len() as f64
+}
+
+const POLICIES: [WritePolicy; 3] = [
+    WritePolicy::CopyBack {
+        fetch_on_write: true,
+    },
+    WritePolicy::CopyBack {
+        fetch_on_write: false,
+    },
+    WritePolicy::WriteThrough { allocate: true },
+];
+
+#[test]
+fn full_paper_grid_matches_on_family_traces() {
+    // N-LAN is mostly repeats of the previous line; S-OLTP overflows
+    // nearly every level, so almost no walk stops early.
+    let lan = family_trace("N-LAN", 20_000);
+    assert!(repeat_share(&lan, 16) > 0.5, "N-LAN should be repeat-dense");
+    assert_grid_identical(&lan, &GridSpec::paper_grid());
+    let oltp = family_trace("S-OLTP", 20_000);
+    assert_grid_identical(&oltp, &GridSpec::paper_grid());
+}
+
+#[test]
+fn early_exit_crosses_gaps_between_set_counts() {
+    // Set counts {4, 32, 256}: no level for 8, 16, 64 or 128 sets, so a
+    // walk that stops early skips levels that are not adjacent.
+    for (i, policy) in POLICIES.into_iter().enumerate() {
+        let mut spec = GridSpec::new(vec![64, 4096], vec![1, 8]);
+        spec.write_policy = policy;
+        let sets: Vec<usize> = OnePassEngine::new(&spec)
+            .expect("valid spec")
+            .cells()
+            .iter()
+            .map(|c| c.sets)
+            .collect();
+        assert_eq!(sets, vec![4, 256, 32]);
+        assert_grid_identical(&seeded_stream(0x9a9 + i as u64, 8_000), &spec);
+        assert_grid_identical(&train_stream(0x7a11 + i as u64, 8_000), &spec);
+        spec.include_fully_associative = true;
+        assert_grid_identical(&train_stream(0x7a12 + i as u64, 8_000), &spec);
+    }
+}
+
+#[test]
+fn observe_one_at_a_time_equals_observe_slice() {
+    let mut spec = GridSpec::paper_grid();
+    spec.sizes.truncate(8);
+    for trace in [
+        train_stream(11, 6_000),
+        seeded_stream(12, 6_000),
+        family_trace("N-LAN", 6_000),
+    ] {
+        let sliced = one_pass_grid(&trace, &spec).expect("valid spec");
+        let mut engine = OnePassEngine::new(&spec).expect("valid spec");
+        for &access in &trace {
+            engine.observe(access);
+        }
+        let stepped = engine.finish();
+        assert_eq!(stepped.cells(), sliced.cells());
+        assert_eq!(stepped.stats(), sliced.stats());
+    }
 }
 
 #[test]
@@ -199,6 +312,28 @@ proptest! {
             prop_assert_eq!(
                 got, want,
                 "cell {}B x {}-way under {:?}", cell.size_bytes, cell.ways, policy
+            );
+        }
+    }
+
+    /// Repeat-dense streams (consecutive reads and writes to one line)
+    /// stay bit-identical for every supported write policy.
+    #[test]
+    fn repeat_dense_streams_stay_bit_identical(
+        seed in 1u64..1_000_000,
+        policy_pick in 0usize..3,
+        len in 200usize..2_000,
+    ) {
+        let trace = train_stream(seed, len);
+        let mut spec = GridSpec::new(vec![32, 64, 128, 512, 2048], vec![1, 2, 4]);
+        spec.write_policy = POLICIES[policy_pick];
+        spec.include_fully_associative = true;
+        let grid = one_pass_grid(&trace, &spec).expect("valid spec");
+        let reference = per_config_reference(&trace, &spec);
+        for ((cell, got), want) in grid.iter().zip(&reference) {
+            prop_assert_eq!(
+                got, want,
+                "cell {}B x {}-way under {:?}", cell.size_bytes, cell.ways, spec.write_policy
             );
         }
     }

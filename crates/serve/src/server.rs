@@ -414,8 +414,7 @@ impl ServerState {
             self.queue.depth(),
             self.queue.high_water(),
             self.workers,
-            self.session.pool(),
-            self.session.store().map(Arc::as_ref),
+            &self.session,
             self.router.as_ref().map(|router| router.counters()),
         )
     }
@@ -841,17 +840,6 @@ fn worker_loop(state: &ServerState) {
                                 r.queue_ms = queue_ms;
                                 r.exec_ms = exec_ms;
                                 r.trace_id = job.trace_id.clone();
-                                // Grid sweeps (points carrying `ways`) tally
-                                // the one-pass engine's server-wide counters.
-                                let grid_cells =
-                                    r.points.iter().filter(|p| p.ways.is_some()).count() as u64;
-                                if grid_cells > 0 {
-                                    ServerStats::add(&state.stats.one_pass_refs, r.len as u64);
-                                    ServerStats::add(
-                                        &state.stats.one_pass_grid_cells,
-                                        grid_cells,
-                                    );
-                                }
                             }
                             _ => {}
                         }

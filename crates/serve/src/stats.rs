@@ -5,8 +5,7 @@
 //! ordering is the right one.
 
 use crate::protocol::{OnePassCounters, PoolCounters, RouterCounters, StatsResult, StoreCounters};
-use smith85_core::trace_pool::TracePool;
-use smith85_store::Store;
+use smith85_core::SimSession;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic request/queue/worker counters, shared across threads.
@@ -32,10 +31,6 @@ pub struct ServerStats {
     pub busy_ms_simulate: AtomicU64,
     /// Worker milliseconds spent executing `sweep` jobs.
     pub busy_ms_sweep: AtomicU64,
-    /// Trace references traversed by the one-pass grid engine.
-    pub one_pass_refs: AtomicU64,
-    /// Grid cells produced by one-pass sweeps.
-    pub one_pass_grid_cells: AtomicU64,
 }
 
 impl ServerStats {
@@ -44,30 +39,28 @@ impl ServerStats {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Adds `n` to a tally counter.
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Adds `ms` to a busy-time counter.
     pub fn add_ms(counter: &AtomicU64, ms: u64) {
         counter.fetch_add(ms, Ordering::Relaxed);
     }
 
-    /// A point-in-time snapshot joined with queue, pool, (when the
-    /// server runs with `--store`) persistent-store state, and (in
-    /// router mode) shard-router counters.
+    /// A point-in-time snapshot joined with queue state, the session's
+    /// pool, (when the server runs with `--store`) persistent-store
+    /// state and one-pass counters, and (in router mode) shard-router
+    /// counters. The one-pass counters come from the session registry,
+    /// which only real engine traversals bump: memo and store hits add
+    /// nothing.
     pub fn snapshot(
         &self,
         queue_depth: usize,
         queue_high_water: usize,
         workers: usize,
-        pool: &TracePool,
-        store: Option<&Store>,
+        session: &SimSession,
         router: Option<RouterCounters>,
     ) -> StatsResult {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let pool_stats = pool.stats();
+        let pool_stats = session.pool().stats();
+        let registry = session.registry();
         StatsResult {
             simulate_requests: load(&self.simulate_requests),
             sweep_requests: load(&self.sweep_requests),
@@ -89,7 +82,7 @@ impl ServerStats {
                 materialized_bytes: pool_stats.materialized_bytes,
                 resident_bytes: pool_stats.memory_bytes as u64,
             },
-            store: store.map(|store| {
+            store: session.store().map(|store| {
                 let s = store.stats();
                 StoreCounters {
                     entries: s.entries,
@@ -102,8 +95,8 @@ impl ServerStats {
                 }
             }),
             one_pass: Some(OnePassCounters {
-                refs: load(&self.one_pass_refs),
-                grid_cells: load(&self.one_pass_grid_cells),
+                refs: registry.counter("one_pass_refs_total").get(),
+                grid_cells: registry.counter("one_pass_grid_cells").get(),
             }),
             router,
         }
@@ -121,10 +114,10 @@ mod tests {
         ServerStats::bump(&stats.simulate_requests);
         ServerStats::bump(&stats.rejected_overload);
         ServerStats::add_ms(&stats.busy_ms_simulate, 37);
-        ServerStats::add(&stats.one_pass_refs, 5_000);
-        ServerStats::add(&stats.one_pass_grid_cells, 54);
-        let pool = TracePool::new();
-        let snap = stats.snapshot(3, 9, 4, &pool, None, None);
+        let session = SimSession::builder().build().unwrap();
+        session.registry().counter("one_pass_refs_total").add(5_000);
+        session.registry().counter("one_pass_grid_cells").add(54);
+        let snap = stats.snapshot(3, 9, 4, &session, None);
         assert_eq!(snap.simulate_requests, 2);
         assert_eq!(snap.rejected_overload, 1);
         assert_eq!(snap.busy_ms_simulate, 37);

@@ -192,6 +192,9 @@ fn restarted_server_answers_a_full_grid_sweep_from_the_store() {
     assert_eq!(s.pool.misses, 0, "warm grid sweep must not materialize any trace");
     assert_eq!(s.pool.entries, 0, "the stored grid answers before the pool");
     assert!(s.store.expect("store counters").hits >= 1);
+    let one_pass = s.one_pass.expect("one_pass counters in stats");
+    assert_eq!(one_pass.refs, 0, "a store-hit grid sweep traverses no trace");
+    assert_eq!(one_pass.grid_cells, 0);
     server.stop().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
