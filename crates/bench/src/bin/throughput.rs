@@ -10,7 +10,8 @@
 //! * `set_assoc_sim` — an 8-way 16 KiB cache driven by the slice path;
 //! * `unified_sim` — the fully associative paper cache, purges on;
 //! * `session_unified` — the same cache through the instrumented
-//!   [`SimSession`] entry point (metrics and, with `--journal`, tracing);
+//!   [`SimSession`](smith85_core::session::SimSession) entry point
+//!   (metrics and, with `--journal`, tracing);
 //! * `one_pass_sweep` — the one-pass multi-configuration engine over the
 //!   paper's full size × associativity grid. Its `refs` are *effective*
 //!   references (trace length × grid cells: one traversal replaces that

@@ -72,11 +72,10 @@ USAGE:
           [--deadline-ms N] [--metrics-addr HOST:PORT] [--journal PATH]
           [--store DIR] [--store-budget BYTES] [--router ADDR,ADDR,...]
           [--probe-ms MS] [--shard-inflight N] [--router-replicas N]
-          [--event-loop false]
-      Run the simulation server (newline-delimited JSON over TCP, plus a
-      Unix socket with --unix). A poll-based event loop owns connections
-      (idle ones cost nothing; --event-loop false falls back to a thread
-      per connection). Requests past the queue bound get a typed
+      Run the simulation server (unix only; newline-delimited JSON over
+      TCP, plus a Unix socket with --unix). One poll-based event loop
+      owns every connection, /metrics scrapes included, so idle ones
+      cost nothing. Requests past the queue bound get a typed
       \"overloaded\" rejection. --metrics-addr serves Prometheus text
       exposition at /metrics. --journal appends every request's spans and
       access-log events to an NDJSON trace journal (see `smith85 trace`).
@@ -754,14 +753,13 @@ fn pool_summary(stats: &smith85_core::trace_pool::PoolStats) -> String {
 pub(crate) fn serve(opts: &Opts) -> Result<String, CliError> {
     opts.expect_only(&[
         "addr", "unix", "workers", "queue", "deadline-ms", "metrics-addr", "journal", "store",
-        "store-budget", "router", "probe-ms", "shard-inflight", "router-replicas", "event-loop",
+        "store-budget", "router", "probe-ms", "shard-inflight", "router-replicas",
     ])?;
     let defaults = smith85_serve::ServeOptions::default();
     let mut builder = smith85_serve::ServeOptions::builder()
         .addr(opts.get("addr").unwrap_or("127.0.0.1:4085"))
         .workers(opts.get_parse("workers", defaults.workers)?.max(1))
-        .queue_capacity(opts.get_parse("queue", defaults.queue_capacity)?)
-        .event_loop(opts.get_parse("event-loop", true)?);
+        .queue_capacity(opts.get_parse("queue", defaults.queue_capacity)?);
     if let Some(store_dir) = opts.get("store") {
         let mut session = SimSession::builder().store(store_dir);
         if let Some(budget) = opts.get("store-budget") {

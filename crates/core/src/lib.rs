@@ -22,7 +22,7 @@
 //!   percentiles;
 //! * [`trace_pool`] — the generate-once/replay-many trace cache every
 //!   sweep draws from;
-//! * [`session`] — the instrumented [`SimSession`](session::SimSession)
+//! * [`session`] — the instrumented [`SimSession`]
 //!   entry surface shared by the CLI, the suite runner and the serve
 //!   workers (see also [`prelude`]);
 //! * [`runner`] — the checkpointed, resumable suite runner behind

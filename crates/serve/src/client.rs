@@ -1,20 +1,19 @@
 //! A blocking NDJSON client for the serve protocol.
 //!
-//! The supported surface is [`Client::builder`]: pick an [`Endpoint`]
-//! (TCP, Unix socket, or in-process loopback), optionally attach a
-//! default deadline, a [`RetryPolicy`] and a trace id, then
-//! [`ClientBuilder::connect`]. [`Client::call`] returns a typed
-//! [`ClientError`] — a server-side [`ErrorBody`] is `Err(Server(..))`,
-//! not a response the caller has to pattern-match for failure.
+//! The surface is [`Client::builder`]: pick an [`Endpoint`] (TCP or a
+//! Unix socket), optionally attach a default deadline, a [`RetryPolicy`]
+//! and a trace id, then [`ClientBuilder::connect`]. [`Client::call`]
+//! returns a typed [`ClientError`] — a server-side [`ErrorBody`] is
+//! `Err(Server(..))`, not a response the caller has to pattern-match
+//! for failure.
 //!
 //! One request per call; responses come back in order, so a single
 //! connection is also a valid way to issue a request sequence.
 
 use crate::protocol::{ErrorBody, ErrorCode, Request, Response, MAX_LINE_BYTES};
-use crate::transport::{Endpoint, LoopbackHub, Transport};
+use crate::transport::{Endpoint, Transport};
 use std::io::{self, BufRead, BufReader, Read, Write};
 #[cfg(unix)]
-use std::path::Path;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -125,44 +124,25 @@ impl ClientError {
     }
 }
 
-/// Whether a call outcome is worth retrying: a typed `overloaded`
-/// response or a refused connection. Everything else — including other
-/// typed errors and other I/O failures — is permanent.
-#[deprecated(note = "use Client::builder() with a retry_policy, or ClientError::is_transient")]
-pub fn is_transient(result: &io::Result<Response>) -> bool {
-    match result {
-        Ok(Response::Error(body)) => body.code == ErrorCode::Overloaded,
-        Err(err) => err.kind() == io::ErrorKind::ConnectionRefused,
-        Ok(_) => false,
-    }
-}
-
-/// Issues `request` with retries per `policy`: reconnect via `connect`
-/// each attempt (a refused connection is one of the retryable failures),
-/// sleeping through `sleep` between attempts. Returns the final outcome,
-/// transient or not, once the budget is exhausted.
-///
-/// # Errors
-///
-/// Whatever the last attempt returned.
-#[deprecated(note = "use Client::builder() with a retry_policy; retries now live on Client::call")]
-pub fn call_with_retry(
-    mut connect: impl FnMut() -> io::Result<Client>,
-    request: &Request,
+/// Runs `attempt` until it succeeds, fails permanently, or the policy's
+/// retry budget is spent, sleeping through `sleep` between attempts (the
+/// one retry loop, shared by [`ClientBuilder::connect`] and
+/// [`Client::call`]; tests inject the sleep). Returns the last outcome.
+fn with_retries<T>(
     policy: RetryPolicy,
+    seed: u64,
+    mut attempt: impl FnMut() -> Result<T, ClientError>,
     mut sleep: impl FnMut(Duration),
-) -> io::Result<Response> {
-    let seed = jitter_seed(&request.encode());
-    let mut attempt = 0;
+) -> Result<T, ClientError> {
+    let mut retry = 0;
     loop {
-        let result = connect().and_then(|mut client| client.call_raw(request));
-        #[allow(deprecated)]
-        let transient = is_transient(&result);
-        if !transient || attempt >= policy.retries {
-            return result;
+        match attempt() {
+            Err(e) if e.is_transient() && retry < policy.retries => {
+                sleep(Duration::from_millis(policy.delay_ms(retry, seed)));
+                retry += 1;
+            }
+            outcome => return outcome,
         }
-        sleep(Duration::from_millis(policy.delay_ms(attempt, seed)));
-        attempt += 1;
     }
 }
 
@@ -197,13 +177,6 @@ impl ClientBuilder {
     #[must_use]
     pub fn unix(mut self, path: impl Into<PathBuf>) -> Self {
         self.endpoint = Endpoint::Unix(path.into());
-        self
-    }
-
-    /// Connect through an in-process loopback hub.
-    #[must_use]
-    pub fn loopback(mut self, hub: LoopbackHub) -> Self {
-        self.endpoint = Endpoint::Loopback(hub);
         self
     }
 
@@ -266,20 +239,12 @@ impl ClientBuilder {
             }
         }
         let seed = jitter_seed(&format!("{:?}", self.endpoint));
-        let mut attempt = 0;
-        let stream = loop {
-            match self.endpoint.connect() {
-                Ok(stream) => break stream,
-                Err(e)
-                    if e.kind() == io::ErrorKind::ConnectionRefused
-                        && attempt < self.retry.retries =>
-                {
-                    std::thread::sleep(Duration::from_millis(self.retry.delay_ms(attempt, seed)));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
+        let stream = with_retries(
+            self.retry,
+            seed,
+            || Ok(self.endpoint.connect()?),
+            std::thread::sleep,
+        )?;
         if let Some(timeout) = self.timeout {
             stream.set_read_timeout(Some(timeout))?;
         }
@@ -333,27 +298,6 @@ impl Client {
         }
     }
 
-    /// Connects over TCP, e.g. `Client::connect("127.0.0.1:4085")`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the connect or clone failure.
-    #[deprecated(note = "use Client::builder().addr(..).connect()")]
-    pub fn connect(addr: &str) -> io::Result<Client> {
-        Client::builder().addr(addr).connect().map_err(io_from)
-    }
-
-    /// Connects to a Unix-domain socket (unix targets only).
-    ///
-    /// # Errors
-    ///
-    /// Returns the connect or clone failure.
-    #[cfg(unix)]
-    #[deprecated(note = "use Client::builder().unix(..).connect()")]
-    pub fn connect_unix(path: &Path) -> io::Result<Client> {
-        Client::builder().unix(path).connect().map_err(io_from)
-    }
-
     /// Sets a read timeout for responses (None = block forever).
     ///
     /// # Errors
@@ -377,34 +321,35 @@ impl Client {
         let effective = self.with_deadline(request);
         let line = effective.encode_with_trace(self.trace_id.as_deref());
         let seed = jitter_seed(&line);
-        let policy = self.retry;
-        let mut attempt = 0;
-        loop {
-            let outcome = match self.exchange(&line) {
-                Ok(Response::Error(body)) => Err(ClientError::Server(body)),
-                Ok(response) => Ok(response),
-                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    Err(ClientError::Protocol(e.to_string()))
+        // A refused connection means this stream is dead, so the next
+        // attempt reconnects first; transient overloads keep the
+        // existing connection.
+        let mut stream_dead = false;
+        with_retries(
+            self.retry,
+            seed,
+            || {
+                if stream_dead {
+                    self.reconnect()?;
                 }
-                Err(e) => Err(ClientError::Io(e)),
-            };
-            let transient = outcome.as_ref().err().is_some_and(ClientError::is_transient);
-            if !transient || attempt >= policy.retries {
-                return outcome;
-            }
-            std::thread::sleep(Duration::from_millis(policy.delay_ms(attempt, seed)));
-            attempt += 1;
-            // A refused connection means this stream is dead; transient
-            // overloads keep the existing connection.
-            if matches!(&outcome, Err(ClientError::Io(_))) {
-                self.reconnect()?;
-            }
-        }
+                let outcome = match self.exchange(&line) {
+                    Ok(Response::Error(body)) => Err(ClientError::Server(body)),
+                    Ok(response) => Ok(response),
+                    Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                        Err(ClientError::Protocol(e.to_string()))
+                    }
+                    Err(e) => Err(ClientError::Io(e)),
+                };
+                stream_dead = matches!(outcome, Err(ClientError::Io(_)));
+                outcome
+            },
+            std::thread::sleep,
+        )
     }
 
     /// Sends one request and reads its raw response — no deadline or
     /// trace injection, no retries, server errors as `Ok(Error(..))`.
-    /// The untyped surface [`call_with_retry`] and wire-level tests use.
+    /// The untyped surface wire-level tests and the benchmark use.
     ///
     /// # Errors
     ///
@@ -494,14 +439,6 @@ impl Client {
     }
 }
 
-/// Maps a [`ClientError`] back onto the deprecated io-flavored surface.
-fn io_from(e: ClientError) -> io::Error {
-    match e {
-        ClientError::Io(e) => e,
-        other => io::Error::other(other.to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,8 +492,14 @@ mod tests {
         assert!(!ClientError::Protocol("junk".to_string()).is_transient());
     }
 
+    fn io_kind(result: Result<(), ClientError>) -> io::ErrorKind {
+        match result {
+            Err(ClientError::Io(e)) => e.kind(),
+            other => panic!("expected an I/O failure, got {other:?}"),
+        }
+    }
+
     #[test]
-    #[allow(deprecated)]
     fn retry_exhausts_budget_on_refused_connections() {
         let mut attempts = 0u32;
         let mut sleeps: Vec<u64> = Vec::new();
@@ -564,41 +507,40 @@ mod tests {
             retries: 3,
             backoff_ms: 10,
         };
-        let result = call_with_retry(
+        let result = with_retries(
+            policy,
+            42,
             || {
                 attempts += 1;
-                Err(io::Error::new(io::ErrorKind::ConnectionRefused, "refused"))
+                Err(io::Error::new(io::ErrorKind::ConnectionRefused, "refused").into())
             },
-            &Request::Ping,
-            policy,
             |d| sleeps.push(d.as_millis() as u64),
         );
         assert_eq!(attempts, 4, "1 initial try + 3 retries");
         assert_eq!(sleeps.len(), 3, "sleeps only between attempts");
-        assert_eq!(result.unwrap_err().kind(), io::ErrorKind::ConnectionRefused);
+        assert_eq!(io_kind(result), io::ErrorKind::ConnectionRefused);
         // Backoff must not shrink below the jittered floor of the base.
         assert!(sleeps.iter().all(|&ms| ms <= MAX_BACKOFF_MS));
     }
 
     #[test]
-    #[allow(deprecated)]
     fn permanent_failures_do_not_retry() {
         let mut attempts = 0u32;
         let policy = RetryPolicy {
             retries: 5,
             backoff_ms: 10,
         };
-        let result = call_with_retry(
+        let result = with_retries(
+            policy,
+            42,
             || {
                 attempts += 1;
-                Err(io::Error::new(io::ErrorKind::PermissionDenied, "denied"))
+                Err(io::Error::new(io::ErrorKind::PermissionDenied, "denied").into())
             },
-            &Request::Ping,
-            policy,
             |_| panic!("must not sleep on a permanent failure"),
         );
         assert_eq!(attempts, 1);
-        assert_eq!(result.unwrap_err().kind(), io::ErrorKind::PermissionDenied);
+        assert_eq!(io_kind(result), io::ErrorKind::PermissionDenied);
     }
 
     #[test]
@@ -614,14 +556,13 @@ mod tests {
 
     #[test]
     fn deadline_is_attached_only_when_absent() {
-        use crate::transport::Listener as _;
-        let hub = LoopbackHub::new();
+        // The connect completes on the kernel backlog; nothing accepts.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let client = Client::builder()
-            .loopback(hub.clone())
+            .addr(listener.local_addr().expect("local addr").to_string())
             .deadline(Duration::from_millis(750))
             .connect()
-            .expect("loopback connect");
-        let _server_end = hub.accept_transport().expect("accept");
+            .expect("connect");
         let bare = Request::Simulate(crate::protocol::SimulateSpec {
             workload: "VCCOM".to_string(),
             len: 1,

@@ -1,13 +1,22 @@
-//! Poll-based connection multiplexing (unix targets).
+//! The poll(2) event loop: the server's one connection path (unix
+//! targets).
 //!
-//! One thread owns every socket: the listeners, a self-wake pipe, and
-//! all client connections. Readiness drives the work — an idle
-//! connection costs one `pollfd` entry per iteration and nothing else,
-//! so thousands of mostly-idle clients no longer each pin a thread or
-//! (worse, as before this module) wait out the accept loop's 100 ms
-//! sleep. `simulate`/`sweep` still execute on the worker pool; a worker
-//! finishing a job pushes the response onto the completion list and
+//! One thread owns every socket: the TCP, Unix and `/metrics`
+//! listeners, a self-wake pipe, and all client connections. Readiness
+//! drives the work — an idle connection costs one `pollfd` entry per
+//! iteration and nothing else, so thousands of mostly-idle clients pin
+//! no threads. `simulate`/`sweep` execute on the worker pool; a worker
+//! finishing a job pushes the response onto the completion queue and
 //! writes one byte into the wake pipe, which pops the poll.
+//!
+//! A `/metrics` scrape is an ordinary connection flagged as a scrape:
+//! its request head is buffered until the blank line, EOF or
+//! [`SCRAPE_HEAD_LIMIT`], answered with the Prometheus exposition
+//! (`GET`) or `405`, and closed once the reply drains — so a scraper
+//! that connects and sends nothing delays no other scrape. On a router
+//! the scrape's shard fan-out runs on this thread, as the NDJSON
+//! `metrics` request's does: each live fetch is bounded by the connect
+//! timeout and known-down shards are skipped.
 //!
 //! Flow control: responses are buffered per connection and written when
 //! the socket reports `POLLOUT`; while a connection's outbound buffer
@@ -17,19 +26,19 @@
 //!
 //! Observability: the loop publishes per-connection lifecycle counters
 //! (`event_loop_conns_{accepted,closed,drained}_total`,
-//! `event_loop_half_closes_total`), `event_loop_poll_wait_us` /
-//! `event_loop_dispatch_us` histograms, and `event_loop_connections` /
-//! `event_loop_busy_jobs` / `event_loop_write_buf_bytes` gauges into
-//! the session registry. Request spans and `access_log` events come
-//! from the shared worker pool, identical to the threaded path (pinned
-//! by the journal-parity loopback test). Journal emission itself stays
-//! gated on the sink, so a journal-less server pays nothing for spans.
+//! `event_loop_half_closes_total`; scrapes count like any connection),
+//! `event_loop_poll_wait_us` / `event_loop_dispatch_us` histograms, and
+//! `event_loop_connections` / `event_loop_busy_jobs` /
+//! `event_loop_write_buf_bytes` gauges into the session registry.
+//! Request spans and `access_log` events come from the worker pool;
+//! journal emission stays gated on the sink, so a journal-less server
+//! pays nothing for spans.
 
 use crate::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{ErrorBody, ErrorCode, Response, MAX_LINE_BYTES};
-use crate::server::{dispatch_request, Handled, ReplyTo, ServerState};
+use crate::server::{dispatch_request, Handled, ServerState};
 use crate::stats::ServerStats;
-use crate::transport::Transport;
+use crate::transport::{Listener, Transport};
 use smith85_obs::Counter;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -60,25 +69,49 @@ const US_BOUNDS: [f64; 8] = [
 /// requests from a connection until writes drain.
 const WRITE_BUF_LIMIT: usize = 256 * 1024;
 
-/// Upper bound on the shutdown drain, mirroring the worker reply
-/// timeout: past it, in-flight connections are dropped rather than
-/// keeping the process alive forever on a lost reply.
+/// Upper bound on the shutdown drain: past it, in-flight connections
+/// are dropped rather than keeping the process alive forever on a lost
+/// reply.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(600);
 
-/// Completed jobs waiting to be written back, keyed by connection id.
-pub(crate) type Completions = Arc<Mutex<Vec<(u64, Response)>>>;
+/// Upper bound on a buffered `/metrics` request head: a scraper that
+/// sends this much without a blank line is answered on what arrived.
+const SCRAPE_HEAD_LIMIT: usize = 8 * 1024;
 
-/// Wakes the poll loop from another thread by writing one byte into the
-/// self-wake pipe (the classic self-pipe trick, on a nonblocking
-/// socketpair so a full pipe — wake already pending — never blocks).
-#[derive(Clone)]
-pub(crate) struct Waker {
-    tx: Arc<UnixStream>,
+/// Finished jobs waiting to be written back, keyed by connection id,
+/// plus the write end of the loop's self-wake pipe (the classic
+/// self-pipe trick, on a nonblocking socketpair so a full pipe — wake
+/// already pending — never blocks a worker).
+pub(crate) struct Completions {
+    done: Mutex<Vec<(u64, Response)>>,
+    wake_tx: UnixStream,
 }
 
-impl Waker {
-    pub(crate) fn wake(&self) {
-        let _ = (&*self.tx).write(&[1u8]);
+impl Completions {
+    /// Queues `response` for connection `conn_id` and wakes the poller.
+    fn push(&self, conn_id: u64, response: Response) {
+        self.done
+            .lock()
+            .expect("completion queue lock poisoned")
+            .push((conn_id, response));
+        let _ = (&self.wake_tx).write(&[1u8]);
+    }
+
+    fn take(&self) -> Vec<(u64, Response)> {
+        std::mem::take(&mut *self.done.lock().expect("completion queue lock poisoned"))
+    }
+}
+
+/// Where a finished job's response goes: the loop's completion queue,
+/// tagged with the connection that sent the request.
+pub(crate) struct ReplyTo {
+    conn_id: u64,
+    completions: Arc<Completions>,
+}
+
+impl ReplyTo {
+    pub(crate) fn send(&self, response: Response) {
+        self.completions.push(self.conn_id, response);
     }
 }
 
@@ -86,16 +119,20 @@ impl Waker {
 struct Conn {
     stream: Box<dyn Transport>,
     fd: RawFd,
+    /// A `/metrics` scrape (one HTTP request, answered, then closed)
+    /// rather than an NDJSON request stream.
+    scrape: bool,
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
     write_pos: usize,
     /// One job in flight on the worker pool for this connection; the
-    /// loop stops parsing further lines until it completes, preserving
-    /// the one-request-at-a-time reply order of the threaded path.
+    /// loop stops parsing further lines until it completes, so replies
+    /// come back in request order.
     busy: bool,
     /// Flush the outbound buffer (and finish the in-flight job, if
-    /// any), then close; set on unrecoverable input (oversized lines).
-    /// Unlike `eof`, no further buffered input is parsed.
+    /// any), then close; set on unrecoverable input (oversized lines)
+    /// and once a scrape is answered. Unlike `eof`, no further buffered
+    /// input is parsed.
     closing: bool,
     /// The peer half-closed: parse what it already sent, answer it,
     /// flush, then close.
@@ -103,17 +140,12 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: Box<dyn Transport>) -> io::Result<Conn> {
+    fn new(stream: Box<dyn Transport>, scrape: bool) -> io::Result<Conn> {
         stream.set_nonblocking(true)?;
-        let fd = stream.raw_fd().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::Unsupported,
-                "event loop needs an fd-backed transport",
-            )
-        })?;
         Ok(Conn {
+            fd: stream.raw_fd(),
             stream,
-            fd,
+            scrape,
             read_buf: Vec::new(),
             write_buf: Vec::new(),
             write_pos: 0,
@@ -199,15 +231,18 @@ impl Conn {
 }
 
 /// Parses and dispatches every complete buffered line (stopping at one
-/// in-flight job), then flushes. Returns `false` when the connection is
-/// finished.
+/// in-flight job) or, on a scrape, answers a complete request head;
+/// then flushes. Returns `false` when the connection is finished.
 fn service(
     conn: &mut Conn,
     id: u64,
     state: &Arc<ServerState>,
-    completions: &Completions,
-    waker: &Waker,
+    completions: &Arc<Completions>,
 ) -> bool {
+    if conn.scrape {
+        answer_scrape(conn, state);
+        return conn.flush();
+    }
     while !conn.busy && !conn.closing {
         let Some(pos) = conn.read_buf.iter().position(|&b| b == b'\n') else {
             if conn.read_buf.len() > MAX_LINE_BYTES {
@@ -245,12 +280,11 @@ fn service(
         if text.trim().is_empty() {
             continue;
         }
-        let handled = dispatch_request(text, state, || ReplyTo::Event {
+        let reply = ReplyTo {
             conn_id: id,
             completions: Arc::clone(completions),
-            waker: waker.clone(),
-        });
-        match handled {
+        };
+        match dispatch_request(text, state, reply) {
             Handled::Inline(response) => conn.enqueue(&response),
             Handled::Admitted => conn.busy = true,
         }
@@ -258,16 +292,55 @@ fn service(
     conn.flush()
 }
 
-/// Accepts everything pending on a nonblocking listener.
+/// Answers a scrape once its request head is complete — a blank line,
+/// EOF, or [`SCRAPE_HEAD_LIMIT`] bytes — and marks the connection
+/// closing, so it closes once the reply drains. A deliberately minimal
+/// HTTP/1.1 responder (a method check, no routing, no keep-alive): the
+/// offline toolchain has no HTTP dependency, and scrapers only ever
+/// issue one-shot GETs.
+fn answer_scrape(conn: &mut Conn, state: &ServerState) {
+    let head = &conn.read_buf;
+    let complete = conn.eof
+        || head.len() >= SCRAPE_HEAD_LIMIT
+        || head.windows(4).any(|w| w == b"\r\n\r\n")
+        || head.windows(2).any(|w| w == b"\n\n");
+    if conn.closing || !complete {
+        return;
+    }
+    let (status, content_type, body) = if head.starts_with(b"GET ") {
+        // Router nodes answer with the federated fleet view.
+        (
+            "200 OK",
+            "text/plain; version=0.0.4; charset=utf-8",
+            state.metrics_snapshot().to_prometheus(),
+        )
+    } else {
+        (
+            "405 Method Not Allowed",
+            "text/plain",
+            "metrics endpoint only answers GET\n".to_string(),
+        )
+    };
+    let reply = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    conn.write_buf.extend_from_slice(reply.as_bytes());
+    conn.closing = true;
+}
+
+/// Accepts everything pending on a nonblocking listener; `scrape` flags
+/// the connections as `/metrics` scrapes.
 fn accept_burst(
-    accept: impl Fn() -> io::Result<Box<dyn Transport>>,
+    listener: &dyn Listener,
+    scrape: bool,
     conns: &mut HashMap<u64, Conn>,
     next_id: &mut u64,
     accepted: &Counter,
 ) {
     loop {
-        match accept() {
-            Ok(stream) => match Conn::new(stream) {
+        match listener.accept_transport() {
+            Ok(stream) => match Conn::new(stream, scrape) {
                 Ok(conn) => {
                     let id = *next_id;
                     *next_id += 1;
@@ -293,19 +366,28 @@ fn accept_burst(
 pub(crate) fn run(
     listener: &TcpListener,
     unix_listener: Option<&UnixListener>,
+    metrics_listener: Option<&TcpListener>,
     state: &Arc<ServerState>,
 ) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
+    // Every listener's fd, with whether its connections are scrapes.
+    let mut listeners: Vec<(RawFd, &dyn Listener, bool)> =
+        vec![(listener.as_raw_fd(), listener, false)];
     if let Some(unix) = unix_listener {
-        unix.set_nonblocking(true)?;
+        listeners.push((unix.as_raw_fd(), unix, false));
+    }
+    if let Some(metrics) = metrics_listener {
+        listeners.push((metrics.as_raw_fd(), metrics, true));
+    }
+    for (_, listener, _) in &listeners {
+        listener.set_nonblocking(true)?;
     }
     let (wake_rx, wake_tx) = UnixStream::pair()?;
     wake_rx.set_nonblocking(true)?;
     wake_tx.set_nonblocking(true)?;
-    let waker = Waker {
-        tx: Arc::new(wake_tx),
-    };
-    let completions: Completions = Arc::new(Mutex::new(Vec::new()));
+    let completions = Arc::new(Completions {
+        done: Mutex::new(Vec::new()),
+        wake_tx,
+    });
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_id: u64 = 1;
     let mut drain_started: Option<Instant> = None;
@@ -345,15 +427,8 @@ pub(crate) fn run(
         }
 
         let mut fds = vec![PollFd::new(wake_rx.as_raw_fd(), POLLIN)];
-        let mut tcp_index = None;
-        let mut unix_index = None;
         if !draining {
-            tcp_index = Some(fds.len());
-            fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-            if let Some(unix) = unix_listener {
-                unix_index = Some(fds.len());
-                fds.push(PollFd::new(unix.as_raw_fd(), POLLIN));
-            }
+            fds.extend(listeners.iter().map(|&(fd, _, _)| PollFd::new(fd, POLLIN)));
         }
         let conn_base = fds.len();
         let order: Vec<u64> = conns.keys().copied().collect();
@@ -378,36 +453,24 @@ pub(crate) fn run(
 
         // Worker completions first: they clear `busy`, which may let a
         // pipelined follow-up line in the read buffer dispatch below.
-        let done: Vec<(u64, Response)> = std::mem::take(&mut *completions.lock().unwrap());
         let mut dead: Vec<u64> = Vec::new();
-        for (id, response) in done {
+        for (id, response) in completions.take() {
             // A connection that died while its job ran simply has its
-            // response dropped, like the threaded path's failed write.
+            // response dropped: no one is left to read it.
             if let Some(conn) = conns.get_mut(&id) {
                 conn.busy = false;
                 conn.enqueue(&response);
-                if !service(conn, id, state, &completions, &waker) {
+                if !service(conn, id, state, &completions) {
                     dead.push(id);
                 }
             }
         }
 
-        if tcp_index.is_some_and(|i| fds[i].ready(POLLIN)) {
-            accept_burst(
-                || crate::transport::Listener::accept_transport(listener),
-                &mut conns,
-                &mut next_id,
-                &accepted,
-            );
-        }
-        if let (Some(i), Some(unix)) = (unix_index, unix_listener) {
-            if fds[i].ready(POLLIN) {
-                accept_burst(
-                    || crate::transport::Listener::accept_transport(unix),
-                    &mut conns,
-                    &mut next_id,
-                    &accepted,
-                );
+        if !draining {
+            for (slot, &(_, listener, scrape)) in listeners.iter().enumerate() {
+                if fds[1 + slot].ready(POLLIN) {
+                    accept_burst(listener, scrape, &mut conns, &mut next_id, &accepted);
+                }
             }
         }
 
@@ -422,7 +485,7 @@ pub(crate) fn run(
             }
             if alive && pfd.ready(POLLIN) {
                 let was_eof = conn.eof;
-                alive = conn.fill() && service(conn, id, state, &completions, &waker);
+                alive = conn.fill() && service(conn, id, state, &completions);
                 if !was_eof && conn.eof {
                     half_closed.inc();
                 }

@@ -2,8 +2,8 @@
 //! cache-evaluation reproduction.
 //!
 //! The server speaks newline-delimited JSON over any [`transport`]
-//! (TCP, a Unix socket on unix targets, or an in-process loopback hub).
-//! On unix targets a poll-based event loop owns every connection — idle
+//! (TCP, or a Unix socket). Serving is unix-only: one poll(2) event loop
+//! owns every connection, the `/metrics` endpoint included — idle
 //! connections cost a pollfd entry, not a thread — and expensive
 //! requests (`simulate`, `sweep`) flow through a bounded work queue
 //! with explicit admission control: a full queue answers `overloaded`
@@ -67,8 +67,6 @@ pub mod signal;
 pub mod stats;
 pub mod transport;
 
-#[allow(deprecated)]
-pub use client::{call_with_retry, is_transient};
 pub use client::{Client, ClientBuilder, ClientError, RetryPolicy, MAX_BACKOFF_MS};
 pub use protocol::{
     CacheSpec, CatalogResult, ErrorBody, ErrorCode, Request, Response, RouterCounters,
@@ -78,5 +76,7 @@ pub use router::RouterOptions;
 pub use server::{
     ConfigError, RunningServer, ServeOptions, ServeOptionsBuilder, Server, ShutdownHandle,
 };
-pub use transport::{bind_unix, Endpoint, Listener, LoopbackHub, Transport};
 pub use smith85_obs::RegistrySnapshot;
+#[cfg(unix)]
+pub use transport::bind_unix;
+pub use transport::{Endpoint, Listener, Transport};

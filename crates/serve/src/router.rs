@@ -33,7 +33,7 @@ use crate::protocol::{
     ErrorBody, ErrorCode, Request, Response, RouterCounters, TraceEnvelope, MAX_LINE_BYTES,
 };
 use crate::transport::Transport;
-use smith85_obs::{GaugeSnapshot, Registry, RegistrySnapshot};
+use smith85_obs::{Counter, Gauge, GaugeSnapshot, Registry, RegistrySnapshot};
 use smith85_tracelog::{self as tracelog, FieldValue};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -81,19 +81,27 @@ pub(crate) struct Shard {
     /// it, the prober flips it back.
     up: AtomicBool,
     inflight: AtomicUsize,
-    forwarded: AtomicU64,
+    /// `router_shard_up{shard=addr}`, resolved once.
+    up_gauge: Arc<Gauge>,
+    /// `router_shard_inflight{shard=addr}`, resolved once.
+    inflight_gauge: Arc<Gauge>,
 }
 
 /// Shared router state: the ring, per-shard counters, global counters.
+/// Metric handles are resolved once at construction, so forwarding
+/// takes no registry lock and builds no metric key.
 pub(crate) struct RouterState {
     shards: Vec<Arc<Shard>>,
     /// `(hash, shard index)` sorted by hash — the consistent-hash ring.
     ring: Vec<(u64, usize)>,
     opts: RouterOptions,
     registry: Registry,
-    forwarded: AtomicU64,
-    hedged: AtomicU64,
-    shard_overloads: AtomicU64,
+    /// `router_forwarded_total`.
+    forwarded: Arc<Counter>,
+    /// `router_hedged_total`.
+    hedged: Arc<Counter>,
+    /// `router_shard_overloads_total`.
+    shard_overloads: Arc<Counter>,
     health_probes: AtomicU64,
     federated_shards: AtomicU64,
     stale_shards: AtomicU64,
@@ -142,15 +150,24 @@ pub(crate) struct ForwardOutcome {
 
 impl RouterState {
     pub(crate) fn new(opts: RouterOptions, registry: Registry) -> RouterState {
+        // The gauges are set at once so a scrape before the first probe
+        // still lists every shard (optimistically up). One family with a
+        // `shard` label per backend, never per-index metric names.
         let shards: Vec<Arc<Shard>> = opts
             .backends
             .iter()
             .map(|addr| {
+                let up_gauge = registry.gauge_with("router_shard_up", &[("shard", addr)]);
+                up_gauge.set(1.0);
+                let inflight_gauge =
+                    registry.gauge_with("router_shard_inflight", &[("shard", addr)]);
+                inflight_gauge.set(0.0);
                 Arc::new(Shard {
                     addr: addr.clone(),
                     up: AtomicBool::new(true),
                     inflight: AtomicUsize::new(0),
-                    forwarded: AtomicU64::new(0),
+                    up_gauge,
+                    inflight_gauge,
                 })
             })
             .collect();
@@ -162,28 +179,14 @@ impl RouterState {
             }
         }
         ring.sort_unstable();
-        // Pre-register the gauges so a scrape before the first probe
-        // still lists every shard (optimistically up). One family with
-        // a `shard` label per backend, never per-index metric names.
-        for shard in &shards {
-            registry
-                .gauge_with("router_shard_up", &[("shard", &shard.addr)])
-                .set(1.0);
-            registry
-                .gauge_with("router_shard_inflight", &[("shard", &shard.addr)])
-                .set(0.0);
-        }
-        registry.counter("router_forwarded_total");
-        registry.counter("router_hedged_total");
-        registry.counter("router_shard_overloads_total");
         RouterState {
             shards,
             ring,
             opts,
+            forwarded: registry.counter("router_forwarded_total"),
+            hedged: registry.counter("router_hedged_total"),
+            shard_overloads: registry.counter("router_shard_overloads_total"),
             registry,
-            forwarded: AtomicU64::new(0),
-            hedged: AtomicU64::new(0),
-            shard_overloads: AtomicU64::new(0),
             health_probes: AtomicU64::new(0),
             federated_shards: AtomicU64::new(0),
             stale_shards: AtomicU64::new(0),
@@ -225,9 +228,9 @@ impl RouterState {
                 .iter()
                 .filter(|s| s.up.load(Ordering::Relaxed))
                 .count() as u64,
-            forwarded: self.forwarded.load(Ordering::Relaxed),
-            hedged: self.hedged.load(Ordering::Relaxed),
-            shard_overloads: self.shard_overloads.load(Ordering::Relaxed),
+            forwarded: self.forwarded.get(),
+            hedged: self.hedged.get(),
+            shard_overloads: self.shard_overloads.get(),
             health_probes: self.health_probes.load(Ordering::Relaxed),
             federated_shards: self.federated_shards.load(Ordering::Relaxed),
             stale_shards: self.stale_shards.load(Ordering::Relaxed),
@@ -237,9 +240,7 @@ impl RouterState {
     fn mark(&self, index: usize, up: bool) {
         let shard = &self.shards[index];
         shard.up.store(up, Ordering::Relaxed);
-        self.registry
-            .gauge_with("router_shard_up", &[("shard", &shard.addr)])
-            .set(if up { 1.0 } else { 0.0 });
+        shard.up_gauge.set(if up { 1.0 } else { 0.0 });
     }
 
     /// One health-probe round: ping every shard, flip flags and gauges.
@@ -286,13 +287,10 @@ impl RouterState {
             }
             // Per-shard budget: admission control at the router tier.
             let inflight = shard.inflight.fetch_add(1, Ordering::AcqRel);
-            self.registry
-                .gauge_with("router_shard_inflight", &[("shard", &shard.addr)])
-                .set((inflight + 1) as f64);
+            shard.inflight_gauge.set((inflight + 1) as f64);
             if inflight >= self.opts.shard_inflight {
                 shard.inflight.fetch_sub(1, Ordering::AcqRel);
-                self.shard_overloads.fetch_add(1, Ordering::Relaxed);
-                self.registry.counter("router_shard_overloads_total").inc();
+                self.shard_overloads.inc();
                 return Err(ErrorBody::new(
                     ErrorCode::Overloaded,
                     format!(
@@ -309,17 +307,14 @@ impl RouterState {
                 Duration::from_millis(self.opts.reply_timeout_ms.max(1)),
             );
             shard.inflight.fetch_sub(1, Ordering::AcqRel);
-            self.registry
-                .gauge_with("router_shard_inflight", &[("shard", &shard.addr)])
+            shard
+                .inflight_gauge
                 .set(shard.inflight.load(Ordering::Relaxed) as f64);
             match result {
                 Ok(response) => {
-                    shard.forwarded.fetch_add(1, Ordering::Relaxed);
-                    self.forwarded.fetch_add(1, Ordering::Relaxed);
-                    self.registry.counter("router_forwarded_total").inc();
+                    self.forwarded.inc();
                     if rank > 0 || hedges > 0 {
-                        self.hedged.fetch_add(1, Ordering::Relaxed);
-                        self.registry.counter("router_hedged_total").inc();
+                        self.hedged.inc();
                     }
                     return Ok(ForwardOutcome {
                         response,

@@ -1,23 +1,22 @@
-//! The simulation server: listeners, connection handling, worker pool,
-//! and the shard-router mode.
+//! The simulation server: listeners, the worker pool, and the
+//! shard-router mode.
 //!
 //! Architecture (all `std`, no async runtime — the offline shims
 //! preclude tokio):
 //!
 //! ```text
-//!  poll event loop (unix) ─┐                   ┌─ worker 0 ─┐
-//!   TCP + Unix listeners   ├─ NDJSON lines ──▶ │ bounded    │──▶ TracePool
-//!   + every connection     │                   │ work queue │    (shared)
-//!  loopback accept thread ─┘                   └─ worker N ─┘
+//!  poll event loop ───────┐                   ┌─ worker 0 ─┐
+//!   TCP + Unix listeners  ├─ NDJSON lines ──▶ │ bounded    │──▶ TracePool
+//!   + /metrics listener   │                   │ work queue │    (shared)
+//!   + every connection ───┘                   └─ worker N ─┘
 //! ```
 //!
-//! * On unix targets a single poll(2)-driven thread ([`crate::event_loop`])
-//!   owns the TCP/Unix listeners and every connection: idle connections
-//!   cost one pollfd per iteration, and a new connection is admitted the
-//!   instant the listener is readable instead of after the old accept
-//!   loop's 100 ms sleep. `ServeOptions::event_loop = false` (or a
-//!   non-unix target) falls back to the previous thread-per-connection
-//!   model.
+//! * One poll(2)-driven thread owns the TCP, Unix and `/metrics`
+//!   listeners and every connection: idle connections cost one pollfd
+//!   per iteration, and a new connection is admitted the instant its
+//!   listener is readable. It is the only connection path; poll(2) and
+//!   the SIGINT shim are unix-only, so [`Server::bind`] refuses other
+//!   targets with `Unsupported`.
 //! * Cheap requests (`catalog`, `stats`, `ping`, `shutdown`) are answered
 //!   inline; `simulate`/`sweep` go through the [`BoundedQueue`]; a full
 //!   queue is an immediate typed `overloaded` response (admission
@@ -27,41 +26,38 @@
 //!   them locally; see [`crate::router`].
 //! * Workers run jobs under `catch_unwind`, so a panicking job produces
 //!   an `internal` error response instead of a dead worker.
-//! * Graceful shutdown (SIGINT on unix, or a `shutdown` request): stop
+//! * Graceful shutdown (SIGINT, or a `shutdown` request): stop
 //!   accepting, close the queue, drain already-admitted jobs, join every
 //!   thread, then return the final stats snapshot.
 
+#[cfg(unix)]
+use crate::event_loop::ReplyTo;
 use crate::exec;
 use crate::protocol::{
-    ErrorBody, ErrorCode, Request, Response, SimulateSpec, StatsResult, SweepSpec, MAX_LINE_BYTES,
+    ErrorBody, ErrorCode, Request, Response, SimulateSpec, StatsResult, SweepSpec,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::router::{RouterOptions, RouterState};
 use crate::stats::ServerStats;
-use crate::transport::{Listener, LoopbackHub, Transport};
 use smith85_core::session::SimSession;
 use smith85_obs::MS_BOUNDS;
 use smith85_tracelog::{
     self as tracelog, mint_trace_id, NdjsonWriter, Severity, SinkHandle, TraceContext,
 };
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How often blocked reads and the accept loops recheck the shutdown
-/// flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
-
-/// Upper bound a connection waits for a worker reply after admission;
-/// a safety net against a lost reply, far above any legal job runtime.
-const REPLY_TIMEOUT: Duration = Duration::from_secs(600);
+/// Why [`Server::bind`] refuses non-unix targets.
+const UNIX_ONLY: &str = "smith85-serve runs on unix targets only: \
+     its one connection path is a poll(2) event loop";
 
 /// Server construction parameters.
 ///
@@ -74,8 +70,7 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(600);
 pub struct ServeOptions {
     /// TCP bind address, e.g. `"127.0.0.1:4085"` (port 0 for ephemeral).
     pub addr: String,
-    /// Optional Unix-domain socket path (unix targets only; binding
-    /// fails with an error elsewhere). An existing socket file at the
+    /// Optional Unix-domain socket path. An existing socket file at the
     /// path is replaced.
     pub unix_path: Option<PathBuf>,
     /// Worker threads executing `simulate`/`sweep` jobs (or, in router
@@ -100,18 +95,9 @@ pub struct ServeOptions {
     /// through to the backend journal) plus an access-log event into
     /// the file; `None` disables journaling at zero cost.
     pub journal: Option<PathBuf>,
-    /// Optional in-process loopback hub to accept connections from
-    /// (tests and embedders; served by a connection thread regardless
-    /// of `event_loop`).
-    pub loopback: Option<LoopbackHub>,
     /// Router mode: forward `simulate`/`sweep` to these backend shards
     /// instead of executing locally. Incompatible with a session store.
     pub router: Option<RouterOptions>,
-    /// Use the poll event loop for TCP/Unix connections (unix targets;
-    /// elsewhere the thread-per-connection fallback is always used).
-    /// `false` forces the fallback — the worker-pool-only baseline the
-    /// benchmarks compare against.
-    pub event_loop: bool,
 }
 
 impl Default for ServeOptions {
@@ -125,9 +111,7 @@ impl Default for ServeOptions {
             session: SimSession::default(),
             metrics_addr: None,
             journal: None,
-            loopback: None,
             router: None,
-            event_loop: true,
         }
     }
 }
@@ -235,7 +219,7 @@ impl ServeOptionsBuilder {
         self
     }
 
-    /// Unix-domain socket path (unix targets only).
+    /// Unix-domain socket path.
     #[must_use]
     pub fn unix_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.opts.unix_path = Some(path.into());
@@ -284,24 +268,10 @@ impl ServeOptionsBuilder {
         self
     }
 
-    /// In-process loopback hub to accept connections from.
-    #[must_use]
-    pub fn loopback(mut self, hub: LoopbackHub) -> Self {
-        self.opts.loopback = Some(hub);
-        self
-    }
-
     /// Router mode: forward jobs to these backend shards.
     #[must_use]
     pub fn router(mut self, router: RouterOptions) -> Self {
         self.opts.router = Some(router);
-        self
-    }
-
-    /// Toggles the poll event loop (unix targets).
-    #[must_use]
-    pub fn event_loop(mut self, enabled: bool) -> Self {
-        self.opts.event_loop = enabled;
         self
     }
 
@@ -323,36 +293,15 @@ pub(crate) enum JobKind {
     Forward(Request),
 }
 
-/// Where a finished job's response goes: back to a blocked connection
-/// thread, or onto the event loop's completion list.
-pub(crate) enum ReplyTo {
-    /// A connection thread blocked in `recv_timeout`.
-    Channel(mpsc::SyncSender<Response>),
-    /// The poll event loop: push the response and wake the poller.
-    #[cfg(unix)]
-    Event {
-        conn_id: u64,
-        completions: crate::event_loop::Completions,
-        waker: crate::event_loop::Waker,
-    },
-}
+/// Non-unix targets run no event loop ([`Server::bind`] refuses them),
+/// so no job is ever admitted there and nothing replies.
+#[cfg(not(unix))]
+pub(crate) enum ReplyTo {}
 
+#[cfg(not(unix))]
 impl ReplyTo {
-    fn send(&self, response: Response) {
-        match self {
-            ReplyTo::Channel(reply) => {
-                let _ = reply.send(response);
-            }
-            #[cfg(unix)]
-            ReplyTo::Event {
-                conn_id,
-                completions,
-                waker,
-            } => {
-                completions.lock().unwrap().push((*conn_id, response));
-                waker.wake();
-            }
-        }
+    fn send(&self, _response: Response) {
+        match *self {}
     }
 }
 
@@ -441,36 +390,30 @@ pub struct Server {
     unix_listener: Option<UnixListener>,
     unix_path: Option<PathBuf>,
     metrics_listener: Option<TcpListener>,
-    loopback: Option<LoopbackHub>,
-    event_loop: bool,
     state: Arc<ServerState>,
 }
 
 impl Server {
-    /// Validates the options and binds the TCP (and optional Unix)
-    /// listeners.
+    /// Validates the options and binds the TCP (and optional Unix and
+    /// metrics) listeners.
     ///
     /// # Errors
     ///
     /// `InvalidInput` wrapping a [`ConfigError`] for a rejected option
-    /// combination; otherwise the bind failure, or `Unsupported` for a
-    /// Unix-socket path on a non-unix target.
+    /// combination; `Unsupported` on a non-unix target; otherwise the
+    /// bind failure.
     pub fn bind(opts: ServeOptions) -> io::Result<Server> {
         opts.validate()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        if cfg!(not(unix)) {
+            return Err(io::Error::new(io::ErrorKind::Unsupported, UNIX_ONLY));
+        }
         let listener = TcpListener::bind(&opts.addr)?;
         #[cfg(unix)]
         let unix_listener = match &opts.unix_path {
             None => None,
             Some(path) => Some(crate::transport::bind_unix(path)?),
         };
-        #[cfg(not(unix))]
-        if opts.unix_path.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unix sockets are only available on unix targets",
-            ));
-        }
         let metrics_listener = match &opts.metrics_addr {
             None => None,
             Some(addr) => Some(TcpListener::bind(addr)?),
@@ -497,8 +440,6 @@ impl Server {
             unix_listener,
             unix_path: opts.unix_path.clone(),
             metrics_listener,
-            loopback: opts.loopback.clone(),
-            event_loop: opts.event_loop,
             state: Arc::new(ServerState {
                 queue: BoundedQueue::new(opts.queue_capacity),
                 stats: ServerStats::default(),
@@ -536,14 +477,15 @@ impl Server {
         }
     }
 
-    /// Runs until shutdown (SIGINT on unix, a `shutdown` request, or a
+    /// Runs until shutdown (SIGINT, a `shutdown` request, or a
     /// [`ShutdownHandle`]), then drains and returns the final counters.
     ///
     /// # Errors
     ///
-    /// Returns listener I/O failures; per-connection and per-job errors
-    /// are handled internally and never abort the server.
-    pub fn run(mut self) -> io::Result<StatsResult> {
+    /// Returns event-loop I/O failures (after the drain); per-connection
+    /// and per-job errors are handled internally and never abort the
+    /// server.
+    pub fn run(self) -> io::Result<StatsResult> {
         #[cfg(unix)]
         crate::signal::install_sigint_handler();
 
@@ -571,77 +513,30 @@ impl Server {
             }
         };
 
-        let metrics_thread = match self.metrics_listener.take() {
-            None => None,
-            Some(listener) => {
-                let state = Arc::clone(&state);
-                Some(
-                    thread::Builder::new()
-                        .name("serve-metrics".to_string())
-                        .spawn(move || metrics_loop(&listener, &state))?,
-                )
-            }
-        };
-
-        let loopback_accept = match self.loopback.clone() {
-            None => None,
-            Some(hub) => {
-                let state = Arc::clone(&state);
-                Some(
-                    thread::Builder::new()
-                        .name("serve-loopback-accept".to_string())
-                        .spawn(move || accept_loop_transport(&hub, &state))?,
-                )
-            }
-        };
-
         #[cfg(unix)]
-        {
-            if self.event_loop {
-                crate::event_loop::run(&self.listener, self.unix_listener.as_ref(), &state)?;
-            } else {
-                let unix_accept = match self.unix_listener.take() {
-                    None => None,
-                    Some(listener) => {
-                        let state = Arc::clone(&state);
-                        Some(
-                            thread::Builder::new()
-                                .name("serve-unix-accept".to_string())
-                                .spawn(move || accept_loop_transport(&listener, &state))?,
-                        )
-                    }
-                };
-                threaded_accept_loop(&self.listener, &state);
-                if let Some(handle) = unix_accept {
-                    let _ = handle.join();
-                }
-            }
-        }
+        let served = crate::event_loop::run(
+            &self.listener,
+            self.unix_listener.as_ref(),
+            self.metrics_listener.as_ref(),
+            &state,
+        );
         #[cfg(not(unix))]
-        threaded_accept_loop(&self.listener, &state);
+        let served: io::Result<()> = Err(io::Error::new(io::ErrorKind::Unsupported, UNIX_ONLY));
 
-        // Drain: the queue is closed, workers finish admitted jobs and
-        // exit; connection threads notice the flag via their read
-        // timeout and exit after their in-flight request is answered.
+        // The loop returns once every in-flight reply is flushed (or on
+        // a poll failure); close the queue either way so the workers
+        // finish what they hold and exit.
         state.begin_shutdown();
-        if let Some(hub) = &self.loopback {
-            hub.close();
-        }
         for worker in workers {
             let _ = worker.join();
         }
         if let Some(handle) = prober {
             let _ = handle.join();
         }
-        if let Some(handle) = metrics_thread {
-            let _ = handle.join();
-        }
-        if let Some(handle) = loopback_accept {
-            let _ = handle.join();
-        }
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
+        served?;
         Ok(state.snapshot())
     }
 
@@ -910,253 +805,6 @@ fn access_log(
     );
 }
 
-/// Accept loop for the Prometheus endpoint: a deliberately minimal
-/// HTTP/1.1 responder (no routing beyond `GET`, no keep-alive) — the
-/// offline toolchain has no HTTP dependency, and scrapers only ever
-/// issue one-shot GETs.
-fn metrics_loop(listener: &TcpListener, state: &Arc<ServerState>) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !state.shutting_down() {
-        match listener.accept() {
-            Ok((stream, _peer)) => serve_metrics_scrape(stream, state),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => thread::sleep(POLL_INTERVAL),
-        }
-    }
-}
-
-fn serve_metrics_scrape(mut stream: TcpStream, state: &Arc<ServerState>) {
-    // Read the request head (first line is enough to validate the
-    // method); a short timeout keeps a stalled scraper from pinning
-    // the loop.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut head = [0u8; 1024];
-    let read = match stream.read(&mut head) {
-        Ok(n) => n,
-        Err(_) => return,
-    };
-    let request = String::from_utf8_lossy(&head[..read]);
-    let response = if request.starts_with("GET ") {
-        // Router nodes answer with the federated fleet view; the scrape
-        // runs on its own thread, so the bounded shard fetches never
-        // stall request connections.
-        let body = state.metrics_snapshot().to_prometheus();
-        format!(
-            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-            body.len(),
-            body
-        )
-    } else {
-        let body = "metrics endpoint only answers GET\n";
-        format!(
-            "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: text/plain\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-            body.len(),
-            body
-        )
-    };
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
-}
-
-/// The thread-per-connection TCP accept loop (the pre-event-loop model;
-/// still the `event_loop: false` baseline and the non-unix fallback).
-fn threaded_accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
-    while !state.shutting_down() {
-        #[cfg(unix)]
-        if crate::signal::sigint_received() {
-            state.begin_shutdown();
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let state = Arc::clone(state);
-                match thread::Builder::new()
-                    .name("serve-conn".to_string())
-                    .spawn(move || handle_tcp_connection(stream, &state))
-                {
-                    Ok(handle) => connections.push(handle),
-                    Err(e) => eprintln!("smith85-serve: spawn failed: {e}"),
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_INTERVAL);
-                connections.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                // Transient accept failures (e.g. EMFILE) must not
-                // take the service down.
-                eprintln!("smith85-serve: accept failed: {e}");
-                thread::sleep(POLL_INTERVAL);
-            }
-        }
-    }
-    state.begin_shutdown();
-    for connection in connections {
-        let _ = connection.join();
-    }
-}
-
-/// Accept loop over any [`Listener`] (loopback hubs always; Unix
-/// listeners in threaded mode), one connection thread per accept.
-fn accept_loop_transport(listener: &dyn Listener, state: &Arc<ServerState>) {
-    let _ = listener.set_nonblocking(true);
-    let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
-    while !state.shutting_down() {
-        match listener.accept_transport() {
-            Ok(stream) => {
-                let state = Arc::clone(state);
-                if let Ok(handle) = thread::Builder::new()
-                    .name("serve-conn".to_string())
-                    .spawn(move || handle_transport_connection(stream, &state))
-                {
-                    connections.push(handle);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_INTERVAL);
-                connections.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => thread::sleep(POLL_INTERVAL),
-        }
-    }
-    for connection in connections {
-        let _ = connection.join();
-    }
-}
-
-fn handle_tcp_connection(stream: TcpStream, state: &Arc<ServerState>) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let reader = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    serve_lines(reader, stream, state);
-}
-
-fn handle_transport_connection(stream: Box<dyn Transport>, state: &Arc<ServerState>) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let reader = match stream.try_clone_transport() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    serve_lines(reader, stream, state);
-}
-
-enum LineRead {
-    /// One complete line (without the newline).
-    Line(Vec<u8>),
-    /// The line exceeded [`MAX_LINE_BYTES`]; the connection is beyond
-    /// recovery (the rest of the line would have to be skipped
-    /// unboundedly), so the caller answers and closes.
-    Oversized,
-    /// Clean end of stream.
-    Eof,
-    /// Server shutdown observed while idle.
-    Shutdown,
-}
-
-/// Reads one newline-delimited line, polling the shutdown flag during
-/// read timeouts. A final line without a trailing newline still counts.
-fn read_line_bounded(
-    reader: &mut BufReader<impl Read>,
-    state: &ServerState,
-) -> io::Result<LineRead> {
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        let buffered = match reader.fill_buf() {
-            Ok(buffered) => buffered,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if state.shutting_down() {
-                    return Ok(LineRead::Shutdown);
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if buffered.is_empty() {
-            return Ok(if line.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Line(line)
-            });
-        }
-        if let Some(pos) = buffered.iter().position(|&b| b == b'\n') {
-            line.extend_from_slice(&buffered[..pos]);
-            reader.consume(pos + 1);
-            if line.len() > MAX_LINE_BYTES {
-                return Ok(LineRead::Oversized);
-            }
-            return Ok(LineRead::Line(line));
-        }
-        let taken = buffered.len();
-        line.extend_from_slice(buffered);
-        reader.consume(taken);
-        if line.len() > MAX_LINE_BYTES {
-            return Ok(LineRead::Oversized);
-        }
-    }
-}
-
-fn serve_lines(reader: impl Read, mut writer: impl Write, state: &Arc<ServerState>) {
-    let mut reader = BufReader::new(reader);
-    loop {
-        let line = match read_line_bounded(&mut reader, state) {
-            Ok(LineRead::Line(line)) => line,
-            Ok(LineRead::Oversized) => {
-                ServerStats::bump(&state.stats.protocol_errors);
-                let response = Response::Error(ErrorBody::new(
-                    ErrorCode::Oversized,
-                    format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                ));
-                let _ = write_response(&mut writer, &response);
-                return;
-            }
-            Ok(LineRead::Eof | LineRead::Shutdown) | Err(_) => return,
-        };
-        let text = match std::str::from_utf8(&line) {
-            Ok(text) => text,
-            Err(_) => {
-                ServerStats::bump(&state.stats.protocol_errors);
-                let response = Response::Error(ErrorBody::new(
-                    ErrorCode::BadRequest,
-                    "request line is not valid UTF-8",
-                ));
-                if write_response(&mut writer, &response).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        if text.trim().is_empty() {
-            continue;
-        }
-        let response = handle_request(text, state);
-        if write_response(&mut writer, &response).is_err() {
-            return;
-        }
-    }
-}
-
-fn write_response(writer: &mut impl Write, response: &Response) -> io::Result<()> {
-    let mut line = response.encode();
-    line.push('\n');
-    writer.write_all(line.as_bytes())?;
-    writer.flush()
-}
-
 /// How [`dispatch_request`] settled a request.
 pub(crate) enum Handled {
     /// Answered without touching the worker pool.
@@ -1167,14 +815,9 @@ pub(crate) enum Handled {
 }
 
 /// Parses and routes one request line. Cheap requests are answered
-/// inline; `simulate`/`sweep` are admitted to the worker queue with a
-/// reply destination built by `make_reply` (a blocking channel on the
-/// threaded path, the completion list on the event loop).
-pub(crate) fn dispatch_request(
-    line: &str,
-    state: &Arc<ServerState>,
-    make_reply: impl FnOnce() -> ReplyTo,
-) -> Handled {
+/// inline; `simulate`/`sweep` are admitted to the worker queue, and the
+/// worker sends the response to `reply`.
+pub(crate) fn dispatch_request(line: &str, state: &Arc<ServerState>, reply: ReplyTo) -> Handled {
     let (request, envelope) = match Request::decode_with_envelope(line) {
         Ok(decoded) => decoded,
         Err(error) => {
@@ -1214,7 +857,7 @@ pub(crate) fn dispatch_request(
                 deadline_ms,
                 &state.stats.simulate_requests,
                 envelope,
-                make_reply,
+                reply,
             )
         }
         Request::Sweep(spec) => {
@@ -1230,31 +873,8 @@ pub(crate) fn dispatch_request(
                 deadline_ms,
                 &state.stats.sweep_requests,
                 envelope,
-                make_reply,
+                reply,
             )
-        }
-    }
-}
-
-/// The threaded path: dispatch, then block for the worker's reply.
-fn handle_request(line: &str, state: &Arc<ServerState>) -> Response {
-    let mut receiver = None;
-    let handled = dispatch_request(line, state, || {
-        let (reply, receive) = mpsc::sync_channel(1);
-        receiver = Some(receive);
-        ReplyTo::Channel(reply)
-    });
-    match handled {
-        Handled::Inline(response) => *response,
-        Handled::Admitted => {
-            let receive = receiver.expect("admitted jobs reply over the channel");
-            match receive.recv_timeout(REPLY_TIMEOUT) {
-                Ok(response) => response,
-                Err(_) => Response::Error(ErrorBody::new(
-                    ErrorCode::Internal,
-                    "worker did not reply in time",
-                )),
-            }
         }
     }
 }
@@ -1265,12 +885,12 @@ fn submit_job(
     deadline_ms: Option<u64>,
     admitted_counter: &std::sync::atomic::AtomicU64,
     envelope: crate::protocol::TraceEnvelope,
-    make_reply: impl FnOnce() -> ReplyTo,
+    reply: ReplyTo,
 ) -> Handled {
     let admitted = Instant::now();
     let job = Job {
         kind,
-        reply: make_reply(),
+        reply,
         admitted,
         deadline: deadline_ms.map(|ms| admitted + Duration::from_millis(ms)),
         trace_id: envelope.trace_id.unwrap_or_else(mint_trace_id),
@@ -1320,7 +940,6 @@ mod tests {
         assert_eq!(opts.workers, 2);
         assert_eq!(opts.queue_capacity, 8);
         assert_eq!(opts.default_deadline_ms, Some(250));
-        assert!(opts.event_loop, "event loop is the default");
     }
 
     #[test]

@@ -1,16 +1,11 @@
 //! One connection surface for every byte stream the service speaks.
 //!
 //! The server, router, client and tests all move NDJSON lines over a
-//! [`Transport`]: TCP, Unix-domain sockets (unix targets), or the
-//! in-process [`LoopbackHub`] that tests use to wire a client to a
-//! server with no sockets at all. [`Endpoint`] names a connectable
-//! destination; [`Listener`] is the accept side.
-//!
-//! Before this abstraction the server and client each carried their own
-//! `TcpStream`/`UnixStream` match arms; every new transport meant
-//! touching both. Now a stream is a `Box<dyn Transport>` everywhere.
+//! [`Transport`]: TCP, or a Unix-domain socket on unix targets.
+//! [`Endpoint`] names a connectable destination; [`Listener`] is the
+//! accept side. A stream is a `Box<dyn Transport>` everywhere, so the
+//! server's event loop and the client carry no per-transport match arms.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
@@ -18,15 +13,12 @@ use std::os::unix::io::{AsRawFd, RawFd};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
-use std::path::Path;
-use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// A bidirectional byte stream carrying NDJSON request/response lines.
 ///
-/// Implementations: [`TcpStream`], [`UnixStream`] (unix targets), and
-/// the in-process loopback stream a [`LoopbackHub`] hands out.
+/// Implementations: [`TcpStream`] and [`UnixStream`] (unix targets).
 pub trait Transport: Read + Write + Send {
     /// Sets the read timeout (`None` blocks forever).
     ///
@@ -52,13 +44,9 @@ pub trait Transport: Read + Write + Send {
     /// A short human-readable peer description for logs.
     fn peer_label(&self) -> String;
 
-    /// The raw file descriptor, when the stream is backed by one (the
-    /// poll event loop only multiplexes fd-backed transports; loopback
-    /// streams return `None` and are served by a connection thread).
+    /// The raw file descriptor the server's event loop polls.
     #[cfg(unix)]
-    fn raw_fd(&self) -> Option<RawFd> {
-        None
-    }
+    fn raw_fd(&self) -> RawFd;
 }
 
 impl Transport for TcpStream {
@@ -81,8 +69,8 @@ impl Transport for TcpStream {
     }
 
     #[cfg(unix)]
-    fn raw_fd(&self) -> Option<RawFd> {
-        Some(self.as_raw_fd())
+    fn raw_fd(&self) -> RawFd {
+        self.as_raw_fd()
     }
 }
 
@@ -104,8 +92,8 @@ impl Transport for UnixStream {
         "unix".to_string()
     }
 
-    fn raw_fd(&self) -> Option<RawFd> {
-        Some(self.as_raw_fd())
+    fn raw_fd(&self) -> RawFd {
+        self.as_raw_fd()
     }
 }
 
@@ -117,8 +105,6 @@ pub enum Endpoint {
     /// A Unix-domain socket path (unix targets only).
     #[cfg(unix)]
     Unix(PathBuf),
-    /// An in-process loopback hub (no sockets; tests and embedders).
-    Loopback(LoopbackHub),
 }
 
 impl std::fmt::Debug for Endpoint {
@@ -127,7 +113,6 @@ impl std::fmt::Debug for Endpoint {
             Endpoint::Tcp(addr) => write!(f, "tcp:{addr}"),
             #[cfg(unix)]
             Endpoint::Unix(path) => write!(f, "unix:{}", path.display()),
-            Endpoint::Loopback(_) => write!(f, "loopback"),
         }
     }
 }
@@ -137,8 +122,7 @@ impl Endpoint {
     ///
     /// # Errors
     ///
-    /// Returns the connect failure; a closed loopback hub reports
-    /// `ConnectionRefused`, matching a dead TCP server.
+    /// Returns the connect failure.
     pub fn connect(&self) -> io::Result<Box<dyn Transport>> {
         match self {
             Endpoint::Tcp(addr) => {
@@ -148,12 +132,11 @@ impl Endpoint {
             }
             #[cfg(unix)]
             Endpoint::Unix(path) => Ok(Box::new(UnixStream::connect(path)?)),
-            Endpoint::Loopback(hub) => hub.connect(),
         }
     }
 }
 
-/// The accept side of a transport: TCP, Unix socket, or loopback.
+/// The accept side of a transport: TCP or Unix socket.
 pub trait Listener: Send {
     /// Accepts one pending connection.
     ///
@@ -220,367 +203,4 @@ pub fn bind_unix(path: &Path) -> io::Result<UnixListener> {
         std::fs::remove_file(path)?;
     }
     UnixListener::bind(path)
-}
-
-// ---------------------------------------------------------------------
-// In-process loopback
-// ---------------------------------------------------------------------
-
-/// One direction of a loopback stream: a bounded in-memory byte queue.
-struct Pipe {
-    state: Mutex<PipeState>,
-    readable: Condvar,
-    writable: Condvar,
-}
-
-struct PipeState {
-    buf: VecDeque<u8>,
-    closed: bool,
-}
-
-/// Per-direction capacity; a writer outrunning its reader blocks, the
-/// same back-pressure a socket send buffer applies.
-const PIPE_CAPACITY: usize = 1 << 20;
-
-impl Pipe {
-    fn new() -> Arc<Pipe> {
-        Arc::new(Pipe {
-            state: Mutex::new(PipeState {
-                buf: VecDeque::new(),
-                closed: false,
-            }),
-            readable: Condvar::new(),
-            writable: Condvar::new(),
-        })
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock().unwrap();
-        state.closed = true;
-        self.readable.notify_all();
-        self.writable.notify_all();
-    }
-
-    fn read(
-        &self,
-        out: &mut [u8],
-        timeout: Option<Duration>,
-        nonblocking: bool,
-    ) -> io::Result<usize> {
-        if out.is_empty() {
-            return Ok(0);
-        }
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if !state.buf.is_empty() {
-                let n = out.len().min(state.buf.len());
-                for slot in out.iter_mut().take(n) {
-                    *slot = state.buf.pop_front().unwrap_or(0);
-                }
-                self.writable.notify_all();
-                return Ok(n);
-            }
-            if state.closed {
-                return Ok(0); // EOF
-            }
-            if nonblocking {
-                return Err(io::ErrorKind::WouldBlock.into());
-            }
-            state = match deadline {
-                None => self.readable.wait(state).unwrap(),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(io::ErrorKind::WouldBlock.into());
-                    }
-                    self.readable.wait_timeout(state, deadline - now).unwrap().0
-                }
-            };
-        }
-    }
-
-    fn write(&self, data: &[u8], nonblocking: bool) -> io::Result<usize> {
-        if data.is_empty() {
-            return Ok(0);
-        }
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if state.closed {
-                return Err(io::ErrorKind::BrokenPipe.into());
-            }
-            let room = PIPE_CAPACITY.saturating_sub(state.buf.len());
-            if room > 0 {
-                let n = data.len().min(room);
-                state.buf.extend(&data[..n]);
-                self.readable.notify_all();
-                return Ok(n);
-            }
-            if nonblocking {
-                return Err(io::ErrorKind::WouldBlock.into());
-            }
-            state = self.writable.wait(state).unwrap();
-        }
-    }
-}
-
-/// Flags shared by clones of one loopback stream half (socket options
-/// apply per stream, not per clone).
-struct LoopbackFlags {
-    read_timeout: Mutex<Option<Duration>>,
-    nonblocking: std::sync::atomic::AtomicBool,
-}
-
-/// One half of an in-process duplex stream.
-pub struct LoopbackStream {
-    rx: Arc<Pipe>,
-    tx: Arc<Pipe>,
-    flags: Arc<LoopbackFlags>,
-}
-
-impl Drop for LoopbackStream {
-    fn drop(&mut self) {
-        // Last clone of this half gone: EOF the peer and unblock our
-        // writers. `flags` is shared only among clones of this half, so
-        // its count tracks live handles to the half.
-        if Arc::strong_count(&self.flags) == 1 {
-            self.tx.close();
-            self.rx.close();
-        }
-    }
-}
-
-impl Read for LoopbackStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let timeout = *self.flags.read_timeout.lock().unwrap();
-        let nonblocking = self.flags.nonblocking.load(std::sync::atomic::Ordering::Relaxed);
-        self.rx.read(buf, timeout, nonblocking)
-    }
-}
-
-impl Write for LoopbackStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let nonblocking = self.flags.nonblocking.load(std::sync::atomic::Ordering::Relaxed);
-        self.tx.write(buf, nonblocking)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl Transport for LoopbackStream {
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        *self.flags.read_timeout.lock().unwrap() = timeout;
-        Ok(())
-    }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        self.flags
-            .nonblocking
-            .store(nonblocking, std::sync::atomic::Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn try_clone_transport(&self) -> io::Result<Box<dyn Transport>> {
-        Ok(Box::new(LoopbackStream {
-            rx: Arc::clone(&self.rx),
-            tx: Arc::clone(&self.tx),
-            flags: Arc::clone(&self.flags),
-        }))
-    }
-
-    fn peer_label(&self) -> String {
-        "loopback".to_string()
-    }
-}
-
-/// Builds a connected pair of loopback stream halves.
-fn loopback_pair() -> (LoopbackStream, LoopbackStream) {
-    let a_to_b = Pipe::new();
-    let b_to_a = Pipe::new();
-    let make = |rx: &Arc<Pipe>, tx: &Arc<Pipe>| LoopbackStream {
-        rx: Arc::clone(rx),
-        tx: Arc::clone(tx),
-        flags: Arc::new(LoopbackFlags {
-            read_timeout: Mutex::new(None),
-            nonblocking: std::sync::atomic::AtomicBool::new(false),
-        }),
-    };
-    (make(&b_to_a, &a_to_b), make(&a_to_b, &b_to_a))
-}
-
-struct HubState {
-    pending: VecDeque<LoopbackStream>,
-    closed: bool,
-}
-
-/// An in-process rendezvous: `connect` on one side, accept on the
-/// other, no sockets involved. Cloning shares the hub.
-#[derive(Clone)]
-pub struct LoopbackHub {
-    state: Arc<(Mutex<HubState>, Condvar)>,
-}
-
-impl std::fmt::Debug for LoopbackHub {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let pending = self.state.0.lock().map(|s| s.pending.len()).unwrap_or(0);
-        f.debug_struct("LoopbackHub").field("pending", &pending).finish()
-    }
-}
-
-impl Default for LoopbackHub {
-    fn default() -> Self {
-        LoopbackHub::new()
-    }
-}
-
-impl LoopbackHub {
-    /// A fresh hub with no pending connections.
-    pub fn new() -> LoopbackHub {
-        LoopbackHub {
-            state: Arc::new((
-                Mutex::new(HubState {
-                    pending: VecDeque::new(),
-                    closed: false,
-                }),
-                Condvar::new(),
-            )),
-        }
-    }
-
-    /// Opens a connection: the returned half is the client end, the
-    /// server end becomes acceptable on the hub's [`Listener`].
-    ///
-    /// # Errors
-    ///
-    /// `ConnectionRefused` once the hub is closed.
-    pub fn connect(&self) -> io::Result<Box<dyn Transport>> {
-        let (lock, cond) = &*self.state;
-        let mut state = lock.lock().unwrap();
-        if state.closed {
-            return Err(io::ErrorKind::ConnectionRefused.into());
-        }
-        let (client, server) = loopback_pair();
-        state.pending.push_back(server);
-        cond.notify_all();
-        Ok(Box::new(client))
-    }
-
-    /// Stops accepting: later `connect` calls get `ConnectionRefused`.
-    pub fn close(&self) {
-        let (lock, cond) = &*self.state;
-        lock.lock().unwrap().closed = true;
-        cond.notify_all();
-    }
-
-    fn accept_inner(&self, timeout: Option<Duration>) -> io::Result<Box<dyn Transport>> {
-        let (lock, cond) = &*self.state;
-        let mut state = lock.lock().unwrap();
-        loop {
-            if let Some(stream) = state.pending.pop_front() {
-                return Ok(Box::new(stream));
-            }
-            if state.closed {
-                return Err(io::ErrorKind::ConnectionAborted.into());
-            }
-            match timeout {
-                None => return Err(io::ErrorKind::WouldBlock.into()),
-                Some(t) => {
-                    let (next, result) = cond.wait_timeout(state, t).unwrap();
-                    state = next;
-                    if result.timed_out() && state.pending.is_empty() {
-                        return Err(io::ErrorKind::WouldBlock.into());
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Listener for LoopbackHub {
-    /// Nonblocking accept: `WouldBlock` when nothing is pending (the
-    /// server's accept loops poll, so a hub never needs blocking
-    /// accepts; a short wait amortizes the poll interval).
-    fn accept_transport(&self) -> io::Result<Box<dyn Transport>> {
-        self.accept_inner(Some(Duration::from_millis(10)))
-    }
-
-    fn set_nonblocking(&self, _nonblocking: bool) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn local_label(&self) -> String {
-        "loopback".to_string()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn loopback_round_trips_bytes_both_ways() {
-        let hub = LoopbackHub::new();
-        let mut client = hub.connect().expect("connect");
-        let mut server = hub.accept_transport().expect("accept");
-        client.write_all(b"hello\n").unwrap();
-        let mut buf = [0u8; 6];
-        server.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"hello\n");
-        server.write_all(b"world\n").unwrap();
-        let mut buf = [0u8; 6];
-        client.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"world\n");
-    }
-
-    #[test]
-    fn dropping_one_end_is_eof_for_the_peer() {
-        let hub = LoopbackHub::new();
-        let client = hub.connect().expect("connect");
-        let mut server = hub.accept_transport().expect("accept");
-        drop(client);
-        let mut buf = [0u8; 4];
-        assert_eq!(server.read(&mut buf).unwrap(), 0, "EOF after peer drop");
-        assert_eq!(
-            server.write(b"late").unwrap_err().kind(),
-            io::ErrorKind::BrokenPipe
-        );
-    }
-
-    #[test]
-    fn clones_share_the_stream_and_keep_it_open() {
-        let hub = LoopbackHub::new();
-        let client = hub.connect().expect("connect");
-        let mut reader = client.try_clone_transport().expect("clone");
-        let mut server = hub.accept_transport().expect("accept");
-        drop(client); // the clone still holds the half open
-        server.write_all(b"x").unwrap();
-        let mut buf = [0u8; 1];
-        reader.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"x");
-    }
-
-    #[test]
-    fn closed_hub_refuses_connections() {
-        let hub = LoopbackHub::new();
-        hub.close();
-        assert_eq!(
-            hub.connect().map(|_| ()).unwrap_err().kind(),
-            io::ErrorKind::ConnectionRefused
-        );
-    }
-
-    #[test]
-    fn read_timeout_expires_as_would_block() {
-        let hub = LoopbackHub::new();
-        let mut client = hub.connect().expect("connect");
-        let _server = hub.accept_transport().expect("accept");
-        client
-            .set_read_timeout(Some(Duration::from_millis(20)))
-            .unwrap();
-        let mut buf = [0u8; 1];
-        let err = client.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
-    }
 }

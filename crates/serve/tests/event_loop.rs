@@ -1,12 +1,12 @@
 //! Acceptance tests for the poll-based event loop (unix targets).
 //!
 //! The headline guarantee: idle connections are free. A server holding
-//! hundreds of open-but-quiet connections must answer a fresh client at
-//! the same latency as an unloaded one — and faster than the
-//! thread-per-connection fallback, whose accept cadence is the old
-//! bottleneck. Also pinned here: pipelined requests on one connection
-//! answer in order, and a client that sends-then-half-closes still gets
-//! every answer (no data loss on EOF).
+//! hundreds of open-but-quiet connections must answer a fresh client
+//! well inside a fixed bound — half the 100 ms accept cadence of the
+//! thread-per-connection server the loop replaced. Also pinned here:
+//! pipelined requests on one connection answer in order, and a client
+//! that sends-then-half-closes still gets every answer (no data loss on
+//! EOF).
 
 #![cfg(unix)]
 
@@ -33,11 +33,10 @@ fn simulate_request(workload: &str, len: usize, size: usize) -> Request {
     })
 }
 
-fn spawn(event_loop: bool) -> smith85_serve::RunningServer {
+fn spawn() -> smith85_serve::RunningServer {
     Server::spawn(
         ServeOptions::builder()
             .addr("127.0.0.1:0")
-            .event_loop(event_loop)
             .build()
             .expect("serve options"),
     )
@@ -59,13 +58,17 @@ fn p99(mut samples: Vec<Duration>) -> Duration {
     samples[rank]
 }
 
+/// "The threaded baseline" is a fixed number: that server slept 100 ms
+/// between empty accepts, so a fresh connection could wait up to 100 ms.
+/// With 512 idle connections open, the loop must stay under half of it.
 #[test]
 fn idle_connections_are_free_and_beat_the_threaded_baseline() {
     const IDLE: usize = 512;
     const SAMPLES: usize = 12;
+    const BOUND: Duration = Duration::from_millis(50);
 
     // Event-loop server saturated with idle connections.
-    let server = spawn(true);
+    let server = spawn();
     let addr = server.addr().to_string();
     let idle: Vec<TcpStream> = (0..IDLE)
         .map(|i| {
@@ -89,25 +92,17 @@ fn idle_connections_are_free_and_beat_the_threaded_baseline() {
     assert!(line.contains("pong"), "{line}");
     server.stop().expect("clean shutdown");
 
-    // Thread-per-connection baseline with NO idle load at all.
-    let baseline = spawn(false);
-    let baseline_addr = baseline.addr().to_string();
-    let baseline_rtts: Vec<Duration> =
-        (0..SAMPLES).map(|_| fresh_connection_rtt(&baseline_addr)).collect();
-    baseline.stop().expect("clean shutdown");
-
     let event_p99 = p99(event_rtts);
-    let baseline_p99 = p99(baseline_rtts);
     assert!(
-        event_p99 < baseline_p99,
-        "event loop under {IDLE} idle connections (p99 {event_p99:?}) must beat \
-         the unloaded threaded baseline (p99 {baseline_p99:?})"
+        event_p99 < BOUND,
+        "event loop under {IDLE} idle connections: fresh-connection ping p99 \
+         {event_p99:?} must stay under {BOUND:?}"
     );
 }
 
 #[test]
 fn pipelined_requests_answer_in_request_order() {
-    let server = spawn(true);
+    let server = spawn();
     let addr = server.addr().to_string();
 
     // Five requests with distinct cache sizes, written as one burst
@@ -135,82 +130,78 @@ fn pipelined_requests_answer_in_request_order() {
     server.stop().expect("clean shutdown");
 }
 
-/// The same end-to-end journal assertions, run against both connection
-/// paths: a request served by the poll loop must be exactly as
-/// attributable as one served by a connection thread — same root span,
-/// same access-log fields, same nested kernel span.
+/// A request served by the event loop is fully attributable in the
+/// journal: root span, access-log fields, nested kernel span. (The name
+/// predates the loop becoming the only connection path.)
 #[test]
 fn journal_parity_between_event_loop_and_threaded_paths() {
     use smith85_tracelog::report;
 
-    for (mode, tag) in [(true, "event"), (false, "threaded")] {
-        let journal_path = std::env::temp_dir().join(format!(
-            "smith85-parity-journal-{tag}-{}.ndjson",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&journal_path);
-        let server = Server::spawn(
-            ServeOptions::builder()
-                .addr("127.0.0.1:0")
-                .journal(journal_path.clone())
-                .event_loop(mode)
-                .build()
-                .expect("serve options"),
-        )
-        .expect("spawn server");
+    let journal_path = std::env::temp_dir().join(format!(
+        "smith85-parity-journal-event-{}.ndjson",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&journal_path);
+    let server = Server::spawn(
+        ServeOptions::builder()
+            .addr("127.0.0.1:0")
+            .journal(journal_path.clone())
+            .build()
+            .expect("serve options"),
+    )
+    .expect("spawn server");
 
-        let mut client = Client::builder()
-            .addr(server.addr().to_string())
-            .connect()
-            .expect("connect");
-        let trace_id = match client
-            .call(&simulate_request("VCCOM", 8_000, 1 << 12))
-            .expect("journaled job")
-        {
-            Response::Simulate(r) => r.trace_id,
-            other => panic!("expected simulate result, got {other:?}"),
-        };
-        server.stop().expect("clean shutdown");
+    let mut client = Client::builder()
+        .addr(server.addr().to_string())
+        .connect()
+        .expect("connect");
+    let trace_id = match client
+        .call(&simulate_request("VCCOM", 8_000, 1 << 12))
+        .expect("journaled job")
+    {
+        Response::Simulate(r) => r.trace_id,
+        other => panic!("expected simulate result, got {other:?}"),
+    };
+    server.stop().expect("clean shutdown");
 
-        let (_, events) = report::read_journal(&journal_path).expect("read journal");
-        let ours: Vec<_> = events
+    let (_, events) = report::read_journal(&journal_path).expect("read journal");
+    let ours: Vec<_> = events
+        .iter()
+        .filter(|e| &*e.trace_id == trace_id.as_str())
+        .collect();
+    assert!(
+        ours.iter().any(|e| e.name == "request"),
+        "request span missing for {trace_id}"
+    );
+    let access = ours
+        .iter()
+        .find(|e| e.name == "access_log")
+        .unwrap_or_else(|| panic!("access_log missing for {trace_id}"));
+    let field = |name: &str| {
+        access
+            .fields
             .iter()
-            .filter(|e| &*e.trace_id == trace_id.as_str())
-            .collect();
-        assert!(
-            ours.iter().any(|e| e.name == "request"),
-            "[{tag}] request span missing for {trace_id}"
-        );
-        let access = ours
-            .iter()
-            .find(|e| e.name == "access_log")
-            .unwrap_or_else(|| panic!("[{tag}] access_log missing for {trace_id}"));
-        let field = |name: &str| {
-            access
-                .fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .unwrap_or_else(|| panic!("[{tag}] access_log field {name} missing"))
-                .1
-                .clone()
-        };
-        assert_eq!(field("outcome").as_str(), Some("ok"), "[{tag}]");
-        assert_eq!(field("kind").as_str(), Some("simulate"), "[{tag}]");
+            .find(|(k, _)| k == name)
+            .unwrap_or_else(|| panic!("access_log field {name} missing"))
+            .1
+            .clone()
+    };
+    assert_eq!(field("outcome").as_str(), Some("ok"));
+    assert_eq!(field("kind").as_str(), Some("simulate"));
 
-        let trees = report::build_trees(&events);
-        let tree = trees
-            .iter()
-            .find(|t| &*t.trace_id == trace_id.as_str())
-            .expect("tree for our trace");
-        assert_eq!(tree.root_name(), "request", "[{tag}]");
-        let root = &tree.roots[0];
-        assert!(root.closed, "[{tag}] request span must be closed");
-        assert!(
-            root.children.iter().any(|c| c.name == "simulate_workload"),
-            "[{tag}] kernel span must nest under the request: {root:?}"
-        );
-        let _ = std::fs::remove_file(&journal_path);
-    }
+    let trees = report::build_trees(&events);
+    let tree = trees
+        .iter()
+        .find(|t| &*t.trace_id == trace_id.as_str())
+        .expect("tree for our trace");
+    assert_eq!(tree.root_name(), "request");
+    let root = &tree.roots[0];
+    assert!(root.closed, "request span must be closed");
+    assert!(
+        root.children.iter().any(|c| c.name == "simulate_workload"),
+        "kernel span must nest under the request: {root:?}"
+    );
+    let _ = std::fs::remove_file(&journal_path);
 }
 
 /// The loop's lifecycle instrumentation: accepted/half-close/closed
@@ -218,7 +209,7 @@ fn journal_parity_between_event_loop_and_threaded_paths() {
 /// histograms record iterations, and the gauges are published.
 #[test]
 fn event_loop_lifecycle_metrics_track_connections() {
-    let server = spawn(true);
+    let server = spawn();
     let addr = server.addr().to_string();
 
     // One full lifecycle including a half-close.
@@ -286,7 +277,7 @@ fn event_loop_lifecycle_metrics_track_connections() {
 
 #[test]
 fn half_close_after_sending_still_gets_every_answer() {
-    let server = spawn(true);
+    let server = spawn();
     let addr = server.addr().to_string();
 
     let mut stream = TcpStream::connect(&addr).expect("connect");

@@ -508,6 +508,99 @@ fn concurrent_prometheus_scrapes_stay_consistent_under_load() {
     server.stop().expect("clean shutdown");
 }
 
+fn spawn_with_metrics() -> smith85_serve::RunningServer {
+    Server::spawn(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        ..ServeOptions::default()
+    })
+    .expect("spawn server with metrics endpoint")
+}
+
+/// One scrape: sends `request`, reads until the server closes.
+fn scrape(addr: std::net::SocketAddr, request: &[u8]) -> String {
+    use std::io::{Read as _, Write as _};
+    let mut stream = std::net::TcpStream::connect(addr).expect("scrape connect");
+    stream.write_all(request).expect("scrape request");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("scrape response");
+    raw
+}
+
+/// A scraper that connects and sends nothing is one more idle
+/// connection: it must not hold up the next scrape.
+#[test]
+fn stalled_scraper_does_not_delay_the_next_scrape() {
+    let server = spawn_with_metrics();
+    let metrics_addr = server.metrics_addr().expect("metrics endpoint bound");
+    let _stalled = std::net::TcpStream::connect(metrics_addr).expect("stalled connect");
+
+    let start = Instant::now();
+    let raw = scrape(
+        metrics_addr,
+        b"GET /metrics HTTP/1.1\r\nHost: loopback\r\n\r\n",
+    );
+    let elapsed = start.elapsed();
+    assert!(raw.starts_with("HTTP/1.1 200 OK\r\n"), "{raw}");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "a scrape behind a silent scraper took {elapsed:?}"
+    );
+    server.stop().expect("clean shutdown");
+}
+
+#[test]
+fn non_get_scrape_gets_405_then_eof() {
+    let server = spawn_with_metrics();
+    let metrics_addr = server.metrics_addr().expect("metrics endpoint bound");
+    // `scrape` reads to EOF, so returning at all means the server closed.
+    let raw = scrape(
+        metrics_addr,
+        b"POST /metrics HTTP/1.1\r\nHost: loopback\r\nContent-Length: 0\r\n\r\n",
+    );
+    assert!(
+        raw.starts_with("HTTP/1.1 405 Method Not Allowed\r\n"),
+        "{raw}"
+    );
+    assert!(raw.ends_with("only answers GET\n"), "{raw}");
+    server.stop().expect("clean shutdown");
+}
+
+/// The request head is buffered until its blank line: a head written in
+/// two pieces gets exactly one answer, after the second piece.
+#[test]
+fn scrape_head_split_across_writes_gets_one_answer() {
+    use std::io::{Read as _, Write as _};
+
+    let server = spawn_with_metrics();
+    let metrics_addr = server.metrics_addr().expect("metrics endpoint bound");
+    let mut stream = std::net::TcpStream::connect(metrics_addr).expect("scrape connect");
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\n")
+        .expect("first piece");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("read timeout");
+    let mut byte = [0u8; 1];
+    let early = stream.read(&mut byte);
+    assert!(
+        matches!(&early, Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)),
+        "answered before the head was complete: {early:?}"
+    );
+
+    stream
+        .write_all(b"Host: loopback\r\n\r\n")
+        .expect("second piece");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("scrape response");
+    assert!(raw.starts_with("HTTP/1.1 200 OK\r\n"), "{raw}");
+    assert_eq!(raw.matches("HTTP/1.1 ").count(), 1, "{raw}");
+    server.stop().expect("clean shutdown");
+}
+
 #[test]
 fn journaled_request_is_attributable_end_to_end() {
     use smith85_tracelog::report;
