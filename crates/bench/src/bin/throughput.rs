@@ -88,9 +88,9 @@ const ABLATION_ROUNDS: usize = 7;
 ///
 /// * `dirty` — the full grid under write-through with allocate: the
 ///   same recency work without the dirty bitset;
-/// * `fenwick` — only the sizes with at least two sets at 8 ways, no
+/// * `single_set` — only the sizes with at least two sets at 8 ways, no
 ///   fully-associative points: the same twelve set-associative levels
-///   without the single-set Fenwick level;
+///   without the single-set (fully-associative) level;
 /// * `base` — one direct-mapped 32-byte cell: interning, cold inserts
 ///   and per-reference bookkeeping over a one-way walk;
 /// * `walk` — the rest: the set-associative level walk.
@@ -103,7 +103,7 @@ const ABLATION_ROUNDS: usize = 7;
 struct PhaseSplit {
     base: f64,
     walk: f64,
-    fenwick: f64,
+    single_set: f64,
     dirty: f64,
 }
 
@@ -115,7 +115,7 @@ impl PhaseSplit {
             ..full.clone()
         };
         let max_ways = full.ways.iter().copied().max().unwrap_or(1);
-        let no_fenwick = GridSpec {
+        let no_single_set = GridSpec {
             sizes: full
                 .sizes
                 .iter()
@@ -126,7 +126,7 @@ impl PhaseSplit {
             ..full.clone()
         };
         let base = GridSpec::new(vec![32], vec![1]);
-        let ablations = [no_dirty, no_fenwick, base];
+        let ablations = [no_dirty, no_single_set, base];
         let mut ratios: [Vec<f64>; 3] = Default::default();
         for _ in 0..ABLATION_ROUNDS {
             let full_secs = time_once(|| {
@@ -139,16 +139,16 @@ impl PhaseSplit {
                 ratio.push(secs / full_secs.max(1e-12));
             }
         }
-        let [no_dirty, no_fenwick, base] = ratios.map(|mut r| {
+        let [no_dirty, no_single_set, base] = ratios.map(|mut r| {
             r.sort_by(f64::total_cmp);
             r[r.len() / 2]
         });
         let dirty = 1.0 - no_dirty;
-        let fenwick = 1.0 - no_fenwick;
+        let single_set = 1.0 - no_single_set;
         PhaseSplit {
             base,
-            walk: 1.0 - base - fenwick - dirty,
-            fenwick,
+            walk: 1.0 - base - single_set - dirty,
+            single_set,
             dirty,
         }
     }
@@ -307,9 +307,9 @@ fn run_kernels(len: usize, journal: Option<&str>) -> Vec<KernelResult> {
 fn render_json(mode: &str, len: usize, journaled: bool, results: &[KernelResult]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    // v4 adds the storage and network one-pass kernels and every
-    // one-pass kernel's workload and phase_share; every v3 field is kept.
-    s.push_str("  \"schema\": \"smith85-throughput-v4\",\n");
+    // v5 renames phase_share's `fenwick` to `single_set`: the single-set
+    // level is no longer a Fenwick tree. Every other v4 field is kept.
+    s.push_str("  \"schema\": \"smith85-throughput-v5\",\n");
     s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     s.push_str(&format!("  \"journaled\": {journaled},\n"));
     s.push_str(&format!("  \"trace\": \"{TRACE}\",\n"));
@@ -322,7 +322,7 @@ fn render_json(mode: &str, len: usize, journaled: bool, results: &[KernelResult]
             format!(
                 ", \"workload\": \"{}\", \"grid_sizes\": {}, \"grid_ways\": {}, \
                  \"grid_cells\": {}, \"trace_refs\": {}, \"trace_refs_per_sec\": {:.0}, \
-                 \"phase_share\": {{\"base\": {:.3}, \"walk\": {:.3}, \"fenwick\": {:.3}, \
+                 \"phase_share\": {{\"base\": {:.3}, \"walk\": {:.3}, \"single_set\": {:.3}, \
                  \"dirty\": {:.3}}}",
                 g.workload,
                 g.sizes,
@@ -332,7 +332,7 @@ fn render_json(mode: &str, len: usize, journaled: bool, results: &[KernelResult]
                 g.trace_refs as f64 / r.best_secs.max(1e-12),
                 p.base,
                 p.walk,
-                p.fenwick,
+                p.single_set,
                 p.dirty,
             )
         });

@@ -1,13 +1,13 @@
 //! A Fenwick (binary indexed) tree over reference timestamps, used by the
-//! stack-distance analyzer and the one-pass engine's fully-associative
-//! level to count distinct lines in O(log n).
+//! stack-distance analyzer ([`crate::StackAnalyzer`]) to count distinct
+//! lines in O(log n).
 
 /// Fenwick tree over `1..=capacity` holding small signed counts.
 ///
-/// Counts are `i32`: every user keeps at most one mark per distinct
-/// line, so no node ever holds more than the distinct-line count, which
-/// the users assert stays below `i32::MAX`. Half-width nodes halve the
-/// cache footprint of the walk.
+/// Counts are `i32`: the stack analyzer keeps at most one mark per
+/// distinct line, so no node ever holds more than the distinct-line
+/// count, which it asserts stays below `i32::MAX`. Half-width nodes
+/// halve the cache footprint of the walk.
 #[derive(Debug, Clone)]
 pub(crate) struct Fenwick {
     tree: Vec<i32>,

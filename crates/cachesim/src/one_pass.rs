@@ -25,13 +25,19 @@
 //!   one overflow histogram bucket, so order below the top region is
 //!   irrelevant and each access costs at most `max_ways` comparisons —
 //!   branch-friendly and independent of trace locality.
-//! * **Fenwick timestamps** (set count == 1, where fully-associative
-//!   cells need exact distances up to thousands of ways): the classic
-//!   Bennett–Kruskal scheme — a pre-sized [`Fenwick`] tree over
-//!   reference timestamps counts distinct lines since the previous
-//!   access in `O(log n)` instead of `O(distance)`. Every line holds
-//!   exactly one mark, at or before the current time, so the count is
-//!   `lines - prefix_sum(prev)`: one prefix sum, over `i32` nodes.
+//! * **A bounded LRU list** (set count == 1, where fully-associative
+//!   cells have up to thousands of ways): the set's `cap` most recent
+//!   lines in exact LRU order, cut at the level's way counts (its
+//!   *bounds*). A cell only asks whether a depth exceeds its way count,
+//!   so each line stores its *bucket* — how many bounds its depth
+//!   exceeds — and one marker per bound points at the line sitting
+//!   exactly on it. A reference to a line in bucket `b` moves it to MRU
+//!   and pushes the line on each of the `b` bounds above it across that
+//!   bound: one pointer step per bound, at most 12 on the paper grid,
+//!   whatever the trace length. The line pushed past `cap` leaves the
+//!   list. The level reports each bucket's largest depth (`cap + 1` past
+//!   the last bound), which decides every cell exactly as the true
+//!   depth would.
 //!
 //! # Pruning by set refinement
 //!
@@ -43,9 +49,9 @@
 //!
 //! * **Repeats.** A reference to the previous reference's line is at
 //!   depth 1 at every level: every cell hits and no recency changes. It
-//!   is counted per access kind and returns without interning, walking
-//!   or touching the Fenwick tree. A write still dirties every copy; a
-//!   read changes nothing, because no cell misses at depth 1.
+//!   is counted per access kind and returns without interning or
+//!   walking. A write still dirties every copy; a read changes nothing,
+//!   because no cell misses at depth 1.
 //! * **Early exit.** The walk runs coarse to fine and stops at the first
 //!   level reporting depth 1. Every finer level is at depth 1 too: its
 //!   recency is already right, and no cell misses, so there is no dirty
@@ -53,38 +59,45 @@
 //!
 //! [`OnePassEngine::finish`] folds both tallies into each level's
 //! depth-1 bucket, so every level's histogram still counts every warm
-//! reference once.
+//! reference once. On the benchmark's grid-sweep profiles, 17–47% of
+//! CPU and 55–82% of network references repeat the previous line, and a
+//! warm lookup walks 5–8 of the paper grid's 13 levels. Storage streams
+//! gain nothing here: 0–2% of their references repeat, and a warm
+//! lookup walks 12.8–13 levels. The single-set level is the coarsest,
+//! so every warm lookup that is not a repeat reaches it, and it never
+//! reports depth 1.
 //!
 //! # Cost
 //!
-//! Time per 250,000-reference sweep of the 54-cell paper grid, before
-//! and after the pruning (median of three interleaved `throughput`
-//! runs, each best of three, on a 2-logical-CPU Intel Xeon host):
+//! Time per 250,000-reference sweep of the 54-cell paper grid with the
+//! single-set level as a Fenwick tree over reference timestamps (before:
+//! a prefix sum and two point updates per warm reference, `O(log n)` in
+//! the trace length) and as the bounded list (after): median of five
+//! interleaved `throughput` runs, each best of three, on a
+//! 2-logical-CPU Intel Xeon host:
 //!
-//! | trace     | before            | after             | speed-up |
-//! |-----------|-------------------|-------------------|----------|
-//! | VCCOM     | 66.5 ms, 3.8M r/s | 39.8 ms, 6.3M r/s | 1.67×    |
-//! | S-OLTP    | 110 ms, 2.3M r/s  | 111 ms, 2.3M r/s  | 1.0×     |
-//! | N-GATEWAY | 64.7 ms, 3.9M r/s | 29.6 ms, 8.4M r/s | 2.2×     |
+//! | trace     | before            | after              | speed-up |
+//! |-----------|-------------------|--------------------|----------|
+//! | VCCOM     | 35.0 ms, 7.2M r/s | 25.8 ms, 9.7M r/s  | 1.36×    |
+//! | S-OLTP    | 86.2 ms, 2.9M r/s | 74.6 ms, 3.4M r/s  | 1.16×    |
+//! | N-GATEWAY | 25.6 ms, 9.8M r/s | 18.1 ms, 13.8M r/s | 1.41×    |
 //!
-//! The gain follows the share of repeats and short walks: on the
-//! benchmark's grid-sweep profiles, 17–47% of CPU and 55–82% of network
-//! references repeat the previous line, and a warm lookup walks 5–8 of
-//! the paper grid's 13 levels. Storage streams gain nothing: 0–2% of
-//! their references repeat, and a warm lookup walks 12.8–13 levels.
-//! The `phase_share` ablation kernels of
-//! the `throughput` bench split each sweep's own time into interning
-//! and bookkeeping (`base`), the set-associative walk, the Fenwick level
-//! and dirty bits, before → after:
+//! The `phase_share` ablation kernels of the `throughput` bench split
+//! each sweep's own time into interning and bookkeeping (`base`), the
+//! set-associative walk, the single-set level and dirty bits,
+//! before → after:
 //!
-//! | trace     | base        | walk        | fenwick     | dirty       |
+//! | trace     | base        | walk        | single_set  | dirty       |
 //! |-----------|-------------|-------------|-------------|-------------|
-//! | VCCOM     | 0.13 → 0.19 | 0.33 → 0.22 | 0.33 → 0.40 | 0.21 → 0.19 |
-//! | S-OLTP    | 0.19 → 0.20 | 0.17 → 0.19 | 0.39 → 0.36 | 0.25 → 0.26 |
-//! | N-GATEWAY | 0.14 → 0.19 | 0.50 → 0.48 | 0.35 → 0.35 | 0.01 → 0.00 |
+//! | VCCOM     | 0.18 → 0.24 | 0.20 → 0.30 | 0.42 → 0.22 | 0.20 → 0.22 |
+//! | S-OLTP    | 0.19 → 0.26 | 0.20 → 0.26 | 0.38 → 0.23 | 0.22 → 0.26 |
+//! | N-GATEWAY | 0.19 → 0.24 | 0.46 → 0.56 | 0.33 → 0.18 | 0.02 → 0.02 |
 //!
-//! See the one-pass section of `EXPERIMENTS.md` for how each ablation
-//! is built.
+//! Storage gains least: nearly every warm storage reference lies past
+//! the last bound, so it pushes a line across all 12 bounds, and the
+//! deep bounds hold lines referenced thousands of lines ago, out of
+//! cache. See the one-pass section of `EXPERIMENTS.md` for how each
+//! ablation is built.
 //!
 //! Write-back traffic is tracked without per-cell caches via a
 //! **deferred dirty bitset**: one bit per (line, cell). A store sets
@@ -113,7 +126,6 @@
 use crate::config::{Replacement, WritePolicy};
 use crate::error::ConfigError;
 use crate::fast_hash::FastHashMap;
-use crate::fenwick::Fenwick;
 use crate::stats::CacheStats;
 use smith85_trace::{AccessKind, MemoryAccess, PAPER_LINE_SIZE};
 
@@ -232,8 +244,8 @@ impl OnePassGrid {
     }
 }
 
-/// Per-set exact-LRU top region, or Fenwick timestamps for single-set
-/// levels where distances run into the thousands.
+/// Per-set exact-LRU top region, or a bounded LRU list for single-set
+/// levels where way counts run into the thousands.
 #[derive(Debug)]
 enum Recency {
     /// Flat `sets × cap` array of interned line ids, MRU first within
@@ -244,14 +256,132 @@ enum Recency {
         /// residency: all cell ways are `<= cap`).
         occupancy: Vec<u32>,
     },
-    /// Bennett–Kruskal: one mark per line at its latest timestamp;
-    /// stack distance = marks after the line's previous timestamp.
-    Fenwick {
-        fen: Fenwick,
-        /// Latest timestamp per interned line id.
-        last: Vec<u32>,
-        time: usize,
-    },
+    /// The single set's `cap` most recent lines, bucketed by the
+    /// level's way counts.
+    Bounded(BoundedLru),
+}
+
+/// Node index of a [`BoundedLru`]'s sentinel: its `next` is the MRU
+/// line, its `prev` the LRU end. Line id `i` is node `i + 1`.
+const SENTINEL: u32 = 0;
+
+/// One line's place in a [`BoundedLru`].
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    prev: u32,
+    next: u32,
+    /// How many bounds the line's depth exceeds; the bound count once
+    /// the line has left the list.
+    bucket: u32,
+}
+
+/// An exact LRU list of the `cap` most recent lines of one set, cut at
+/// the level's way counts (its *bounds*). The cells only ask which
+/// bounds a depth exceeds, so each line stores its bucket instead of a
+/// depth, and one marker per bound holds the line sitting exactly on
+/// it. Moving a line in bucket `b` to MRU pushes the line on each of
+/// the `b` bounds above it one place deeper, across that bound — one
+/// pointer step per bound, however long the trace — and the line pushed
+/// past `cap` leaves the list.
+#[derive(Debug)]
+struct BoundedLru {
+    /// Largest depth in each bucket: the bounds in ascending order (the
+    /// last is `cap`), then `cap + 1` for lines no longer in the list.
+    bucket_depth: Vec<usize>,
+    /// `markers[j]` is the node at depth `bucket_depth[j]`, for the
+    /// first `filled` bounds; the list is still shorter than the rest.
+    markers: Vec<u32>,
+    filled: usize,
+    /// The sentinel, then one node per interned line id.
+    nodes: Vec<Node>,
+}
+
+impl BoundedLru {
+    fn new(ways: impl Iterator<Item = usize>, cap: usize) -> BoundedLru {
+        let mut bucket_depth: Vec<usize> = ways.chain([cap + 1]).collect();
+        bucket_depth.dedup();
+        BoundedLru {
+            markers: vec![SENTINEL; bucket_depth.len() - 1],
+            bucket_depth,
+            filled: 0,
+            nodes: vec![Node {
+                prev: SENTINEL,
+                next: SENTINEL,
+                bucket: 0,
+            }],
+        }
+    }
+
+    /// First access to line `id` (the next unused id): it enters as MRU.
+    fn insert_cold(&mut self, id: u32) {
+        debug_assert_eq!(self.nodes.len(), id as usize + 1);
+        self.nodes.push(Node {
+            prev: SENTINEL,
+            next: SENTINEL,
+            bucket: self.markers.len() as u32,
+        });
+        self.touch(id);
+    }
+
+    /// Moves line `id` to MRU and returns its capped depth before the
+    /// move: the largest depth of its bucket.
+    fn touch(&mut self, id: u32) -> usize {
+        let x = id + 1;
+        let b = self.nodes[x as usize].bucket as usize;
+        let outside = self.markers.len();
+        let crossing = if b < outside {
+            let Node { prev, next, .. } = self.nodes[x as usize];
+            if prev == SENTINEL {
+                // Already MRU: nothing moves.
+                return self.bucket_depth[b];
+            }
+            // Lines below x keep their depth; the one above it moves
+            // onto x's place, and onto its bound if x sat on one.
+            if self.markers[b] == x {
+                self.markers[b] = prev;
+            }
+            self.nodes[prev as usize].next = next;
+            self.nodes[next as usize].prev = prev;
+            b
+        } else {
+            self.filled
+        };
+        let head = self.nodes[SENTINEL as usize].next;
+        self.nodes[x as usize] = Node {
+            prev: SENTINEL,
+            next: head,
+            bucket: 0,
+        };
+        self.nodes[head as usize].prev = x;
+        self.nodes[SENTINEL as usize].next = x;
+        // Each line on a bound above x's old depth crosses it, and the
+        // line above it takes its place: x itself on a bound of 1, which
+        // is why x is linked first.
+        for marker in &mut self.markers[..crossing] {
+            let node = &mut self.nodes[*marker as usize];
+            node.bucket += 1;
+            *marker = node.prev;
+        }
+        if b == outside {
+            if self.filled == outside {
+                // The line pushed across the last bound was the tail.
+                let tail = self.markers[outside - 1];
+                self.nodes[tail as usize].next = SENTINEL;
+                self.nodes[SENTINEL as usize].prev = tail;
+            } else if self.nodes.len() - 1 == self.bucket_depth[self.filled] {
+                // No line has left yet, so the list holds every line,
+                // and it just grew onto the next bound.
+                self.markers[self.filled] = self.nodes[SENTINEL as usize].prev;
+                self.filled += 1;
+            }
+        }
+        self.bucket_depth[b]
+    }
+
+    /// Line `id`'s capped depth, read-only.
+    fn position(&self, id: u32) -> usize {
+        self.bucket_depth[self.nodes[id as usize + 1].bucket as usize]
+    }
 }
 
 /// All cells sharing one set count, with their shared histogram.
@@ -291,11 +421,7 @@ impl Level {
             }
         }
         let recency = if sets == 1 {
-            Recency::Fenwick {
-                fen: Fenwick::new(1024),
-                last: Vec::new(),
-                time: 0,
-            }
+            Recency::Bounded(BoundedLru::new(cells.iter().map(|&(_, w)| w), cap))
         } else {
             Recency::Scan {
                 tops: vec![u32::MAX; sets * cap],
@@ -325,21 +451,14 @@ impl Level {
                 let occ = &mut occupancy[set];
                 *occ = (*occ + 1).min(cap as u32);
             }
-            Recency::Fenwick { fen, last, time } => {
-                *time += 1;
-                if *time > fen.capacity() {
-                    grow_fenwick(fen, last);
-                }
-                fen.add(*time, 1);
-                debug_assert_eq!(last.len(), id as usize);
-                last.push(*time as u32);
-            }
+            Recency::Bounded(list) => list.insert_cold(id),
         }
     }
 
     /// Re-access of a known line: returns its capped within-set stack
-    /// distance (`1..=cap` exact, `cap + 1` for anything deeper) and
-    /// moves it to MRU.
+    /// distance (`1..=cap`, `cap + 1` for anything deeper) and moves it
+    /// to MRU. The bounded list rounds a distance up to the next way
+    /// count, which every cell of the level answers the same way.
     fn observe_warm(&mut self, line: u64, id: u32) -> usize {
         match &mut self.recency {
             Recency::Scan { tops, .. } => {
@@ -364,23 +483,13 @@ impl Level {
                     cap + 1
                 }
             }
-            Recency::Fenwick { fen, last, time } => {
-                let prev = last[id as usize] as usize;
-                let depth = fenwick_depth(fen, last.len(), prev);
-                *time += 1;
-                if *time > fen.capacity() {
-                    grow_fenwick(fen, last);
-                }
-                fen.add(prev, -1);
-                fen.add(*time, 1);
-                last[id as usize] = *time as u32;
-                depth.min(self.cap + 1)
-            }
+            Recency::Bounded(list) => list.touch(id),
         }
     }
 
-    /// The line's current capped stack position (`1..=cap` exact,
-    /// `cap + 1` deeper), read-only; used by the final dirty sweep.
+    /// The line's current capped stack position (`1..=cap`, `cap + 1`
+    /// deeper, rounded as in [`observe_warm`](Self::observe_warm)),
+    /// read-only; used by the final dirty sweep.
     fn position(&self, line: u64, id: u32) -> usize {
         match &self.recency {
             Recency::Scan { tops, .. } => {
@@ -392,10 +501,7 @@ impl Level {
                     None => cap + 1,
                 }
             }
-            Recency::Fenwick { fen, last, .. } => {
-                let prev = last[id as usize] as usize;
-                fenwick_depth(fen, last.len(), prev).min(self.cap + 1)
-            }
+            Recency::Bounded(list) => list.position(id),
         }
     }
 
@@ -409,32 +515,13 @@ impl Level {
                     }
                 }
             }
-            Recency::Fenwick { .. } => {
+            Recency::Bounded(_) => {
                 for &(ci, w) in &self.cells {
                     resident[ci] += (total_lines as u64).min(w as u64);
                 }
             }
         }
     }
-}
-
-/// Stack depth of the line last marked at timestamp `prev`: the distinct
-/// lines referenced since, plus the line itself. Each of the `marks`
-/// interned lines holds exactly one mark, at or before the current
-/// time, so the marks after `prev` are all marks minus those up to it —
-/// one prefix sum instead of a two-sided range sum.
-fn fenwick_depth(fen: &Fenwick, marks: usize, prev: usize) -> usize {
-    marks - fen.prefix_sum(prev) as usize + 1
-}
-
-/// Rebuilds `fen` at double capacity, carrying over the one mark per
-/// line at its latest timestamp.
-fn grow_fenwick(fen: &mut Fenwick, last: &[u32]) {
-    let mut bigger = Fenwick::new(fen.capacity() * 2);
-    for &t in last {
-        bigger.add(t as usize, 1);
-    }
-    *fen = bigger;
 }
 
 /// Streaming one-pass engine: feed it a trace once, then
@@ -627,7 +714,6 @@ impl OnePassEngine {
     /// walks run over plain scalars.
     pub fn observe_slice(&mut self, trace: &[MemoryAccess]) {
         const CHUNK: usize = 1024;
-        self.reserve(trace.len());
         let shift = self.line_size.trailing_zeros();
         let mut lines = [0u64; CHUNK];
         let mut kinds = [0u8; CHUNK];
@@ -644,23 +730,6 @@ impl OnePassEngine {
                     AccessKind::ALL[kinds[i] as usize],
                     sizes[i],
                 );
-            }
-        }
-    }
-
-    /// Pre-sizes timestamp storage for `additional` further references,
-    /// avoiding Fenwick regrowth inside the hot loop.
-    fn reserve(&mut self, additional: usize) {
-        for level in &mut self.levels {
-            if let Recency::Fenwick { fen, last, time } = &mut level.recency {
-                let needed = *time + additional;
-                if needed > fen.capacity() {
-                    let mut bigger = Fenwick::new(needed.next_power_of_two());
-                    for &t in last.iter() {
-                        bigger.add(t as usize, 1);
-                    }
-                    *fen = bigger;
-                }
             }
         }
     }
@@ -694,10 +763,11 @@ impl OnePassEngine {
         let id = *self.intern.entry(line).or_insert(next_id);
         self.prev = Some((line, id));
         if id == next_id {
-            // The Fenwick level's i32 counts hold one mark per line.
+            // Line `id` is node `id + 1` of a single-set level's list,
+            // after its sentinel, and node indices are `u32`.
             assert!(
-                self.line_addrs.len() < i32::MAX as usize,
-                "one-pass engine: distinct-line count reached i32::MAX"
+                self.line_addrs.len() < u32::MAX as usize,
+                "one-pass engine: distinct-line count reached u32::MAX"
             );
             // Cold: first touch anywhere. Every cell misses; no walk
             // needed, the line simply becomes MRU at every level.
@@ -1021,17 +1091,24 @@ mod tests {
     }
 
     #[test]
-    fn fenwick_level_grows_past_initial_capacity() {
-        // > 1024 references into a single-set level forces regrowth
-        // through the observe() path (no pre-reserve).
-        let mut spec = GridSpec::new(vec![64], vec![1]);
+    fn single_set_level_drops_and_readmits_lines() {
+        // One single-set level with bounds 1, 2 and 4. A loop over 97
+        // lines pushes every line off the 4-line list; a loop over 3 of
+        // them then brings them back, and only the 4-line cell keeps
+        // them after the first round.
+        let mut spec = GridSpec::new(vec![16, 32, 64], vec![]);
         spec.include_fully_associative = true;
         let mut engine = OnePassEngine::new(&spec).unwrap();
-        for i in 0..3000u64 {
+        for i in 0..1500u64 {
             engine.observe(read((i % 97) * 16));
         }
+        for i in 0..1500u64 {
+            engine.observe(read((i % 3) * 16));
+        }
         let grid = engine.finish();
-        assert_eq!(grid.cell_stats(64, 4).unwrap().total_refs(), 3000);
+        assert_eq!(grid.cell_stats(16, 1).unwrap().total_misses(), 3000);
+        assert_eq!(grid.cell_stats(32, 2).unwrap().total_misses(), 3000);
+        assert_eq!(grid.cell_stats(64, 4).unwrap().total_misses(), 1503);
     }
 
     #[test]

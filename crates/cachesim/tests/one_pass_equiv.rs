@@ -9,8 +9,9 @@
 //! The engine skips work where set refinement fixes the answer (repeats
 //! of the previous line, and levels finer than one at depth 1), so the
 //! cases below include traces dense in repeats, traces that overflow
-//! almost every level, grids with gaps between set counts, and the
-//! one-reference-at-a-time entry point.
+//! almost every level, grids with gaps between set counts, a single-set
+//! level at every bound from 1 to 4,096 lines and one with gaps between
+//! its bounds, and the one-reference-at-a-time entry point.
 
 use proptest::prelude::*;
 use smith85_cachesim::{
@@ -241,6 +242,53 @@ fn full_assoc_cells_match_the_stack_analyzer() {
         for kind in AccessKind::ALL {
             assert_eq!(stats.misses(kind), profile.misses_of(cell.size_bytes, kind));
         }
+    }
+}
+
+#[test]
+fn single_set_level_matches_the_stack_analyzer_at_every_bound() {
+    // Every size from one line to 4,096 lines, fully associative only:
+    // one single-set level with bounds 1, 2, 4, …, 4096. S-SCAN touches
+    // far more lines than the list keeps, so lines fall off its end and
+    // come back.
+    let sizes: Vec<usize> = (4..=16).map(|shift| 1usize << shift).collect();
+    let mut spec = GridSpec::new(sizes.clone(), vec![]);
+    spec.include_fully_associative = true;
+    let trace = family_trace("S-SCAN", 20_000);
+    let grid = one_pass_grid(&trace, &spec).expect("valid spec");
+
+    let mut stack = StackAnalyzer::with_line_size(16);
+    stack.observe_slice(&trace);
+    let profile = stack.finish();
+    // Misses beyond the cold ones at 64 KiB: lines left the list and
+    // were referenced again.
+    assert!(profile.distinct_lines() > 4096);
+    assert!(profile.misses(1 << 16) > profile.distinct_lines());
+
+    assert_eq!(grid.cells().len(), sizes.len());
+    for (cell, stats) in grid.iter() {
+        assert_eq!(cell.sets, 1);
+        for kind in AccessKind::ALL {
+            assert_eq!(
+                stats.misses(kind),
+                profile.misses_of(cell.size_bytes, kind),
+                "{} B, {kind:?}",
+                cell.size_bytes
+            );
+        }
+    }
+}
+
+#[test]
+fn gapped_single_set_bounds_match_per_config_caches() {
+    // Bounds 1, 4 and 64, with depths between them that sit on no
+    // bound; the bound of 1 always holds the line just moved to MRU.
+    for (i, policy) in POLICIES.into_iter().enumerate() {
+        let mut spec = GridSpec::new(vec![16, 64, 1024], vec![]);
+        spec.write_policy = policy;
+        spec.include_fully_associative = true;
+        assert_grid_identical(&seeded_stream(0x5e7 + i as u64, 8_000), &spec);
+        assert_grid_identical(&train_stream(0x5e8 + i as u64, 8_000), &spec);
     }
 }
 

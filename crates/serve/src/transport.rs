@@ -41,9 +41,6 @@ pub trait Transport: Read + Write + Send {
     /// Propagates the clone failure.
     fn try_clone_transport(&self) -> io::Result<Box<dyn Transport>>;
 
-    /// A short human-readable peer description for logs.
-    fn peer_label(&self) -> String;
-
     /// The raw file descriptor the server's event loop polls.
     #[cfg(unix)]
     fn raw_fd(&self) -> RawFd;
@@ -60,12 +57,6 @@ impl Transport for TcpStream {
 
     fn try_clone_transport(&self) -> io::Result<Box<dyn Transport>> {
         Ok(Box::new(self.try_clone()?))
-    }
-
-    fn peer_label(&self) -> String {
-        self.peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "tcp:?".to_string())
     }
 
     #[cfg(unix)]
@@ -86,10 +77,6 @@ impl Transport for UnixStream {
 
     fn try_clone_transport(&self) -> io::Result<Box<dyn Transport>> {
         Ok(Box::new(self.try_clone()?))
-    }
-
-    fn peer_label(&self) -> String {
-        "unix".to_string()
     }
 
     fn raw_fd(&self) -> RawFd {
@@ -152,9 +139,6 @@ pub trait Listener: Send {
     ///
     /// Propagates the socket-option failure.
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
-
-    /// A short human-readable bind description for logs.
-    fn local_label(&self) -> String;
 }
 
 impl Listener for TcpListener {
@@ -167,12 +151,6 @@ impl Listener for TcpListener {
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         TcpListener::set_nonblocking(self, nonblocking)
     }
-
-    fn local_label(&self) -> String {
-        self.local_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "tcp:?".to_string())
-    }
 }
 
 #[cfg(unix)]
@@ -184,10 +162,6 @@ impl Listener for UnixListener {
 
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         UnixListener::set_nonblocking(self, nonblocking)
-    }
-
-    fn local_label(&self) -> String {
-        "unix".to_string()
     }
 }
 

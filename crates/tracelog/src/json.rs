@@ -5,8 +5,15 @@
 //! recursive-descent parser: just enough JSON to read back what
 //! [`NdjsonWriter`](crate::NdjsonWriter) writes (objects, strings,
 //! numbers, and — for completeness — arrays, booleans, and null).
+//! `trace report` feeds it journals written by other processes, so
+//! nesting is bounded: a line of unclosed brackets is a [`ParseError`],
+//! not a stack overflow.
 
 use std::fmt;
+
+/// Deepest nesting [`parse`] accepts, the same limit as the serve
+/// protocol's parser.
+const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,7 +98,7 @@ pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
         pos: 0,
     };
     parser.skip_ws();
-    let value = parser.value()?;
+    let value = parser.value(0)?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
         return Err(parser.err("trailing characters"));
@@ -131,10 +138,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, ParseError> {
+    fn value(&mut self, depth: usize) -> Result<JsonValue, ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -154,7 +164,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, ParseError> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue, ParseError> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -168,7 +178,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth + 1)?;
             pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -182,7 +192,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, ParseError> {
+    fn array(&mut self, depth: usize) -> Result<JsonValue, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -192,7 +202,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -330,5 +340,17 @@ mod tests {
         assert!(parse(r#"{"a":}"#).is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(parse(&at_limit).is_ok());
+        let deep = "[".repeat(MAX_DEPTH + 1) + "1" + &"]".repeat(MAX_DEPTH + 1);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.message.contains("deep"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH + 1);
+        let object = r#"{"a":"#.repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&object).unwrap_err().message.contains("deep"));
     }
 }

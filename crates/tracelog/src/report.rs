@@ -804,6 +804,24 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_journal_line_is_invalid_data_not_a_crash() {
+        let path = std::env::temp_dir().join(format!(
+            "smith85-tracelog-deep-{}-{}.ndjson",
+            std::process::id(),
+            crate::now_us()
+        ));
+        let header = r#"{"v":1,"schema":"smith85-tracelog-v1"}"#;
+        std::fs::write(&path, format!("{header}\n{}\n", "[".repeat(100_000)))
+            .expect("write journal");
+        let err = read_journal(&path).expect_err("a 100,000-deep line must not parse");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let message = err.to_string();
+        assert!(message.starts_with("journal line 2:"), "{message}");
+        assert!(message.contains("nesting too deep"), "{message}");
+    }
+
+    #[test]
     fn unclosed_spans_are_flagged_not_lost() {
         let events = vec![TraceEvent {
             ts_us: 10,
