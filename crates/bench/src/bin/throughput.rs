@@ -1,8 +1,9 @@
 //! Refs/sec throughput baseline for the simulation engine's hot paths.
 //!
 //! Times each kernel over the same VCCOM trace (the one-pass engine also
-//! over one storage and one network trace) and reports the best of
-//! several repeats, so the numbers are comparable across commits:
+//! over one storage and one network trace; `resolve_workload` over the
+//! catalog's names) and reports the best of several repeats, so the
+//! numbers are comparable across commits:
 //!
 //! * `generation` — synthesizing the trace itself;
 //! * `stack_analysis` — one-pass LRU stack distances ([`StackAnalyzer`]);
@@ -24,7 +25,12 @@
 //!   split of its time from ablation runs (see [`PhaseSplit`]);
 //! * `fifo_random_policy` — the replacement-policy matrix's non-LRU hot
 //!   path: the same 8-way cache under FIFO and then seeded-random
-//!   replacement (`refs` counts both passes).
+//!   replacement (`refs` counts both passes);
+//! * `resolve_workload` — naming a workload, the first step of every
+//!   served `simulate` and `sweep`: [`resolve_named_workload`] over every
+//!   name [`workload_names`] lists (CPU traces, Table 3 mixes, family
+//!   profiles), each with a seed override. Its `refs` count lookups, not
+//!   trace references.
 //!
 //! ```text
 //! cargo run --release -p smith85-bench --bin throughput -- [quick|paper] [OUT.json]
@@ -43,9 +49,10 @@ use smith85_cachesim::{
     AssocAnalyzer, CacheConfig, GridSpec, OnePassEngine, OnePassGrid, Simulator, StackAnalyzer,
     UnifiedCache, WritePolicy,
 };
-use smith85_core::experiments::resolve_named_workload;
+use smith85_core::experiments::{resolve_named_workload, workload_names};
 use smith85_synth::catalog;
 use smith85_trace::MemoryAccess;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// The workload every kernel is timed on.
@@ -264,6 +271,19 @@ fn run_kernels(len: usize, journal: Option<&str>) -> Vec<KernelResult> {
             assert_eq!(c.stats().total_refs(), len as u64);
         }
     }));
+    // Every name once per 1,000 trace references: 250 rounds of 63
+    // lookups in paper mode.
+    let names = workload_names();
+    let rounds = len / 1_000;
+    results.push(kernel("resolve_workload", names.len() * rounds, || {
+        for round in 0..rounds {
+            for name in &names {
+                let workload = resolve_named_workload(black_box(name), Some(round as u64))
+                    .expect("every listed name resolves");
+                black_box(workload);
+            }
+        }
+    }));
     results.push(kernel("unified_sim", len, || {
         let cfg = CacheConfig::builder(16 * 1024)
             .purge_interval(Some(smith85_trace::PAPER_PURGE_INTERVAL))
@@ -307,9 +327,8 @@ fn run_kernels(len: usize, journal: Option<&str>) -> Vec<KernelResult> {
 fn render_json(mode: &str, len: usize, journaled: bool, results: &[KernelResult]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    // v5 renames phase_share's `fenwick` to `single_set`: the single-set
-    // level is no longer a Fenwick tree. Every other v4 field is kept.
-    s.push_str("  \"schema\": \"smith85-throughput-v5\",\n");
+    // v6 adds the `resolve_workload` kernel; every v5 field is kept.
+    s.push_str("  \"schema\": \"smith85-throughput-v6\",\n");
     s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     s.push_str(&format!("  \"journaled\": {journaled},\n"));
     s.push_str(&format!("  \"trace\": \"{TRACE}\",\n"));

@@ -33,9 +33,15 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// The state rotated so its high bits land in the low ones. The low
+    /// bits of a product depend only on the key's low bits, and the map
+    /// picks the starting bucket from the low bits: unrotated, keys that
+    /// share their low bits (storage line numbers are multiples of 256)
+    /// would start probing at only one bucket in 256. rustc-hash 2
+    /// rotates the same way.
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        self.state.rotate_left(26)
     }
 
     #[inline]
@@ -111,13 +117,21 @@ mod tests {
     #[test]
     fn distinct_small_keys_do_not_collide_in_low_bits() {
         // HashMap uses the low bits for bucket selection; consecutive line
-        // addresses must spread. 4096 keys into 2^16 low-bit buckets should
-        // see nowhere near 4096-way pileups.
-        let mut buckets = std::collections::HashSet::new();
-        for k in 0u64..4096 {
-            buckets.insert(hash_u64(k) & 0xffff);
+        // addresses must spread, and so must keys sharing their low bits
+        // (storage blocks are 4 KiB apart, so their 16-byte line numbers
+        // are multiples of 256). 4096 keys into 2^16 low-bit buckets
+        // should see nowhere near 4096-way pileups.
+        for stride in [1u64, 256] {
+            let mut buckets = std::collections::HashSet::new();
+            for k in 0u64..4096 {
+                buckets.insert(hash_u64(k * stride) & 0xffff);
+            }
+            assert!(
+                buckets.len() > 3000,
+                "stride {stride}: only {} distinct buckets",
+                buckets.len()
+            );
         }
-        assert!(buckets.len() > 3000, "only {} distinct buckets", buckets.len());
     }
 
     #[test]

@@ -369,7 +369,9 @@ pub fn workload_names() -> Vec<String> {
 /// catalog, the Table 3 mixes, and the family catalog — and applies the
 /// optional seed override (mix members get `seed ^ index` so they stay
 /// distinct). Mix and family lookups are case-insensitive, matching the
-/// catalogs they front.
+/// catalogs they front. The catalogs are built once per process, so a
+/// lookup scans shared tables and clones only the entry it returns; the
+/// seed goes on that clone, never on the shared table.
 pub fn resolve_named_workload(name: &str, seed: Option<u64>) -> Option<Workload> {
     if let Some(synthetic) = catalog::by_name(name) {
         let mut profile = synthetic.profile().clone();
@@ -378,15 +380,16 @@ pub fn resolve_named_workload(name: &str, seed: Option<u64>) -> Option<Workload>
         }
         return Some(Workload::Single(profile));
     }
-    for (mix_name, mut members) in catalog::table3_mixes() {
-        if mix_name.eq_ignore_ascii_case(name) {
-            if let Some(seed) = seed {
-                for (i, member) in members.iter_mut().enumerate() {
-                    member.seed = seed ^ i as u64;
-                }
+    if let Some((mix_name, mut members)) = catalog::table3_mix(name) {
+        if let Some(seed) = seed {
+            for (i, member) in members.iter_mut().enumerate() {
+                member.seed = seed ^ i as u64;
             }
-            return Some(Workload::Mix { name: mix_name, members });
         }
+        return Some(Workload::Mix {
+            name: mix_name,
+            members,
+        });
     }
     smith85_families::by_name(name).map(|mut spec| {
         if let Some(seed) = seed {
@@ -426,6 +429,7 @@ fn edit_distance(a: &str, b: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace_pool::workload_key;
 
     #[test]
     fn builder_defaults_match_paper() {
@@ -558,6 +562,126 @@ mod tests {
                 "{name} is listed but does not resolve"
             );
         }
+    }
+
+    /// The lookup rules over freshly returned catalogs, written out
+    /// independently of [`resolve_named_workload`]: the reference the
+    /// shared tables must agree with.
+    fn reference_resolve(name: &str, seed: Option<u64>) -> Option<Workload> {
+        if let Some(spec) = catalog::all()
+            .into_iter()
+            .find(|s| s.name().eq_ignore_ascii_case(name))
+        {
+            let mut profile = spec.profile().clone();
+            if let Some(seed) = seed {
+                profile.seed = seed;
+            }
+            return Some(Workload::Single(profile));
+        }
+        for (mix_name, mut members) in catalog::table3_mixes() {
+            if mix_name.eq_ignore_ascii_case(name) {
+                if let Some(seed) = seed {
+                    for (i, member) in members.iter_mut().enumerate() {
+                        member.seed = seed ^ i as u64;
+                    }
+                }
+                return Some(Workload::Mix {
+                    name: mix_name,
+                    members,
+                });
+            }
+        }
+        smith85_families::catalog::all()
+            .into_iter()
+            .find(|s| s.name().eq_ignore_ascii_case(name))
+            .map(|mut spec| {
+                if let Some(seed) = seed {
+                    spec.set_seed(seed);
+                }
+                Workload::Family(spec)
+            })
+    }
+
+    fn identity(workload: &Workload) -> (String, String) {
+        (workload.name().to_string(), workload_key(workload))
+    }
+
+    #[test]
+    fn every_name_resolves_like_the_reference_in_any_case() {
+        let names = workload_names();
+        assert_eq!(
+            names.len(),
+            63,
+            "49 CPU traces + 4 mixes + 10 family profiles"
+        );
+        for name in &names {
+            for spelling in [name.clone(), name.to_lowercase(), name.to_uppercase()] {
+                for seed in [None, Some(0x5eed_u64)] {
+                    let got = resolve_named_workload(&spelling, seed)
+                        .unwrap_or_else(|| panic!("{spelling:?} does not resolve"));
+                    let want = reference_resolve(&spelling, seed)
+                        .unwrap_or_else(|| panic!("{spelling:?} has no reference"));
+                    assert_eq!(
+                        identity(&got),
+                        identity(&want),
+                        "{spelling:?} seed {seed:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_seeded_resolution_does_not_leak_into_the_next_unseeded_one() {
+        fn fnv1a(name: &str) -> u64 {
+            name.bytes().fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        let single_seed = |w: Workload| match w {
+            Workload::Single(p) => p.seed,
+            other => panic!("expected a single trace, got {other:?}"),
+        };
+        let member_seeds = |w: Workload| match w {
+            Workload::Mix { members, .. } => members
+                .iter()
+                .map(|m| (m.name.clone(), m.seed))
+                .collect::<Vec<_>>(),
+            other => panic!("expected a mix, got {other:?}"),
+        };
+        let family_seed = |w: Workload| match w {
+            Workload::Family(spec) => spec.seed(),
+            other => panic!("expected a family profile, got {other:?}"),
+        };
+        const SEED: u64 = 99;
+        const MIX: &str = "Z8000 - Assorted";
+
+        assert_eq!(
+            single_seed(resolve_named_workload("VCCOM", Some(SEED)).unwrap()),
+            SEED
+        );
+        let seeded = member_seeds(resolve_named_workload(MIX, Some(SEED)).unwrap());
+        for (i, (_, seed)) in seeded.iter().enumerate() {
+            assert_eq!(*seed, SEED ^ i as u64);
+        }
+        assert_eq!(
+            family_seed(resolve_named_workload("S-OLTP", Some(SEED)).unwrap()),
+            SEED
+        );
+
+        assert_eq!(
+            single_seed(resolve_named_workload("VCCOM", None).unwrap()),
+            fnv1a("VCCOM")
+        );
+        let members = member_seeds(resolve_named_workload(MIX, None).unwrap());
+        assert_eq!(members.len(), 5);
+        for (name, seed) in members {
+            assert_eq!(seed, fnv1a(&name), "mix member {name} keeps its own seed");
+        }
+        assert_eq!(
+            family_seed(resolve_named_workload("S-OLTP", None).unwrap()),
+            fnv1a("S-OLTP")
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use crate::network::NetworkProfile;
 use crate::storage::StorageProfile;
 use crate::Family;
+use std::sync::OnceLock;
 
 /// A profile from either non-CPU family: the polymorphic handle the
 /// rest of the stack (workloads, pool, serve, CLI) consumes.
@@ -137,8 +138,20 @@ fn network(
     })
 }
 
+/// The profile table, built on first use and shared for the life of the
+/// process: a name lookup scans it and clones only the profile it
+/// returns.
+fn profiles() -> &'static [FamilySpec] {
+    static PROFILES: OnceLock<Vec<FamilySpec>> = OnceLock::new();
+    PROFILES.get_or_init(build_profiles)
+}
+
 /// Every family profile, storage first, each family in fixed order.
 pub fn all() -> Vec<FamilySpec> {
+    profiles().to_vec()
+}
+
+fn build_profiles() -> Vec<FamilySpec> {
     vec![
         storage(
             "S-KVSTORE",
@@ -230,12 +243,15 @@ pub fn all() -> Vec<FamilySpec> {
 
 /// Looks a family profile up by name, case-insensitively.
 pub fn by_name(name: &str) -> Option<FamilySpec> {
-    all().into_iter().find(|s| s.name().eq_ignore_ascii_case(name))
+    profiles()
+        .iter()
+        .find(|s| s.name().eq_ignore_ascii_case(name))
+        .cloned()
 }
 
 /// Every family profile name, in [`all`]'s order.
 pub fn names() -> Vec<String> {
-    all().iter().map(|s| s.name().to_string()).collect()
+    profiles().iter().map(|s| s.name().to_string()).collect()
 }
 
 #[cfg(test)]

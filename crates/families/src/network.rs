@@ -155,12 +155,22 @@ impl NetworkGenerator {
         }
     }
 
+    /// Moves `dest` to the front of the recency stack, dropping the
+    /// least recent entry when a new destination finds the stack full.
+    /// One rotation shifts the entries above `dest` down a slot, so a
+    /// train continuation (`dest` already in front) moves nothing.
     fn touch(&mut self, dest: u64) {
-        if let Some(pos) = self.stack.iter().position(|&d| d == dest) {
-            self.stack.remove(pos);
-        }
-        self.stack.insert(0, dest);
-        self.stack.truncate(self.stack_depth);
+        let pos = match self.stack.iter().position(|&d| d == dest) {
+            Some(pos) => pos,
+            None => {
+                if self.stack.len() < self.stack_depth {
+                    self.stack.push(dest);
+                }
+                self.stack.len() - 1
+            }
+        };
+        self.stack[..=pos].rotate_right(1);
+        self.stack[0] = dest;
     }
 }
 

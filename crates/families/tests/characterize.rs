@@ -58,3 +58,30 @@ fn network_lan_profile_is_pinned() {
     assert_eq!(s.data_lines(), 199);
     assert_eq!(s.address_space_bytes(), 3_184);
 }
+
+/// FNV-1a over the little-endian bytes of the first `LEN` addresses.
+fn address_checksum(name: &str) -> u64 {
+    let spec = by_name(name).unwrap_or_else(|| panic!("{name} not in the family catalog"));
+    let generator = spec.try_generator().expect("catalog profiles are valid");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for access in generator.take(LEN) {
+        for byte in access.addr.get().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The statistics above can hold while the sequence changes; these pin
+/// the exact destination order, so any change to the train draws, the
+/// recency stack's update or the popularity scramble shows here.
+/// N-SERVERFARM's 8-deep stack is the one whose depth cap the recency
+/// draws reach within this length: a stack that outgrew its cap would
+/// pass the other two.
+#[test]
+fn network_address_streams_are_pinned() {
+    assert_eq!(address_checksum("N-LAN"), 0xacd1_a13c_606b_048b);
+    assert_eq!(address_checksum("N-GATEWAY"), 0xa1e8_d0cf_1551_c7fe);
+    assert_eq!(address_checksum("N-SERVERFARM"), 0x2243_7745_5a41_5072);
+}

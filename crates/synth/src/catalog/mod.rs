@@ -18,6 +18,7 @@ use crate::profile::{Locality, ProgramGenerator, ProgramProfile};
 use serde::{Deserialize, Serialize};
 use smith85_trace::{MachineArch, SourceLanguage, Trace};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Version of the calibrated catalog data. Bump whenever any profile
 /// parameter changes — or the servable catalog namespace itself grows —
@@ -209,9 +210,21 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The catalog table, built on first use and shared for the life of the
+/// process: a name lookup scans it and clones only the entry it returns,
+/// instead of rebuilding all 49 specs per call.
+fn specs() -> &'static [TraceSpec] {
+    static SPECS: OnceLock<Vec<TraceSpec>> = OnceLock::new();
+    SPECS.get_or_init(build_specs)
+}
+
 /// Every trace in the catalog (49 entries), grouped by architecture in the
 /// paper's presentation order.
 pub fn all() -> Vec<TraceSpec> {
+    specs().to_vec()
+}
+
+fn build_specs() -> Vec<TraceSpec> {
     let mut specs = Vec::with_capacity(49);
     specs.extend(ibm370::specs());
     specs.extend(ibm360::specs());
@@ -224,17 +237,24 @@ pub fn all() -> Vec<TraceSpec> {
 
 /// Looks a trace up by name (case-insensitive).
 pub fn by_name(name: &str) -> Option<TraceSpec> {
-    all().into_iter().find(|s| s.name().eq_ignore_ascii_case(name))
+    specs()
+        .iter()
+        .find(|s| s.name().eq_ignore_ascii_case(name))
+        .cloned()
 }
 
 /// All traces of one group.
 pub fn group(group: TraceGroup) -> Vec<TraceSpec> {
-    all().into_iter().filter(|s| s.group() == group).collect()
+    specs()
+        .iter()
+        .filter(|s| s.group() == group)
+        .cloned()
+        .collect()
 }
 
 /// The 57 Table 1 rows: every section of every trace.
 pub fn table1_rows() -> Vec<ProgramProfile> {
-    all().iter().flat_map(|s| s.section_profiles()).collect()
+    specs().iter().flat_map(|s| s.section_profiles()).collect()
 }
 
 /// The four multiprogramming mixes of Table 3.
@@ -244,6 +264,25 @@ pub fn table1_rows() -> Vec<ProgramProfile> {
 /// * "Z8000 - Assorted": ZVI, ZGREP, ZPR, ZOD, ZSORT;
 /// * "CDC 6400 - Assorted": all five CDC traces.
 pub fn table3_mixes() -> Vec<(String, Vec<ProgramProfile>)> {
+    mixes().to_vec()
+}
+
+/// Looks one Table 3 mix up by display name (case-insensitive), cloning
+/// only that mix.
+pub fn table3_mix(name: &str) -> Option<(String, Vec<ProgramProfile>)> {
+    mixes()
+        .iter()
+        .find(|(mix_name, _)| mix_name.eq_ignore_ascii_case(name))
+        .cloned()
+}
+
+/// The Table 3 mixes, built once like [`specs`].
+fn mixes() -> &'static [(String, Vec<ProgramProfile>)] {
+    static MIXES: OnceLock<Vec<(String, Vec<ProgramProfile>)>> = OnceLock::new();
+    MIXES.get_or_init(build_mixes)
+}
+
+fn build_mixes() -> Vec<(String, Vec<ProgramProfile>)> {
     let mix_of = |name: &str| -> Vec<ProgramProfile> {
         by_name(name)
             .unwrap_or_else(|| panic!("catalog trace {name} missing"))
