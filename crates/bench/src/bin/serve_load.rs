@@ -27,7 +27,8 @@
 
 use smith85_core::session::SimSession;
 use smith85_serve::{
-    CacheSpec, Client, Request, Response, RouterOptions, ServeOptions, Server, SimulateSpec,
+    json, CacheSpec, Client, Request, Response, RouterOptions, ServeOptions, Server,
+    SimulateSpec,
 };
 use std::time::Instant;
 
@@ -503,7 +504,7 @@ fn render_json(
     match store {
         Some((path, warm)) => {
             s.push_str("  \"store\": {\n");
-            s.push_str(&format!("    \"path\": {:?},\n", path));
+            s.push_str(&format!("    \"path\": {},\n", json::s(path)));
             s.push_str(&format!(
                 "    \"warm_speedup\": {:.2},\n",
                 warm.requests_per_sec() / primary.requests_per_sec().max(1e-12)

@@ -1405,7 +1405,7 @@ fn follow_journal(path: &str, max_events: usize, trace_id: Option<&str>) -> Resu
                 continue; // journal header, not an event
             }
         }
-        let value = smith85_tracelog::json::parse(trimmed)
+        let value = smith85_tracelog::json::Json::parse(trimmed)
             .map_err(|e| CliError::usage(format!("bad journal line: {e}")))?;
         let event = smith85_tracelog::report::parse_event(&value)
             .map_err(|e| CliError::usage(format!("bad journal event: {e}")))?;

@@ -17,6 +17,7 @@
 //! format is documented in `EXPERIMENTS.md`.
 
 use crate::experiments::{self, ExperimentConfig};
+use smith85_tracelog::json::{self, Json};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -297,11 +298,6 @@ pub fn config_hash(config: &ExperimentConfig) -> String {
     format!("{h:016x}")
 }
 
-/// True if `path` holds a successful result stamped with `hash`.
-///
-/// The check is a substring scan rather than a JSON parse — the runner
-/// itself wrote the file, with known key order; anything unreadable or
-/// unrecognized is simply treated as "no result, run it again".
 /// Whether `path` holds a complete, parseable result for this config.
 ///
 /// A checkpoint file can be corrupt — truncated by a crash mid-`fs::write`
@@ -314,7 +310,7 @@ fn has_fresh_result(path: &Path, hash: &str) -> bool {
         Ok(text) => text,
         Err(_) => return false,
     };
-    let parsed = match smith85_tracelog::json::parse(&text) {
+    let parsed = match Json::parse(&text) {
         Ok(parsed) => parsed,
         Err(err) => {
             let ctx = smith85_tracelog::current();
@@ -347,11 +343,11 @@ fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
 
 fn result_json(name: &str, hash: &str, duration_ms: u64, rendered: &str) -> String {
     format!(
-        "{{\n  \"name\": \"{}\",\n  \"status\": \"ok\",\n  \"config_hash\": \"{}\",\n  \"duration_ms\": {},\n  \"rendered\": \"{}\"\n}}\n",
-        json_escape(name),
+        "{{\n  \"name\": {},\n  \"status\": \"ok\",\n  \"config_hash\": \"{}\",\n  \"duration_ms\": {},\n  \"rendered\": {}\n}}\n",
+        json::s(name),
         hash,
         duration_ms,
-        json_escape(rendered),
+        json::s(rendered),
     )
 }
 
@@ -370,8 +366,8 @@ fn manifest_json(
     s.push_str("    \"phases\": [\n");
     for (i, o) in outcomes.iter().enumerate() {
         s.push_str(&format!(
-            "      {{\"name\": \"{}\", \"wall_ms\": {}}}{}\n",
-            json_escape(o.name),
+            "      {{\"name\": {}, \"wall_ms\": {}}}{}\n",
+            json::s(o.name),
             o.duration_ms,
             if i + 1 < outcomes.len() { "," } else { "" },
         ));
@@ -380,13 +376,10 @@ fn manifest_json(
     s.push_str("  },\n");
     s.push_str("  \"experiments\": [\n");
     for (i, o) in outcomes.iter().enumerate() {
-        let error = match &o.error {
-            Some(e) => format!("\"{}\"", json_escape(e)),
-            None => "null".to_string(),
-        };
+        let error = o.error.as_deref().map_or(Json::Null, json::s);
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"status\": \"{}\", \"duration_ms\": {}, \"error\": {}}}{}\n",
-            json_escape(o.name),
+            "    {{\"name\": {}, \"status\": \"{}\", \"duration_ms\": {}, \"error\": {}}}{}\n",
+            json::s(o.name),
             o.status.as_str(),
             o.duration_ms,
             error,
@@ -395,23 +388,6 @@ fn manifest_json(
     }
     s.push_str("  ]\n}\n");
     s
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -578,7 +554,7 @@ mod tests {
         assert_eq!(report.count(ExperimentStatus::Skip), 1);
         // The re-run rewrote a parseable checkpoint.
         let repaired = fs::read_to_string(out.join("ok_a.json")).unwrap();
-        assert!(smith85_tracelog::json::parse(&repaired).is_ok());
+        assert!(Json::parse(&repaired).is_ok());
         fs::remove_dir_all(&out).unwrap();
     }
 
@@ -645,9 +621,37 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_handles_control_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    fn result_and_manifest_files_keep_their_layout() {
+        assert_eq!(
+            result_json("a\"b\\c\nd", "00ff", 7, "x\u{1}y"),
+            "{\n  \"name\": \"a\\\"b\\\\c\\nd\",\n  \"status\": \"ok\",\n  \
+             \"config_hash\": \"00ff\",\n  \"duration_ms\": 7,\n  \
+             \"rendered\": \"x\\u0001y\"\n}\n"
+        );
+        let outcomes = [
+            ExperimentOutcome {
+                name: "x",
+                status: ExperimentStatus::Pass,
+                duration_ms: 5,
+                error: None,
+            },
+            ExperimentOutcome {
+                name: "y",
+                status: ExperimentStatus::Fail,
+                duration_ms: 1,
+                error: Some("bad \"input\"".into()),
+            },
+        ];
+        assert_eq!(
+            manifest_json("00ff", 2, &outcomes, 9),
+            "{\n  \"config_hash\": \"00ff\",\n  \"threads\": 2,\n  \"timing\": {\n    \
+             \"total_wall_ms\": 9,\n    \"phases\": [\n      \
+             {\"name\": \"x\", \"wall_ms\": 5},\n      \
+             {\"name\": \"y\", \"wall_ms\": 1}\n    ]\n  },\n  \"experiments\": [\n    \
+             {\"name\": \"x\", \"status\": \"pass\", \"duration_ms\": 5, \"error\": null},\n    \
+             {\"name\": \"y\", \"status\": \"fail\", \"duration_ms\": 1, \
+             \"error\": \"bad \\\"input\\\"\"}\n  ]\n}\n"
+        );
     }
 
     #[test]

@@ -55,7 +55,6 @@ pub mod client;
 #[cfg(unix)]
 pub(crate) mod event_loop;
 pub mod exec;
-pub mod json;
 #[cfg(unix)]
 pub(crate) mod poll;
 pub mod protocol;
@@ -77,6 +76,9 @@ pub use server::{
     ConfigError, RunningServer, ServeOptions, ServeOptionsBuilder, Server, ShutdownHandle,
 };
 pub use smith85_obs::RegistrySnapshot;
+/// The wire protocol's JSON codec: the workspace's one codec, which
+/// lives in `smith85-tracelog` so the trace journal shares it.
+pub use smith85_tracelog::json;
 #[cfg(unix)]
 pub use transport::bind_unix;
 pub use transport::{Endpoint, Listener, Transport};

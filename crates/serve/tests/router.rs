@@ -353,25 +353,33 @@ fn hedged_request_renders_as_one_merged_span_tree_across_journals() {
     let dir = std::env::temp_dir();
     let pid = std::process::id();
     let router_journal = dir.join(format!("smith85-router-journal-{pid}.ndjson"));
-    let shard_journal = dir.join(format!("smith85-shard-journal-{pid}.ndjson"));
-    let _ = std::fs::remove_file(&router_journal);
-    let _ = std::fs::remove_file(&shard_journal);
+    let shard_journals = ["a", "b"]
+        .map(|shard| dir.join(format!("smith85-shard-{shard}-journal-{pid}.ndjson")));
+    for path in shard_journals.iter().chain([&router_journal]) {
+        let _ = std::fs::remove_file(path);
+    }
 
-    let backend = Server::spawn(
-        ServeOptions::builder()
-            .addr("127.0.0.1:0")
-            .journal(shard_journal.clone())
-            .build()
-            .expect("serve options"),
-    )
-    .expect("spawn backend");
-    let backend_b = spawn_backend();
+    // Both shards journal: whichever one the ring makes primary for the
+    // request below is killed, and the other one's journal is merged.
+    let mut backends: Vec<_> = shard_journals
+        .iter()
+        .map(|journal| {
+            Server::spawn(
+                ServeOptions::builder()
+                    .addr("127.0.0.1:0")
+                    .journal(journal.clone())
+                    .build()
+                    .expect("serve options"),
+            )
+            .expect("spawn backend")
+        })
+        .collect();
     let router = Server::spawn(
         ServeOptions::builder()
             .addr("127.0.0.1:0")
             .journal(router_journal.clone())
             .router(RouterOptions {
-                backends: vec![backend.addr().to_string(), backend_b.addr().to_string()],
+                backends: backends.iter().map(|b| b.addr().to_string()).collect(),
                 // Long probe period: the hedge below, not the prober,
                 // must be what discovers the killed shard.
                 probe_interval_ms: 60_000,
@@ -383,44 +391,46 @@ fn hedged_request_renders_as_one_merged_span_tree_across_journals() {
     .expect("spawn router");
     let router_addr = router.addr().to_string();
 
-    // Find a request key whose ring primary is shard B (its exec count
-    // moves when the routed request lands there) — then kill B and
-    // replay that exact key: the forward to B is refused, the router
-    // hedges to the surviving shard, and both hop spans are journaled.
-    let mut direct_b = Client::builder()
-        .addr(backend_b.addr().to_string())
-        .connect()
-        .expect("connect b");
-    let b_exec_count = |client: &mut Client| -> u64 {
-        fetch_metrics(client)
-            .histograms
+    // Send one key with both shards up and see which one executed it
+    // (its exec count moves) — then kill that shard and replay the same
+    // key: the forward to it is refused, the router hedges to the
+    // survivor, and both hop spans are journaled.
+    let exec_counts = |backends: &[smith85_serve::RunningServer]| -> Vec<u64> {
+        backends
             .iter()
-            .find(|h| h.name == "serve_exec_ms")
-            .map(|h| h.count)
-            .unwrap_or(0)
+            .map(|backend| {
+                let mut client = Client::builder()
+                    .addr(backend.addr().to_string())
+                    .connect()
+                    .expect("connect backend");
+                fetch_metrics(&mut client)
+                    .histograms
+                    .iter()
+                    .find(|h| h.name == "serve_exec_ms")
+                    .map(|h| h.count)
+                    .unwrap_or(0)
+            })
+            .collect()
     };
-    let workloads = ["MVS1", "FCOMP1", "VCCOM", "VSPICE", "ZGREP", "TWOD", "WATEX", "PL0"];
-    let mut primary_on_b: Option<(usize, &str)> = None;
-    for (i, workload) in workloads.iter().enumerate() {
-        let before = b_exec_count(&mut direct_b);
-        let mut client = Client::builder()
-            .addr(router_addr.as_str())
-            .timeout(Duration::from_secs(30))
-            .connect()
-            .expect("connect");
-        match client.call(&simulate_request(workload, 1_500 + 100 * i, 4_096)) {
-            Ok(Response::Simulate(_)) => {}
-            other => panic!("routed call must succeed, got {other:?}"),
-        }
-        if b_exec_count(&mut direct_b) > before {
-            primary_on_b = Some((i, workload));
-            break;
-        }
+    let request = simulate_request("VCCOM", 1_500, 4_096);
+    let before = exec_counts(&backends);
+    let mut client = Client::builder()
+        .addr(router_addr.as_str())
+        .timeout(Duration::from_secs(30))
+        .connect()
+        .expect("connect");
+    match client.call(&request) {
+        Ok(Response::Simulate(_)) => {}
+        other => panic!("routed call must succeed, got {other:?}"),
     }
-    let (i, workload) = primary_on_b
-        .expect("one of eight distinct request keys must route primarily to shard B");
-    drop(direct_b);
-    backend_b.stop().expect("stop backend b");
+    drop(client);
+    let after = exec_counts(&backends);
+    let primary = (0..backends.len())
+        .find(|&i| after[i] > before[i])
+        .expect("one shard must have executed the routed request");
+    backends.remove(primary).stop().expect("stop primary shard");
+    let survivor = backends.pop().expect("surviving shard");
+    let survivor_journal = &shard_journals[1 - primary];
 
     let hedged_trace = "hedgedhop1".to_string();
     let mut client = Client::builder()
@@ -429,7 +439,7 @@ fn hedged_request_renders_as_one_merged_span_tree_across_journals() {
         .timeout(Duration::from_secs(30))
         .connect()
         .expect("connect");
-    match client.call(&simulate_request(workload, 1_500 + 100 * i, 4_096)) {
+    match client.call(&request) {
         Ok(Response::Simulate(_)) => {}
         other => panic!("hedged replay must succeed on the survivor, got {other:?}"),
     }
@@ -439,13 +449,14 @@ fn hedged_request_renders_as_one_merged_span_tree_across_journals() {
     );
 
     router.stop().unwrap();
-    backend.stop().unwrap();
+    survivor.stop().unwrap();
 
-    // Merge the two process-local journals: the hedged request must be
-    // ONE tree — router root, hedge hops as siblings, and the shard's
-    // subtree hanging under the hop that reached it.
+    // Merge the router's and the survivor's process-local journals: the
+    // hedged request must be ONE tree — router root, hedge hops as
+    // siblings, and the shard's subtree hanging under the hop that
+    // reached it.
     let (_, router_events) = report::read_journal(&router_journal).expect("router journal");
-    let (_, shard_events) = report::read_journal(&shard_journal).expect("shard journal");
+    let (_, shard_events) = report::read_journal(survivor_journal).expect("shard journal");
     let merged = report::merge_journals(&[router_events, shard_events]);
     let trees = report::build_trees(&merged);
     let tree = trees
@@ -476,8 +487,9 @@ fn hedged_request_renders_as_one_merged_span_tree_across_journals() {
         "shard-side kernel span must nest under the merged tree: {shard_root:?}"
     );
 
-    let _ = std::fs::remove_file(&router_journal);
-    let _ = std::fs::remove_file(&shard_journal);
+    for path in shard_journals.iter().chain([&router_journal]) {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]

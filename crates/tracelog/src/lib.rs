@@ -10,9 +10,10 @@
 //! - [`RingJournal`] — a lock-sharded bounded in-memory ring; overflow
 //!   drops the *oldest* events and counts the drops, so the newest
 //!   evidence is always present when something goes wrong.
-//! - [`NdjsonWriter`] — one JSON object per line to a file (hand-rolled
-//!   JSON, matching the workspace's no-op serde shim). Lines are written
-//!   by a dedicated writer thread that flushes after each drained batch,
+//! - [`NdjsonWriter`] — one JSON object per line to a file, encoded by
+//!   this crate's [`json`] codec (the workspace's one JSON codec, which
+//!   the serve wire protocol uses too). Lines are written by a
+//!   dedicated writer thread that flushes after each drained batch,
 //!   so `smith85 trace follow` can tail a live journal while emission
 //!   stays off the request path; [`EventSink::flush`] blocks until
 //!   everything emitted so far is durable. The first line is a
@@ -46,6 +47,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::json::Json;
 
 /// Journal format version emitted in the NDJSON header line.
 pub const JOURNAL_VERSION: u64 = 1;
@@ -683,10 +686,11 @@ impl NdjsonWriter {
     pub fn create<P: AsRef<Path>>(path: P) -> std::io::Result<NdjsonWriter> {
         let file = File::create(path)?;
         let mut writer = BufWriter::new(file);
-        writeln!(
-            writer,
-            "{{\"v\":{JOURNAL_VERSION},\"schema\":\"{JOURNAL_SCHEMA}\"}}"
-        )?;
+        let header = json::obj(vec![
+            ("v", Json::Uint(JOURNAL_VERSION)),
+            ("schema", json::s(JOURNAL_SCHEMA)),
+        ]);
+        writeln!(writer, "{header}")?;
         writer.flush()?;
 
         let shared = Arc::new((
@@ -754,48 +758,30 @@ impl NdjsonWriter {
 
     /// Encodes one event as its NDJSON line (no trailing newline).
     pub fn encode(event: &TraceEvent) -> String {
-        let mut line = String::with_capacity(128);
-        line.push_str("{\"ts_us\":");
-        line.push_str(&event.ts_us.to_string());
-        line.push_str(",\"kind\":\"");
-        line.push_str(event.kind.as_str());
-        line.push_str("\",\"sev\":\"");
-        line.push_str(event.severity.as_str());
-        line.push_str("\",\"name\":\"");
-        json_escape_into(&mut line, &event.name);
-        line.push_str("\",\"trace\":\"");
-        json_escape_into(&mut line, &event.trace_id);
-        line.push_str("\",\"span\":");
-        line.push_str(&event.span_id.to_string());
-        line.push_str(",\"parent\":");
-        line.push_str(&event.parent_span_id.to_string());
-        line.push_str(",\"fields\":{");
-        for (i, (key, value)) in event.fields.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push('"');
-            json_escape_into(&mut line, key);
-            line.push_str("\":");
-            match value {
-                FieldValue::Str(s) => {
-                    line.push('"');
-                    json_escape_into(&mut line, s);
-                    line.push('"');
-                }
-                FieldValue::U64(v) => line.push_str(&v.to_string()),
-                FieldValue::F64(v) => {
-                    if v.is_finite() {
-                        line.push_str(&v.to_string());
-                    } else {
-                        // JSON has no Inf/NaN; journal them as null.
-                        line.push_str("null");
-                    }
-                }
-            }
-        }
-        line.push_str("}}");
-        line
+        let fields = event
+            .fields
+            .iter()
+            .map(|(key, value)| {
+                let value = match value {
+                    FieldValue::Str(text) => json::s(text.as_str()),
+                    FieldValue::U64(v) => Json::Uint(*v),
+                    // Non-finite values are written as `null`.
+                    FieldValue::F64(v) => Json::Num(*v),
+                };
+                (key.clone(), value)
+            })
+            .collect();
+        json::obj(vec![
+            ("ts_us", Json::Uint(event.ts_us)),
+            ("kind", json::s(event.kind.as_str())),
+            ("sev", json::s(event.severity.as_str())),
+            ("name", json::s(event.name.as_str())),
+            ("trace", json::s(&*event.trace_id)),
+            ("span", Json::Uint(event.span_id)),
+            ("parent", Json::Uint(event.parent_span_id)),
+            ("fields", Json::Obj(fields)),
+        ])
+        .to_string()
     }
 }
 
@@ -840,22 +826,6 @@ impl Drop for NdjsonWriter {
         }
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
-        }
-    }
-}
-
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
         }
     }
 }
@@ -960,22 +930,28 @@ mod tests {
 
     #[test]
     fn ndjson_lines_round_trip() {
+        // 2^53 + 1 is the first integer an f64 cannot hold.
+        let beyond_f64 = (1u64 << 53) + 1;
         let event = TraceEvent {
             ts_us: 42,
             kind: EventKind::SpanEnd,
             severity: Severity::Warn,
             name: "weird \"name\"\n".to_string(),
             trace_id: Arc::from("abc123"),
-            span_id: 7,
-            parent_span_id: 3,
+            span_id: beyond_f64,
+            parent_span_id: beyond_f64,
             fields: vec![
                 ("workload".to_string(), FieldValue::Str("VC\\COM".to_string())),
                 ("bytes".to_string(), FieldValue::U64(1024)),
                 ("ratio".to_string(), FieldValue::F64(0.125)),
+                ("whole".to_string(), FieldValue::F64(3.0)),
+                ("max".to_string(), FieldValue::U64(u64::MAX)),
+                ("beyond_f64".to_string(), FieldValue::U64(beyond_f64)),
             ],
         };
         let line = NdjsonWriter::encode(&event);
-        let value = json::parse(&line).expect("line parses");
+        assert!(line.contains(r#""whole":3.0,"#), "{line}");
+        let value = Json::parse(&line).expect("line parses");
         let back = report::parse_event(&value).expect("event decodes");
         assert_eq!(back, event);
     }
@@ -1009,7 +985,8 @@ mod tests {
         let contents = std::fs::read_to_string(&path).expect("read journal");
         let lines: Vec<&str> = contents.lines().collect();
         assert_eq!(lines.len(), 2, "{contents}");
-        let header = json::parse(lines[0]).expect("header parses");
+        assert_eq!(lines[0], r#"{"v":1,"schema":"smith85-tracelog-v1"}"#);
+        let header = Json::parse(lines[0]).expect("header parses");
         assert_eq!(header.get("v").and_then(|v| v.as_u64()), Some(1));
         assert_eq!(
             header.get("schema").and_then(|v| v.as_str()),

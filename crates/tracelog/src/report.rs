@@ -9,7 +9,7 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::json::{self, JsonValue};
+use crate::json::Json;
 use crate::{EventKind, FieldValue, Severity, TraceEvent};
 
 /// The journal's versioned first line.
@@ -26,7 +26,7 @@ pub struct JournalHeader {
 /// # Errors
 ///
 /// Returns a description of the first missing/ill-typed key.
-pub fn parse_event(value: &JsonValue) -> Result<TraceEvent, String> {
+pub fn parse_event(value: &Json) -> Result<TraceEvent, String> {
     let ts_us = value
         .get("ts_us")
         .and_then(|v| v.as_u64())
@@ -62,14 +62,12 @@ pub fn parse_event(value: &JsonValue) -> Result<TraceEvent, String> {
         .and_then(|v| v.as_u64())
         .ok_or("missing parent")?;
     let mut fields = Vec::new();
-    if let Some(pairs) = value.get("fields").and_then(|v| v.as_obj()) {
+    if let Some(Json::Obj(pairs)) = value.get("fields") {
         for (key, val) in pairs {
             let field = match val {
-                JsonValue::Str(s) => FieldValue::Str(s.clone()),
-                JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 9.0e15 => {
-                    FieldValue::U64(*n as u64)
-                }
-                JsonValue::Num(n) => FieldValue::F64(*n),
+                Json::Str(s) => FieldValue::Str(s.clone()),
+                Json::Uint(n) => FieldValue::U64(*n),
+                Json::Num(n) => FieldValue::F64(*n),
                 other => FieldValue::Str(format!("{other:?}")),
             };
             fields.push((key.clone(), field));
@@ -103,7 +101,7 @@ pub fn read_journal<P: AsRef<Path>>(
         if line.trim().is_empty() {
             continue;
         }
-        let value = json::parse(line).map_err(|e| {
+        let value = Json::parse(line).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("journal line {}: {e}", lineno + 1),
