@@ -137,7 +137,7 @@ pub fn run(config: &ExperimentConfig) -> Ablations {
     let len = config.trace_len;
     let profiles = representative_profiles();
 
-    let line_size = parallel_map(config.threads, profiles.clone(), |p| {
+    let line_size = parallel_map(config, profiles.clone(), |p| {
         let trace = config.pool.profile(&p, len);
         let replay = &trace.as_slice()[..len];
         let mut miss_ratios = Vec::new();
@@ -165,7 +165,7 @@ pub fn run(config: &ExperimentConfig) -> Ablations {
         Mapping::SetAssociative(8),
         Mapping::FullyAssociative,
     ];
-    let associativity = parallel_map(config.threads, profiles.clone(), |p| {
+    let associativity = parallel_map(config, profiles.clone(), |p| {
         let trace = config.pool.profile(&p, len);
         let replay = &trace.as_slice()[..len];
         AssocRow {
@@ -188,7 +188,7 @@ pub fn run(config: &ExperimentConfig) -> Ablations {
         Replacement::Fifo,
         Replacement::Random { seed: 85 },
     ];
-    let replacement = parallel_map(config.threads, profiles.clone(), |p| {
+    let replacement = parallel_map(config, profiles.clone(), |p| {
         let trace = config.pool.profile(&p, len);
         let replay = &trace.as_slice()[..len];
         ReplacementRow {
@@ -216,7 +216,7 @@ pub fn run(config: &ExperimentConfig) -> Ablations {
         WritePolicy::WriteThrough { allocate: true },
         WritePolicy::WriteThrough { allocate: false },
     ];
-    let write_policy = parallel_map(config.threads, profiles, |p| {
+    let write_policy = parallel_map(config, profiles, |p| {
         let trace = config.pool.profile(&p, len);
         let replay = &trace.as_slice()[..len];
         let traffic: Vec<f64> = write_policies
@@ -236,7 +236,7 @@ pub fn run(config: &ExperimentConfig) -> Ablations {
         }
     });
 
-    let write_combining = parallel_map(config.threads, representative_profiles(), |p| {
+    let write_combining = parallel_map(config, representative_profiles(), |p| {
         let trace = config.pool.profile(&p, len);
         let replay = &trace.as_slice()[..len];
         let stores = replay.iter().filter(|a| a.kind.is_write()).count();
@@ -259,7 +259,7 @@ pub fn run(config: &ExperimentConfig) -> Ablations {
         .into_iter()
         .filter(|w| matches!(w, Workload::Mix { .. }))
         .collect();
-    let purge = parallel_map(config.threads, purge_workloads, |w| {
+    let purge = parallel_map(config, purge_workloads, |w| {
         let trace = config.workload_trace(&w);
         let replay = &trace.as_slice()[..len];
         let mut dirty = Vec::new();

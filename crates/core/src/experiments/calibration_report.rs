@@ -50,7 +50,7 @@ pub struct CalibrationReport {
 /// Runs the report.
 pub fn run(config: &ExperimentConfig) -> CalibrationReport {
     // Table 3 side: reuse the Table 3 experiment machinery.
-    let t3_rows = parallel_map(config.threads, table3_workloads(), |w| {
+    let t3_rows = parallel_map(config, table3_workloads(), |w| {
         let trace = config.workload_trace(&w);
         table3::run_workload(
             &w,
@@ -72,7 +72,7 @@ pub fn run(config: &ExperimentConfig) -> CalibrationReport {
 
     // Group side: characterize and stack-analyze every trace once.
     let len = config.trace_len;
-    let per_trace = parallel_map(config.threads, catalog::all(), |spec| {
+    let per_trace = parallel_map(config, catalog::all(), |spec| {
         let trace = config.profile_trace(spec.profile());
         let mut c = TraceCharacterizer::new();
         let mut a =

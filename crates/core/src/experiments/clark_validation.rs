@@ -47,7 +47,7 @@ pub fn run(config: &ExperimentConfig) -> ClarkValidation {
         .filter(|s| s.group() == TraceGroup::VaxUnix)
         .collect();
     let len = config.trace_len;
-    let profiles = parallel_map(config.threads, vax, |spec| {
+    let profiles = parallel_map(config, vax, |spec| {
         let trace = config.profile_trace(spec.profile());
         let mut a =
             StackAnalyzer::with_line_size_and_capacity(smith85_trace::PAPER_LINE_SIZE, len);

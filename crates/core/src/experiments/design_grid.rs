@@ -60,15 +60,13 @@ fn compute(config: &ExperimentConfig) -> DesignGridStudy {
     let len = config.trace_len;
     let mut spec = GridSpec::new(sizes.clone(), GRID_WAYS.to_vec());
     spec.include_fully_associative = true;
-    let rows = parallel_map(config.threads, table3_workloads(), |w| {
+    let rows = parallel_map(config, table3_workloads(), |w| {
         let trace = config.workload_trace(&w);
         let replay = &trace.as_slice()[..len];
         let grid =
             one_pass_grid(replay, &spec).expect("paper grid is inside the one-pass envelope");
-        config.probe().count("one_pass_refs_total", len as u64);
-        config
-            .probe()
-            .count("one_pass_grid_cells", grid.cells().len() as u64);
+        config.metrics.one_pass_refs.add(len as u64);
+        config.metrics.one_pass_cells.add(grid.cells().len() as u64);
         let cell_columns = |size: usize| -> Vec<Option<usize>> {
             let lines = size / spec.line_size;
             GRID_WAYS

@@ -91,7 +91,7 @@ fn compute(config: &ExperimentConfig) -> FamilyConclusions {
                 .unwrap_or_else(|| panic!("{name} is in some catalog"))
         })
         .collect();
-    let rows = parallel_map(config.threads, workloads, |w| {
+    let rows = parallel_map(config, workloads, |w| {
         let trace = config.workload_trace(&w);
         let replay = &trace.as_slice()[..len];
         let miss_at = |ways: usize, replacement: Replacement| -> f64 {
@@ -110,7 +110,7 @@ fn compute(config: &ExperimentConfig) -> FamilyConclusions {
                 .expect("fixed design point is valid");
             let mut cache = Cache::new(cache_config).expect("valid cache");
             cache.run(replay);
-            config.probe().count("policy_grid_cells", 1);
+            config.metrics.policy_cells.inc();
             cache.stats().miss_ratio()
         };
         let miss_by_policy: Vec<f64> = POLICIES

@@ -44,7 +44,7 @@ fn compute(config: &ExperimentConfig) -> Fig3Fig4 {
         .into_iter()
         .flat_map(|w| sizes.iter().map(move |&s| (w.clone(), s)).collect::<Vec<_>>())
         .collect();
-    let results = parallel_map(config.threads, jobs, |(w, size)| {
+    let results = parallel_map(config, jobs, |(w, size)| {
         let trace = config.workload_trace(&w);
         let mut cache =
             SplitCache::paper_split(size, w.purge_interval()).expect("valid split config");

@@ -68,7 +68,7 @@ pub fn run(config: &ExperimentConfig) -> FudgeValidation {
     let len = config.trace_len;
     // Measure every group once.
     let measured: Vec<(TraceGroup, f64)> = parallel_map(
-        config.threads,
+        config,
         PAIRS.to_vec(),
         move |(group, _)| {
             let specs = catalog::group(group);

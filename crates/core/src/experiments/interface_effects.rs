@@ -50,7 +50,7 @@ pub fn run(config: &ExperimentConfig) -> InterfaceEffects {
         .iter()
         .map(|n| catalog::by_name(n).unwrap_or_else(|| panic!("{n} missing")))
         .collect();
-    let rows = parallel_map(config.threads, specs, |spec| {
+    let rows = parallel_map(config, specs, |spec| {
         let trace = config.pool.profile(spec.profile(), len);
         let refs_per_1000 = INTERFACES
             .iter()

@@ -65,7 +65,7 @@ fn argmin(xs: &[f64]) -> usize {
 /// (workload, line size) pass.
 pub fn run(config: &ExperimentConfig) -> LineSizeStudy {
     let len = config.trace_len;
-    let rows = parallel_map(config.threads, table3_workloads(), move |w: Workload| {
+    let rows = parallel_map(config, table3_workloads(), move |w: Workload| {
         // One analyzer pass per line size covers every cache size, all
         // replaying the same pooled trace.
         let trace = config.workload_trace(&w);

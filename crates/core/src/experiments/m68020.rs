@@ -68,7 +68,7 @@ fn icache_miss(
 /// Runs the study.
 pub fn run(config: &ExperimentConfig) -> M68020Study {
     let len = config.trace_len / 2; // instruction refs only
-    let rows = parallel_map(config.threads, table3_workloads(), |w| {
+    let rows = parallel_map(config, table3_workloads(), |w| {
         // The filtered stream is not a prefix of the full trace, so it
         // pools under its own key and is shared by all four variants.
         let trace = config.pool.ifetch_workload(&w, len);

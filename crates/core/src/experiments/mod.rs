@@ -29,11 +29,11 @@ pub mod trace_length;
 pub mod traffic_ratio;
 pub mod z80000;
 
-use crate::session::ProbeHandle;
 use crate::sweep;
 use crate::trace_pool::TracePool;
 use smith85_cachesim::PAPER_SIZES;
 use smith85_families::FamilySpec;
+use smith85_obs::{Counter, Histogram, Registry, MS_BOUNDS, REFS_PER_SEC_BOUNDS};
 use smith85_synth::{catalog, ProfileError, ProgramProfile};
 use smith85_trace::mix::RoundRobinMix;
 use smith85_trace::{
@@ -58,10 +58,48 @@ pub struct ExperimentConfig {
     /// clones the *handle*: every experiment run from the same config (the
     /// whole suite) replays the same materialized traces.
     pub pool: TracePool,
-    // Instrumentation sink for everything run under this config. Crate-
-    // private so struct-literal construction outside the builder/presets
-    // is impossible, which keeps validation mandatory for callers.
-    pub(crate) probe: ProbeHandle,
+    // The metrics registry everything run under this config counts into
+    // (a session's, or a private one). Crate-private so struct-literal
+    // construction outside the builder is impossible, which keeps
+    // validation mandatory for callers.
+    pub(crate) registry: Registry,
+    pub(crate) metrics: CoreMetrics,
+}
+
+/// The core layers' handles into a config's registry, resolved once when
+/// the config is built: the sweep engine counts every job through them,
+/// and the session kernels and experiments every traversal.
+#[derive(Debug, Clone)]
+pub(crate) struct CoreMetrics {
+    pub(crate) sweep_jobs: Arc<Counter>,
+    pub(crate) sweep_panics: Arc<Counter>,
+    pub(crate) sweep_job_ms: Arc<Histogram>,
+    pub(crate) cachesim_refs: Arc<Counter>,
+    pub(crate) cachesim_batches: Arc<Counter>,
+    pub(crate) cachesim_batch_ms: Arc<Histogram>,
+    pub(crate) cachesim_refs_per_sec: Arc<Histogram>,
+    pub(crate) one_pass_refs: Arc<Counter>,
+    pub(crate) one_pass_cells: Arc<Counter>,
+    pub(crate) policy_cells: Arc<Counter>,
+    pub(crate) family_refs: Arc<Counter>,
+}
+
+impl CoreMetrics {
+    fn resolve(registry: &Registry) -> CoreMetrics {
+        CoreMetrics {
+            sweep_jobs: registry.counter("sweep_jobs_total"),
+            sweep_panics: registry.counter("sweep_panics_total"),
+            sweep_job_ms: registry.histogram("sweep_job_ms", MS_BOUNDS),
+            cachesim_refs: registry.counter("cachesim_refs_total"),
+            cachesim_batches: registry.counter("cachesim_batches_total"),
+            cachesim_batch_ms: registry.histogram("cachesim_batch_ms", MS_BOUNDS),
+            cachesim_refs_per_sec: registry.histogram("cachesim_refs_per_sec", REFS_PER_SEC_BOUNDS),
+            one_pass_refs: registry.counter("one_pass_refs_total"),
+            one_pass_cells: registry.counter("one_pass_grid_cells"),
+            policy_cells: registry.counter("policy_grid_cells"),
+            family_refs: registry.counter("family_refs_total"),
+        }
+    }
 }
 
 /// A validation failure from [`ExperimentConfigBuilder::build`].
@@ -104,7 +142,7 @@ pub struct ExperimentConfigBuilder {
     sizes: Vec<usize>,
     threads: usize,
     pool: TracePool,
-    probe: ProbeHandle,
+    registry: Option<Registry>,
 }
 
 impl Default for ExperimentConfigBuilder {
@@ -114,7 +152,7 @@ impl Default for ExperimentConfigBuilder {
             sizes: PAPER_SIZES.to_vec(),
             threads: sweep::default_threads(),
             pool: TracePool::new(),
-            probe: ProbeHandle::default(),
+            registry: None,
         }
     }
 }
@@ -151,9 +189,10 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// The instrumentation sink (defaults to a no-op).
-    pub fn probe(mut self, probe: ProbeHandle) -> Self {
-        self.probe = probe;
+    /// The metrics registry to count into (a fresh private one by
+    /// default).
+    pub fn registry(mut self, registry: Registry) -> Self {
+        self.registry = Some(registry);
         self
     }
 
@@ -176,12 +215,14 @@ impl ExperimentConfigBuilder {
         if self.threads == 0 {
             return Err(ConfigError::ZeroThreads);
         }
+        let registry = self.registry.unwrap_or_default();
         Ok(ExperimentConfig {
             trace_len: self.trace_len,
             sizes: self.sizes,
             threads: self.threads,
             pool: self.pool,
-            probe: self.probe,
+            metrics: CoreMetrics::resolve(&registry),
+            registry,
         })
     }
 }
@@ -195,29 +236,22 @@ impl ExperimentConfig {
 
     /// The paper's scale: 250,000 references, the full 32 B – 64 KiB sweep.
     pub fn paper() -> Self {
-        ExperimentConfig {
-            trace_len: 250_000,
-            sizes: PAPER_SIZES.to_vec(),
-            threads: sweep::default_threads(),
-            pool: TracePool::new(),
-            probe: ProbeHandle::default(),
-        }
+        // invariant: the builder's defaults are valid.
+        Self::builder().build().expect("paper defaults are valid")
     }
 
     /// A reduced configuration for tests and smoke runs.
     pub fn quick() -> Self {
-        ExperimentConfig {
-            trace_len: 30_000,
-            sizes: vec![64, 256, 1024, 4096, 16384],
-            threads: sweep::default_threads(),
-            pool: TracePool::new(),
-            probe: ProbeHandle::default(),
-        }
+        // invariant: the quick preset is valid.
+        Self::builder()
+            .quick()
+            .build()
+            .expect("quick preset is valid")
     }
 
-    /// The instrumentation sink attached to this configuration.
-    pub fn probe(&self) -> &ProbeHandle {
-        &self.probe
+    /// The metrics registry this configuration counts into.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     /// The pooled trace for `workload` at this config's

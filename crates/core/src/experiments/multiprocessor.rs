@@ -55,7 +55,7 @@ pub fn run(config: &ExperimentConfig) -> MultiprocessorStudy {
     let len = config.trace_len;
     let bus = SharedBus::TYPICAL_1985;
     let machine = MachineModel::MICRO_32;
-    let rows = parallel_map(config.threads, table3_workloads(), move |w| {
+    let rows = parallel_map(config, table3_workloads(), move |w| {
         let trace = config.workload_trace(&w);
         let replay = &trace.as_slice()[..len];
         let measure = |fetch: FetchPolicy| {

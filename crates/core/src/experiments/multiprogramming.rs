@@ -52,7 +52,7 @@ fn pool() -> Vec<smith85_synth::ProgramProfile> {
 /// Runs the study.
 pub fn run(config: &ExperimentConfig) -> MultiprogrammingStudy {
     let len = config.trace_len;
-    let rows = parallel_map(config.threads, DEGREES.to_vec(), move |degree| {
+    let rows = parallel_map(config, DEGREES.to_vec(), move |degree| {
         let members: Vec<_> = pool().into_iter().take(degree).collect();
         let names: Vec<String> = members.iter().map(|p| p.name.clone()).collect();
         // A Mix workload's stream is exactly this round-robin (VAX members

@@ -57,7 +57,7 @@ pub fn run(config: &ExperimentConfig) -> Perturbations {
         .iter()
         .map(|n| catalog::by_name(n).unwrap_or_else(|| panic!("{n} missing")))
         .collect();
-    let rows = parallel_map(config.threads, specs, |spec| {
+    let rows = parallel_map(config, specs, |spec| {
         let miss = |stream: Box<dyn Iterator<Item = smith85_trace::MemoryAccess>>,
                     purge: Option<u64>| {
             let cfg = CacheConfig::builder(CACHE_BYTES)

@@ -145,7 +145,7 @@ fn compute(config: &ExperimentConfig) -> PrefetchStudy {
         .into_iter()
         .flat_map(|w| sizes.iter().map(move |&s| (w.clone(), s)).collect::<Vec<_>>())
         .collect();
-    let cells = parallel_map(config.threads, jobs, |(w, size)| {
+    let cells = parallel_map(config, jobs, |(w, size)| {
         let trace = config.workload_trace(&w);
         let cell = simulate_cell(&w, size, &trace.as_slice()[..len]);
         (w.name().to_string(), size, cell)

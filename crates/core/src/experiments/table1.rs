@@ -55,7 +55,7 @@ fn compute(config: &ExperimentConfig) -> Table1 {
         .collect();
     let sizes = config.sizes.clone();
     let len = config.trace_len;
-    let rows = parallel_map(config.threads, jobs, |(name, group, profile)| {
+    let rows = parallel_map(config, jobs, |(name, group, profile)| {
         let trace = config.profile_trace(&profile);
         let mut analyzer =
             StackAnalyzer::with_line_size_and_capacity(smith85_trace::PAPER_LINE_SIZE, len);

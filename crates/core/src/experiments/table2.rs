@@ -50,7 +50,7 @@ pub struct Table2 {
 /// Runs the experiment.
 pub fn run(config: &ExperimentConfig) -> Table2 {
     let len = config.trace_len;
-    let rows = parallel_map(config.threads, catalog::all(), |spec| {
+    let rows = parallel_map(config, catalog::all(), |spec| {
         let trace = config.profile_trace(spec.profile());
         let mut c = TraceCharacterizer::new();
         for &access in &trace.as_slice()[..len] {

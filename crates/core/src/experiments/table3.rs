@@ -54,7 +54,7 @@ pub fn run_with_half_size(config: &ExperimentConfig, half_size: usize) -> Table3
     let key = format!("table3/{half_size}/{}", config.trace_len);
     let shared = config.pool.result(&key, || {
         let len = config.trace_len;
-        let rows = parallel_map(config.threads, table3_workloads(), |w| {
+        let rows = parallel_map(config, table3_workloads(), |w| {
             let trace = config.workload_trace(&w);
             run_workload(&w, half_size, w.purge_interval(), &trace.as_slice()[..len])
         });

@@ -52,7 +52,7 @@ pub fn run(config: &ExperimentConfig) -> TraceLengthStudy {
         .map(|n| catalog::by_name(n).unwrap_or_else(|| panic!("{n} missing")))
         .collect();
     let lens = lengths.clone();
-    let rows = parallel_map(config.threads, specs, move |spec| {
+    let rows = parallel_map(config, specs, move |spec| {
         // One pass at the longest prefix would not give prefix curves (the
         // histogram is cumulative), so run one analyzer per prefix — every
         // prefix is a slice of the same pooled trace.

@@ -47,7 +47,7 @@ pub fn run(config: &ExperimentConfig) -> TrafficRatioStudy {
 fn compute(config: &ExperimentConfig) -> TrafficRatioStudy {
     let sizes = config.sizes.clone();
     let len = config.trace_len;
-    let rows = parallel_map(config.threads, table3_workloads(), |w| {
+    let rows = parallel_map(config, table3_workloads(), |w| {
         let trace = config.workload_trace(&w);
         let replay = &trace.as_slice()[..len];
         let ratio_for = |policy: WritePolicy, size: usize| {

@@ -55,7 +55,7 @@ pub fn run(config: &ExperimentConfig) -> Z80000Study {
         .iter()
         .map(|proj| {
             let hit_of = |profiles: &[smith85_synth::ProgramProfile]| {
-                let hits = parallel_map(config.threads, profiles.to_vec(), |p| {
+                let hits = parallel_map(config, profiles.to_vec(), |p| {
                     let trace = config.profile_trace(&p);
                     let mut cache = SectorCache::new(SectorCacheConfig::z80000(proj.fetch_bytes))
                         .expect("Z80000 sector configuration is valid");

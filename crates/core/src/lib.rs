@@ -62,5 +62,5 @@ pub mod sweep;
 pub mod targets;
 pub mod trace_pool;
 
-pub use session::{Probe, ProbeHandle, SimSession, SimSessionBuilder};
+pub use session::{SimSession, SimSessionBuilder};
 pub use trace_pool::{PoolStats, TracePool};

@@ -17,6 +17,7 @@
 //! format is documented in `EXPERIMENTS.md`.
 
 use crate::experiments::{self, ExperimentConfig};
+use smith85_obs::MS_BOUNDS;
 use smith85_tracelog::json::{self, Json};
 use std::fmt;
 use std::fs;
@@ -184,6 +185,10 @@ pub fn run_suite_with(
     fs::create_dir_all(&opts.out_dir)?;
     let hash = config_hash(config);
     let suite_start = Instant::now();
+    let experiments_run = config.registry().counter("suite_experiments_total");
+    let experiment_ms = config
+        .registry()
+        .histogram("suite_experiment_ms", MS_BOUNDS);
     let mut outcomes: Vec<ExperimentOutcome> = Vec::with_capacity(entries.len());
     for entry in entries {
         let result_path = opts.out_dir.join(format!("{}.json", entry.name));
@@ -255,10 +260,8 @@ pub fn run_suite_with(
             }
         };
         if outcome.status != ExperimentStatus::Skip {
-            config.probe().count("suite_experiments_total", 1);
-            config
-                .probe()
-                .observe("suite_experiment_ms", outcome.duration_ms as f64);
+            experiments_run.inc();
+            experiment_ms.observe(outcome.duration_ms as f64);
         }
         progress(&outcome);
         outcomes.push(outcome);

@@ -5,18 +5,20 @@
 //! simulator" dance: the CLI's `simulate`/`experiment` commands, the
 //! suite runner, and the serve worker. [`SimSession`] is the one front
 //! door: a builder configures the run (trace length, sizes, threads,
-//! shared pool), wires an instrumentation [`Probe`] through every hot
-//! layer (trace pool, sweep engine, cachesim batch loop), and the
-//! session then exposes the simulation kernels all three callers share.
+//! shared pool), points every hot layer (trace pool, sweep engine,
+//! cachesim batch loop) at one metrics [`Registry`], and the session
+//! then exposes the simulation kernels all three callers share.
 //! Because the kernels are the same code paths as before — `UnifiedCache
 //! ::run_slice`, `StackAnalyzer::observe_slice` — results are
 //! bit-identical to direct library calls; the serve loopback tests pin
 //! that.
 //!
 //! Instrumentation is *structural*, not optional bolted-on logging: the
-//! probe rides inside [`ExperimentConfig`], so anything run under a
+//! registry rides inside [`ExperimentConfig`], so anything run under a
 //! session's config (including every suite experiment) reports into the
-//! same [`Registry`].
+//! same [`Registry`]. Every layer resolves its metric handles once, when
+//! the session is built; counting is then a relaxed atomic add, never a
+//! lookup by name.
 //!
 //! ```
 //! use smith85_core::session::SimSession;
@@ -36,137 +38,19 @@
 
 use crate::experiments::{ConfigError, ExperimentConfig, Workload};
 use crate::runner::{self, RunnerOptions, SuiteReport};
-use crate::sweep;
 use crate::trace_pool::TracePool;
 use smith85_cachesim::{
     CacheConfig, CacheStats, ConfigError as CacheConfigError, GridCell, GridSpec, Mapping,
     OnePassEngine, OnePassGrid, Replacement, Simulator, SplitCache, StackAnalyzer, StackProfile,
     UnifiedCache,
 };
-use smith85_obs::{Registry, MS_BOUNDS, REFS_PER_SEC_BOUNDS};
+use smith85_obs::{Counter, Gauge, Registry};
 use smith85_store::Store;
 use smith85_trace::MemoryAccess;
 use smith85_tracelog::{self as tracelog, FieldValue, SinkHandle, TraceContext};
-use std::fmt;
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// An instrumentation sink. All methods default to no-ops, so an
-/// implementation only overrides the signals it cares about; every call
-/// site treats the probe as fire-and-forget (a probe must never panic
-/// or block on the hot path).
-pub trait Probe: Send + Sync {
-    /// Adds `n` to the monotonic counter `name`.
-    fn count(&self, name: &str, n: u64) {
-        let _ = (name, n);
-    }
-
-    /// Sets the instantaneous gauge `name`.
-    fn gauge(&self, name: &str, value: f64) {
-        let _ = (name, value);
-    }
-
-    /// Records one observation into the distribution `name`.
-    fn observe(&self, name: &str, value: f64) {
-        let _ = (name, value);
-    }
-}
-
-/// The default probe: discards every signal.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopProbe;
-
-impl Probe for NoopProbe {}
-
-/// A probe that records into a [`Registry`]. Distribution names ending
-/// in `refs_per_sec` use throughput buckets; everything else is assumed
-/// to be a millisecond timing.
-#[derive(Debug, Clone)]
-pub struct RegistryProbe {
-    registry: Registry,
-}
-
-impl RegistryProbe {
-    /// Wraps a registry.
-    pub fn new(registry: Registry) -> Self {
-        RegistryProbe { registry }
-    }
-}
-
-impl Probe for RegistryProbe {
-    fn count(&self, name: &str, n: u64) {
-        self.registry.counter(name).add(n);
-    }
-
-    fn gauge(&self, name: &str, value: f64) {
-        self.registry.gauge(name).set(value);
-    }
-
-    fn observe(&self, name: &str, value: f64) {
-        self.registry.histogram(name, bounds_for(name)).observe(value);
-    }
-}
-
-/// Histogram bucket bounds for a distribution name.
-fn bounds_for(name: &str) -> &'static [f64] {
-    if name.ends_with("refs_per_sec") {
-        REFS_PER_SEC_BOUNDS
-    } else {
-        MS_BOUNDS
-    }
-}
-
-/// A cheaply-cloneable, shared handle to a [`Probe`]. Defaults to
-/// [`NoopProbe`], so un-instrumented configs pay one virtual call per
-/// event and nothing else.
-#[derive(Clone)]
-pub struct ProbeHandle {
-    inner: Arc<dyn Probe>,
-}
-
-impl Default for ProbeHandle {
-    fn default() -> Self {
-        ProbeHandle {
-            inner: Arc::new(NoopProbe),
-        }
-    }
-}
-
-impl fmt::Debug for ProbeHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ProbeHandle").finish_non_exhaustive()
-    }
-}
-
-impl ProbeHandle {
-    /// Wraps any probe implementation.
-    pub fn new(probe: impl Probe + 'static) -> Self {
-        ProbeHandle {
-            inner: Arc::new(probe),
-        }
-    }
-
-    /// A handle that records into `registry`.
-    pub fn for_registry(registry: Registry) -> Self {
-        Self::new(RegistryProbe::new(registry))
-    }
-
-    /// Adds `n` to the monotonic counter `name`.
-    pub fn count(&self, name: &str, n: u64) {
-        self.inner.count(name, n);
-    }
-
-    /// Sets the instantaneous gauge `name`.
-    pub fn gauge(&self, name: &str, value: f64) {
-        self.inner.gauge(name, value);
-    }
-
-    /// Records one observation into the distribution `name`.
-    pub fn observe(&self, name: &str, value: f64) {
-        self.inner.observe(name, value);
-    }
-}
 
 /// Both halves of a split-cache run (plus the merged total).
 #[derive(Debug, Clone, Copy)]
@@ -184,8 +68,6 @@ pub struct SplitStats {
 #[derive(Debug, Clone, Default)]
 pub struct SimSessionBuilder {
     config: crate::experiments::ExperimentConfigBuilder,
-    registry: Option<Registry>,
-    probe: Option<ProbeHandle>,
     journal: SinkHandle,
     store_path: Option<std::path::PathBuf>,
     store_budget: Option<u64>,
@@ -224,15 +106,7 @@ impl SimSessionBuilder {
 
     /// The metrics registry to record into (a fresh one by default).
     pub fn registry(mut self, registry: Registry) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// A custom instrumentation sink, replacing the default
-    /// registry-backed probe. The session still carries a registry, but
-    /// only this probe sees the signals.
-    pub fn instrument(mut self, probe: impl Probe + 'static) -> Self {
-        self.probe = Some(ProbeHandle::new(probe));
+        self.config = self.config.registry(registry);
         self
     }
 
@@ -264,84 +138,77 @@ impl SimSessionBuilder {
         self
     }
 
-    /// Validates the configuration, wires the probe through the trace
-    /// pool and sweep engine, and pre-registers the core metric
-    /// families so an exposition scrape sees them even before traffic.
+    /// Validates the configuration and points the trace pool, the sweep
+    /// engine, the store and the session kernels at one registry. Every
+    /// metric handle is resolved here, which also registers the core
+    /// metric families, so an exposition scrape sees them even before
+    /// traffic.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if the configuration is invalid (see
     /// [`ExperimentConfigBuilder::build`](crate::experiments::ExperimentConfigBuilder::build)).
     pub fn build(self) -> Result<SimSession, ConfigError> {
-        let registry = self.registry.unwrap_or_default();
-        let probe = self
-            .probe
-            .unwrap_or_else(|| ProbeHandle::for_registry(registry.clone()));
-        let config = self.config.probe(probe.clone()).build()?;
-        config.pool.set_probe(probe.clone());
-        sweep::set_probe(probe.clone());
+        let config = self.config.build()?;
+        let registry = config.registry();
+        config.pool.set_registry(registry);
         let store = match self.store_path {
             Some(path) => {
                 let store = Store::open_with_budget(&path, self.store_budget)
                     .map_err(|err| ConfigError::Store(err.to_string()))?;
                 let store = Arc::new(store);
-                store.set_observer(Arc::new(ProbeStoreObserver(probe.clone())));
+                store.set_observer(Arc::new(RegistryStoreObserver::new(registry)));
                 config.pool.set_store(Arc::clone(&store));
-                for counter in [
-                    "store_hits_total",
-                    "store_misses_total",
-                    "store_writes_total",
-                    "store_corrupt_quarantined_total",
-                    "store_gc_evictions_total",
-                ] {
-                    registry.counter(counter);
-                }
-                registry
-                    .gauge("store_bytes")
-                    .set(store.stats().total_bytes as f64);
                 Some(store)
             }
             None => None,
         };
-        for counter in [
-            "pool_hits_total",
-            "pool_misses_total",
-            "pool_materialized_bytes_total",
-            "sweep_jobs_total",
-            "sweep_panics_total",
-            "cachesim_refs_total",
-            "cachesim_batches_total",
-            "one_pass_refs_total",
-            "one_pass_grid_cells",
-            "policy_grid_cells",
-            "family_refs_total",
-        ] {
-            registry.counter(counter);
-        }
-        registry.histogram("sweep_job_ms", MS_BOUNDS);
-        registry.histogram("cachesim_batch_ms", MS_BOUNDS);
-        registry.histogram("cachesim_refs_per_sec", REFS_PER_SEC_BOUNDS);
         Ok(SimSession {
             config,
-            registry,
-            probe,
             journal: self.journal,
             store,
         })
     }
 }
 
-/// Adapts the session's [`ProbeHandle`] onto the store's observer seam,
-/// so store counters land in the same registry as everything else.
-struct ProbeStoreObserver(ProbeHandle);
+/// Feeds the store's observer seam from the session registry, so store
+/// counters land beside everything else. The handles are resolved once;
+/// an event only matches its name against this short list.
+struct RegistryStoreObserver {
+    counters: Vec<(&'static str, Arc<Counter>)>,
+    bytes: Arc<Gauge>,
+}
 
-impl smith85_store::StoreObserver for ProbeStoreObserver {
+impl RegistryStoreObserver {
+    fn new(registry: &Registry) -> RegistryStoreObserver {
+        let counters = [
+            "store_hits_total",
+            "store_misses_total",
+            "store_writes_total",
+            "store_corrupt_quarantined_total",
+            "store_gc_evictions_total",
+        ]
+        .into_iter()
+        .map(|name| (name, registry.counter(name)))
+        .collect();
+        RegistryStoreObserver {
+            counters,
+            bytes: registry.gauge("store_bytes"),
+        }
+    }
+}
+
+impl smith85_store::StoreObserver for RegistryStoreObserver {
     fn count(&self, name: &'static str, n: u64) {
-        self.0.count(name, n);
+        if let Some((_, counter)) = self.counters.iter().find(|(known, _)| *known == name) {
+            counter.add(n);
+        }
     }
 
     fn gauge(&self, name: &'static str, value: f64) {
-        self.0.gauge(name, value);
+        if name == "store_bytes" {
+            self.bytes.set(value);
+        }
     }
 }
 
@@ -351,8 +218,6 @@ impl smith85_store::StoreObserver for ProbeStoreObserver {
 #[derive(Debug, Clone)]
 pub struct SimSession {
     config: ExperimentConfig,
-    registry: Registry,
-    probe: ProbeHandle,
     journal: SinkHandle,
     store: Option<Arc<Store>>,
 }
@@ -379,12 +244,7 @@ impl SimSession {
 
     /// The session's metrics registry.
     pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The session's instrumentation sink.
-    pub fn probe(&self) -> &ProbeHandle {
-        &self.probe
+        self.config.registry()
     }
 
     /// The session's shared trace pool.
@@ -564,8 +424,8 @@ impl SimSession {
                 let mut engine = OnePassEngine::new(spec)?;
                 let cells = engine.cells().len() as u64;
                 self.timed_batch(replay.len(), || engine.observe_slice(replay));
-                self.probe.count("one_pass_refs_total", replay.len() as u64);
-                self.probe.count("one_pass_grid_cells", cells);
+                self.config.metrics.one_pass_refs.add(replay.len() as u64);
+                self.config.metrics.one_pass_cells.add(cells);
                 Ok(engine.finish())
             },
         )
@@ -673,7 +533,7 @@ impl SimSession {
                     let trace = self.config.pool.workload(workload, len);
                     self.count_family_refs(workload, len);
                     let replay = &trace.as_slice()[..len];
-                    self.probe.count("policy_grid_cells", cells.len() as u64);
+                    self.config.metrics.policy_cells.add(cells.len() as u64);
                     cells
                         .iter()
                         .map(|cell| {
@@ -722,7 +582,7 @@ impl SimSession {
     /// can split simulation volume by workload family.
     fn count_family_refs(&self, workload: &Workload, len: usize) {
         if matches!(workload, Workload::Family(_)) {
-            self.probe.count("family_refs_total", len as u64);
+            self.config.metrics.family_refs.add(len as u64);
         }
     }
 
@@ -731,12 +591,12 @@ impl SimSession {
         let start = Instant::now();
         kernel();
         let elapsed = start.elapsed().as_secs_f64();
-        self.probe.count("cachesim_refs_total", refs as u64);
-        self.probe.count("cachesim_batches_total", 1);
-        self.probe.observe("cachesim_batch_ms", elapsed * 1e3);
+        let metrics = &self.config.metrics;
+        metrics.cachesim_refs.add(refs as u64);
+        metrics.cachesim_batches.inc();
+        metrics.cachesim_batch_ms.observe(elapsed * 1e3);
         if elapsed > 0.0 {
-            self.probe
-                .observe("cachesim_refs_per_sec", refs as f64 / elapsed);
+            metrics.cachesim_refs_per_sec.observe(refs as f64 / elapsed);
         }
     }
 }
@@ -813,14 +673,7 @@ mod tests {
         let _ = session.simulate_workload(&vccom(), 1_000, config).unwrap();
 
         let snapshot = session.registry().snapshot();
-        let counter = |name: &str| {
-            snapshot
-                .counters
-                .iter()
-                .find(|c| c.name == name)
-                .unwrap_or_else(|| panic!("missing counter {name}"))
-                .value
-        };
+        let counter = |name: &str| snapshot.counter_value(name, &[]);
         assert_eq!(counter("pool_misses_total"), 1, "one materialization");
         assert_eq!(counter("pool_hits_total"), 1, "second run replays");
         assert!(counter("pool_materialized_bytes_total") > 0);
@@ -858,16 +711,7 @@ mod tests {
 
         // A repeated identical sweep answers from the pool memo: the
         // one-pass counters do not move again.
-        let counter = |name: &str| {
-            session
-                .registry()
-                .snapshot()
-                .counters
-                .iter()
-                .find(|c| c.name == name)
-                .unwrap_or_else(|| panic!("missing counter {name}"))
-                .value
-        };
+        let counter = |name: &str| session.registry().snapshot().counter_value(name, &[]);
         assert_eq!(counter("one_pass_refs_total"), LEN as u64);
         assert_eq!(counter("one_pass_grid_cells"), 9);
         let again = session.sweep_grid_workload(&vccom(), LEN, &spec).unwrap();
@@ -904,35 +748,6 @@ mod tests {
             split.instruction.total_refs() + split.data.total_refs()
         );
         assert_eq!(split.total.total_refs(), 2_000);
-    }
-
-    #[test]
-    fn custom_instrument_sees_the_signals() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        #[derive(Default)]
-        struct CountingProbe {
-            events: AtomicU64,
-        }
-        impl Probe for CountingProbe {
-            fn count(&self, _name: &str, _n: u64) {
-                self.events.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let counting = Arc::new(CountingProbe::default());
-        struct Fwd(Arc<CountingProbe>);
-        impl Probe for Fwd {
-            fn count(&self, name: &str, n: u64) {
-                self.0.count(name, n);
-            }
-        }
-        let session = SimSession::builder()
-            .quick()
-            .instrument(Fwd(Arc::clone(&counting)))
-            .build()
-            .unwrap();
-        let cfg = CacheConfig::paper_table1(1_024).unwrap();
-        let _ = session.simulate_workload(&vccom(), 500, cfg).unwrap();
-        assert!(counting.events.load(Ordering::Relaxed) >= 2);
     }
 
     #[test]

@@ -14,32 +14,13 @@
 //! caller to choose between fail-fast ([`parallel_map`]) and
 //! skip-and-report (inspecting [`SweepError`]).
 
-use crate::session::ProbeHandle;
+use crate::experiments::{CoreMetrics, ExperimentConfig};
 use smith85_tracelog::{self as tracelog, FieldValue, Severity, TraceContext};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// The engine-wide instrumentation sink (see [`set_probe`]). Process
-/// global because sweep jobs are spawned from arbitrary call depths;
-/// the probe only carries metrics, never results, so "last session
-/// wins" is harmless.
-static SWEEP_PROBE: Mutex<Option<ProbeHandle>> = Mutex::new(None);
-
-/// Attaches an instrumentation sink to the sweep engine: every job then
-/// reports `sweep_jobs_total`, a `sweep_job_ms` timing, and panics bump
-/// `sweep_panics_total`. Called by
-/// [`SimSession`](crate::session::SimSession)'s builder; the last probe
-/// set wins.
-pub fn set_probe(probe: ProbeHandle) {
-    *SWEEP_PROBE.lock().unwrap_or_else(|e| e.into_inner()) = Some(probe);
-}
-
-fn probe() -> Option<ProbeHandle> {
-    SWEEP_PROBE.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
 
 /// One job's panic, captured by [`try_parallel_map`].
 #[derive(Debug)]
@@ -100,15 +81,16 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// isolating panics: a panicking job is reported in the returned
 /// [`SweepError`] while all other jobs run to completion.
 ///
-/// `threads = 1` runs inline (useful under test); otherwise up to
-/// `threads` workers pull items off a shared queue.
+/// `config.threads = 1` runs inline (useful under test); otherwise up to
+/// `config.threads` workers pull items off a shared queue. Every job
+/// counts into the registry `config` carries.
 ///
 /// # Errors
 ///
 /// Returns [`SweepError`] if any job panicked; `results` still carries
 /// every completed job's output in input order.
 pub fn try_parallel_map<T, R, F>(
-    threads: usize,
+    config: &ExperimentConfig,
     items: Vec<T>,
     f: F,
 ) -> Result<Vec<R>, SweepError<R>>
@@ -117,7 +99,8 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let threads = threads.max(1);
+    let threads = config.threads.max(1);
+    let metrics = &config.metrics;
     let n = items.len();
     // Captured on the calling thread: sweep workers are fresh threads
     // with no thread-local context of their own, so the caller's trace
@@ -126,7 +109,7 @@ where
     let mut slots: Vec<Result<R, JobFailure>> = Vec::with_capacity(n);
     if threads == 1 || n <= 1 {
         for (index, item) in items.into_iter().enumerate() {
-            slots.push(run_caught(&f, index, item, &trace_ctx));
+            slots.push(run_caught(&f, index, item, &trace_ctx, metrics));
         }
     } else {
         let next = AtomicUsize::new(0);
@@ -152,7 +135,7 @@ where
                     // invariant: each index is dispensed once by the atomic
                     // counter, so the slot is always still populated.
                     let Some(item) = item else { break };
-                    let out = run_caught(&f, i, item, &trace_ctx);
+                    let out = run_caught(&f, i, item, &trace_ctx, metrics);
                     *outputs[i]
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
@@ -176,12 +159,12 @@ fn run_caught<T, R, F>(
     index: usize,
     item: T,
     trace_ctx: &TraceContext,
+    metrics: &CoreMetrics,
 ) -> Result<R, JobFailure>
 where
     F: Fn(T) -> R + Sync,
 {
-    let probe = probe();
-    let start = probe.as_ref().map(|_| Instant::now());
+    let start = Instant::now();
     let span = trace_ctx.enabled().then(|| {
         trace_ctx.child(
             "sweep_job",
@@ -203,12 +186,12 @@ where
             ],
         );
     }
-    if let (Some(probe), Some(start)) = (probe, start) {
-        probe.count("sweep_jobs_total", 1);
-        probe.observe("sweep_job_ms", start.elapsed().as_secs_f64() * 1e3);
-        if outcome.is_err() {
-            probe.count("sweep_panics_total", 1);
-        }
+    metrics.sweep_jobs.inc();
+    metrics
+        .sweep_job_ms
+        .observe(start.elapsed().as_secs_f64() * 1e3);
+    if outcome.is_err() {
+        metrics.sweep_panics.inc();
     }
     outcome
 }
@@ -234,20 +217,20 @@ fn collect_outcomes<R>(slots: Vec<Result<R, JobFailure>>) -> Result<Vec<R>, Swee
 /// Applies `f` to every item, in parallel, preserving input order
 /// (fail-fast wrapper over [`try_parallel_map`]).
 ///
-/// `threads = 1` runs inline (useful under test); otherwise up to `threads`
-/// workers pull items off a shared queue.
+/// `config.threads = 1` runs inline (useful under test); otherwise up to
+/// `config.threads` workers pull items off a shared queue.
 ///
 /// # Panics
 ///
 /// Re-raises the first job panic (by message) after all workers finish,
 /// so sibling jobs are never cancelled mid-simulation.
-pub fn parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
+pub fn parallel_map<T, R, F>(config: &ExperimentConfig, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    match try_parallel_map(threads, items, f) {
+    match try_parallel_map(config, items, f) {
         Ok(results) => results,
         Err(err) => {
             let first = &err.failures[0];
@@ -265,28 +248,33 @@ pub fn default_threads() -> usize {
 mod tests {
     use super::*;
 
+    /// A default configuration running `n` sweep threads.
+    fn threads(n: usize) -> ExperimentConfig {
+        ExperimentConfig::builder().threads(n).build().unwrap()
+    }
+
     #[test]
     fn preserves_order() {
-        let out = parallel_map(4, (0..100).collect(), |x: i32| x * 2);
+        let out = parallel_map(&threads(4), (0..100).collect(), |x: i32| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_thread_inline() {
-        let out = parallel_map(1, vec![1, 2, 3], |x| x + 1);
+        let out = parallel_map(&threads(1), vec![1, 2, 3], |x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
     }
 
     #[test]
     fn empty_input() {
-        let out: Vec<i32> = parallel_map(8, Vec::<i32>::new(), |x| x);
+        let out: Vec<i32> = parallel_map(&threads(8), Vec::<i32>::new(), |x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn handles_non_copy_items() {
         let items: Vec<String> = (0..10).map(|i| format!("s{i}")).collect();
-        let out = parallel_map(3, items, |s| s.len());
+        let out = parallel_map(&threads(3), items, |s| s.len());
         assert_eq!(out.len(), 10);
     }
 
@@ -297,14 +285,14 @@ mod tests {
 
     #[test]
     fn try_map_isolates_panics_and_keeps_other_results() {
-        for threads in [1, 4] {
-            let err = try_parallel_map(threads, (0..10).collect(), |x: i32| {
+        for n in [1, 4] {
+            let err = try_parallel_map(&threads(n), (0..10).collect(), |x: i32| {
                 assert!(x != 3 && x != 7, "bad cell {x}");
                 x * 10
             })
             .unwrap_err();
             assert_eq!(err.results.len(), 10);
-            assert_eq!(err.failures.len(), 2, "threads={threads}");
+            assert_eq!(err.failures.len(), 2, "threads={n}");
             assert_eq!(err.failures[0].index, 3);
             assert_eq!(err.failures[1].index, 7);
             assert!(err.failures[0].message.contains("bad cell 3"));
@@ -320,7 +308,7 @@ mod tests {
 
     #[test]
     fn try_map_all_ok_returns_plain_vec() {
-        let out = try_parallel_map(4, (0..50).collect(), |x: i32| x + 1).unwrap();
+        let out = try_parallel_map(&threads(4), (0..50).collect(), |x: i32| x + 1).unwrap();
         assert_eq!(out, (1..51).collect::<Vec<_>>());
     }
 
@@ -328,7 +316,7 @@ mod tests {
     fn one_failure_does_not_cancel_siblings() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let completed = AtomicUsize::new(0);
-        let err = try_parallel_map(4, (0..20).collect(), |x: i32| {
+        let err = try_parallel_map(&threads(4), (0..20).collect(), |x: i32| {
             if x == 0 {
                 panic!("first job dies");
             }
@@ -343,7 +331,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "sweep job 2 panicked")]
     fn parallel_map_fail_fast_reports_first_failure() {
-        let _ = parallel_map(2, vec![1, 2, 3, 4], |x: i32| {
+        let _ = parallel_map(&threads(2), vec![1, 2, 3, 4], |x: i32| {
             assert!(x != 3, "cell {x}");
             x
         });
@@ -351,7 +339,7 @@ mod tests {
 
     #[test]
     fn sweep_error_display_summarises() {
-        let err = try_parallel_map(1, vec![1, 2], |x: i32| {
+        let err = try_parallel_map(&threads(1), vec![1, 2], |x: i32| {
             assert!(x != 2, "nope");
             x
         })
@@ -363,27 +351,16 @@ mod tests {
 
     #[test]
     fn probe_counts_jobs_and_panics() {
-        let registry = smith85_obs::Registry::new();
-        // Another test (a session build) may swap the global probe out
-        // from under us; retry until a full batch lands in our registry.
-        for _ in 0..5 {
-            set_probe(ProbeHandle::for_registry(registry.clone()));
-            let _ = try_parallel_map(1, vec![1, 2, 3], |x: i32| {
-                assert!(x != 2, "instrumented failure");
-                x
-            });
-            if registry.counter("sweep_jobs_total").get() >= 3 {
-                break;
-            }
-        }
-        assert!(registry.counter("sweep_jobs_total").get() >= 3);
-        assert!(registry.counter("sweep_panics_total").get() >= 1);
-        assert!(
-            registry
-                .histogram("sweep_job_ms", smith85_obs::MS_BOUNDS)
-                .count()
-                >= 3
-        );
+        let config = threads(1);
+        let _ = try_parallel_map(&config, vec![1, 2, 3], |x: i32| {
+            assert!(x != 2, "instrumented failure");
+            x
+        });
+        let registry = config.registry();
+        assert_eq!(registry.counter("sweep_jobs_total").get(), 3);
+        assert_eq!(registry.counter("sweep_panics_total").get(), 1);
+        let job_ms = registry.histogram("sweep_job_ms", smith85_obs::MS_BOUNDS);
+        assert_eq!(job_ms.count(), 3);
     }
 
     #[test]
@@ -398,7 +375,7 @@ mod tests {
         );
         {
             let _enter = tracelog::enter(root.ctx().clone());
-            let _ = try_parallel_map(4, (0..6).collect(), |x: i32| {
+            let _ = try_parallel_map(&threads(4), (0..6).collect(), |x: i32| {
                 assert!(x != 2, "cell {x} dies");
                 x
             });
@@ -430,7 +407,7 @@ mod tests {
 
     #[test]
     fn non_string_panic_payload_is_placeholdered() {
-        let err = try_parallel_map(1, vec![0], |_| -> i32 {
+        let err = try_parallel_map(&threads(1), vec![0], |_| -> i32 {
             std::panic::panic_any(42i32);
         })
         .unwrap_err();

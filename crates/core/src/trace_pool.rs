@@ -18,13 +18,12 @@
 //! requested so far; shorter requests slice the shared buffer zero-copy.
 
 use crate::experiments::Workload;
-use crate::session::ProbeHandle;
+use smith85_obs::{Counter, Registry};
 use smith85_synth::ProgramProfile;
 use smith85_trace::{MemoryAccess, Trace};
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Shared, thread-safe trace cache. Cloning is cheap (an `Arc` bump) and
@@ -42,17 +41,9 @@ struct PoolShared {
     // Signalled whenever an in-flight materialization finishes (or is
     // abandoned), so waiters can recheck the table.
     generated: Condvar,
-    // Counters live outside the mutex: the stats endpoint and the suite
-    // summary read them without contending with generation.
-    hits: AtomicU64,
-    misses: AtomicU64,
-    materialized_bytes: AtomicU64,
-    // Optional instrumentation sink (see `set_probe`), in its own lock
-    // so probing never contends with the state mutex.
-    probe: Mutex<Option<ProbeHandle>>,
     // Optional persistent spill store (see `set_store`): on a miss the
     // pool tries a disk read before generating, and persists whatever it
-    // does generate. Own lock for the same reason as the probe.
+    // does generate. Its own lock keeps disk I/O off the state mutex.
     store: Mutex<Option<Arc<smith85_store::Store>>>,
 }
 
@@ -64,6 +55,35 @@ struct PoolState {
     // for the same workload wait on `generated` instead of duplicating
     // the (milliseconds-scale) generation work.
     inflight: HashSet<String>,
+    // Handles into the registry the pool counts into (see
+    // `set_registry`). Kept under the state lock, which a lookup holds
+    // anyway, so counting a hit takes no lock of its own.
+    counters: PoolCounters,
+}
+
+/// The pool's `pool_*_total` handles in one registry.
+#[derive(Clone)]
+struct PoolCounters {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    materialized_bytes: Arc<Counter>,
+}
+
+impl PoolCounters {
+    fn resolve(registry: &Registry) -> PoolCounters {
+        PoolCounters {
+            hits: registry.counter("pool_hits_total"),
+            misses: registry.counter("pool_misses_total"),
+            materialized_bytes: registry.counter("pool_materialized_bytes_total"),
+        }
+    }
+}
+
+impl Default for PoolCounters {
+    /// A new pool's counters live in a private registry.
+    fn default() -> PoolCounters {
+        PoolCounters::resolve(&Registry::new())
+    }
 }
 
 /// A point-in-time summary of the pool's contents.
@@ -175,7 +195,8 @@ impl TracePool {
         fresh
     }
 
-    /// Current contents and hit/miss counters.
+    /// Current contents, and the hit/miss counters of the registry the
+    /// pool counts into.
     pub fn stats(&self) -> PoolStats {
         let state = self.lock();
         let total_refs: usize = state.traces.values().map(|t| t.len()).sum();
@@ -184,31 +205,20 @@ impl TracePool {
             result_entries: state.results.len(),
             total_refs,
             memory_bytes: total_refs * std::mem::size_of::<MemoryAccess>(),
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            materialized_bytes: self.inner.materialized_bytes.load(Ordering::Relaxed),
+            hits: state.counters.hits.get(),
+            misses: state.counters.misses.get(),
+            materialized_bytes: state.counters.materialized_bytes.get(),
         }
     }
 
-    /// Attaches an instrumentation sink: every subsequent hit, miss and
-    /// materialization also reports `pool_hits_total` /
-    /// `pool_misses_total` / `pool_materialized_bytes_total` through the
-    /// probe (the atomic counters keep counting regardless). The last
-    /// probe set wins; every clone of the pool shares it.
-    pub fn set_probe(&self, probe: ProbeHandle) {
-        *self
-            .inner
-            .probe
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Some(probe);
-    }
-
-    fn probe(&self) -> Option<ProbeHandle> {
-        self.inner
-            .probe
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+    /// Counts into `registry` from now on: hits, misses and materialized
+    /// bytes go to its `pool_hits_total` / `pool_misses_total` /
+    /// `pool_materialized_bytes_total`, and [`stats`](Self::stats) reads
+    /// them there. A new pool counts into a private registry until one
+    /// is set; the last registry set wins, and every clone of the pool
+    /// shares it.
+    pub fn set_registry(&self, registry: &Registry) {
+        self.lock().counters = PoolCounters::resolve(registry);
     }
 
     /// Attaches a persistent spill store. From now on a pool miss first
@@ -248,17 +258,14 @@ impl TracePool {
 
     fn entry(&self, key: String, len: usize, generate: impl FnOnce() -> Trace) -> Arc<Trace> {
         let trace_ctx = smith85_tracelog::current();
-        {
+        let counters = {
             let mut state = self.lock();
             loop {
                 if let Some(existing) = state.traces.get(&key) {
                     if existing.len() >= len {
                         let shared = Arc::clone(existing);
-                        self.inner.hits.fetch_add(1, Ordering::Relaxed);
+                        state.counters.hits.inc();
                         drop(state);
-                        if let Some(probe) = self.probe() {
-                            probe.count("pool_hits_total", 1);
-                        }
                         if trace_ctx.enabled() {
                             trace_ctx.event(
                                 smith85_tracelog::Severity::Debug,
@@ -273,7 +280,8 @@ impl TracePool {
                     }
                 }
                 if state.inflight.insert(key.clone()) {
-                    break; // This thread materializes; others wait.
+                    // This thread materializes; others wait.
+                    break state.counters.clone();
                 }
                 // Someone else is generating this key. Wait for them
                 // rather than duplicating the work; on wakeup, recheck —
@@ -284,7 +292,7 @@ impl TracePool {
                     .wait(state)
                     .unwrap_or_else(|e| e.into_inner());
             }
-        }
+        };
         // Generate outside the lock: materializing 250k references takes
         // milliseconds and must not serialize the other worker threads.
         // The in-flight marker (released on drop, so a panicking
@@ -300,10 +308,7 @@ impl TracePool {
         if let Some(store) = store.as_ref() {
             if let Some(disk) = store.get_trace(&spill_key(&marker.key)) {
                 if disk.len() >= len {
-                    self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(probe) = self.probe() {
-                        probe.count("pool_hits_total", 1);
-                    }
+                    counters.hits.inc();
                     if trace_ctx.enabled() {
                         trace_ctx.event(
                             smith85_tracelog::Severity::Debug,
@@ -333,14 +338,8 @@ impl TracePool {
             span.add_field("bytes", fresh_bytes.into());
         }
         drop(span);
-        self.inner.misses.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .materialized_bytes
-            .fetch_add(fresh_bytes, Ordering::Relaxed);
-        if let Some(probe) = self.probe() {
-            probe.count("pool_misses_total", 1);
-            probe.count("pool_materialized_bytes_total", fresh_bytes);
-        }
+        counters.misses.inc();
+        counters.materialized_bytes.add(fresh_bytes);
         if let Some(store) = store.as_ref() {
             // Best-effort spill: a full or read-only disk must not fail
             // the simulation, it only costs the next warm start.
@@ -613,18 +612,19 @@ mod tests {
 
     #[test]
     fn probe_reports_hits_misses_and_bytes() {
-        let registry = smith85_obs::Registry::new();
+        let registry = Registry::new();
         let pool = TracePool::new();
-        pool.set_probe(ProbeHandle::for_registry(registry.clone()));
+        pool.set_registry(&registry);
         let p = profile("VCCOM");
         let _ = pool.profile(&p, 1_000);
         let _ = pool.profile(&p, 500); // prefix: a hit
         assert_eq!(registry.counter("pool_misses_total").get(), 1);
         assert_eq!(registry.counter("pool_hits_total").get(), 1);
-        assert_eq!(
-            registry.counter("pool_materialized_bytes_total").get(),
-            1_000 * std::mem::size_of::<MemoryAccess>() as u64
-        );
+        let bytes = 1_000 * std::mem::size_of::<MemoryAccess>() as u64;
+        assert_eq!(registry.counter("pool_materialized_bytes_total").get(), bytes);
+        // `stats` reads the same handles.
+        let stats = pool.stats();
+        assert_eq!((stats.hits, stats.misses, stats.materialized_bytes), (1, 1, bytes));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! needs — atomic [`Counter`]s, [`Gauge`]s and fixed-bucket
 //! [`Histogram`]s — plus a [`Registry`] that owns them by name and can
 //! render a point-in-time [`RegistrySnapshot`] or a Prometheus
-//! text-exposition page. A [`Span`] guard records wall-clock timing into
-//! a histogram on drop.
+//! text-exposition page.
 //!
 //! Everything is lock-free on the hot path: metric handles are
 //! `Arc`-shared and updated with relaxed atomics; the registry's maps
@@ -32,7 +31,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// Default bucket upper bounds for millisecond timings: 250µs up to one
 /// minute, roughly log-spaced.
@@ -207,35 +205,6 @@ impl Histogram {
     }
 }
 
-/// A timing guard: records the elapsed wall-clock milliseconds into a
-/// histogram when dropped.
-#[derive(Debug)]
-pub struct Span {
-    histogram: Arc<Histogram>,
-    start: Instant,
-}
-
-impl Span {
-    /// Starts a span against the given histogram.
-    pub fn new(histogram: Arc<Histogram>) -> Span {
-        Span {
-            histogram,
-            start: Instant::now(),
-        }
-    }
-
-    /// Elapsed milliseconds so far (without consuming the span).
-    pub fn elapsed_ms(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1e3
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        self.histogram.observe(self.elapsed_ms());
-    }
-}
-
 /// A metric identity: name plus sorted label pairs. Plain (unlabeled)
 /// metrics sort ahead of labeled series of the same name, which keeps
 /// exposition output grouped by family.
@@ -341,12 +310,6 @@ impl Registry {
                 .entry(MetricKey::new(name, labels))
                 .or_insert_with(|| Arc::new(Histogram::new(bounds))),
         )
-    }
-
-    /// Starts a [`Span`] that records into the millisecond histogram
-    /// named `name` when dropped.
-    pub fn span(&self, name: &str) -> Span {
-        Span::new(self.histogram(name, MS_BOUNDS))
     }
 
     /// A point-in-time copy of every metric, ordered by name then labels.
@@ -555,6 +518,22 @@ fn render_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> St
 }
 
 impl RegistrySnapshot {
+    /// The value of the counter `name` with exactly the label pairs
+    /// `labels` (in any order), or 0 when the snapshot has no such
+    /// series: a counter never created has counted nothing.
+    pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
+        self.counters
+            .iter()
+            .find(|c| {
+                c.name == name
+                    && c.labels.len() == labels.len()
+                    && labels
+                        .iter()
+                        .all(|(k, v)| c.labels.iter().any(|(ck, cv)| ck == k && cv == v))
+            })
+            .map_or(0, |c| c.value)
+    }
+
     /// Renders the snapshot in the Prometheus text exposition format
     /// (version 0.0.4), every metric prefixed `smith85_`.
     ///
@@ -841,21 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn span_records_duration_even_when_the_caller_panics() {
-        let h = Arc::new(Histogram::new(&[1e6]));
-        let result = std::panic::catch_unwind({
-            let h = Arc::clone(&h);
-            move || {
-                let _span = Span::new(h);
-                panic!("timed section dies");
-            }
-        });
-        assert!(result.is_err());
-        assert_eq!(h.count(), 1, "Drop must run during unwind");
-        assert!(h.sum() >= 0.0);
-    }
-
-    #[test]
     fn first_histogram_registration_wins_bounds() {
         let registry = Registry::new();
         let first = registry.histogram("t_ms", &[1.0, 2.0]);
@@ -863,18 +827,6 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second));
         first.observe(1.5);
         assert_eq!(second.count(), 1);
-    }
-
-    #[test]
-    fn span_records_elapsed_time_on_drop() {
-        let registry = Registry::new();
-        {
-            let _span = registry.span("op_ms");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let h = registry.histogram("op_ms", MS_BOUNDS);
-        assert_eq!(h.count(), 1);
-        assert!(h.sum() >= 1.0, "span slept 2ms, recorded {}", h.sum());
     }
 
     #[test]
@@ -915,6 +867,20 @@ mod tests {
             assert!(!name_part.is_empty());
             assert!(value_part.parse::<f64>().is_ok(), "bad value in {line:?}");
         }
+    }
+
+    #[test]
+    fn counter_value_matches_name_and_exact_label_set() {
+        let registry = Registry::new();
+        registry.counter("jobs_total").add(3);
+        registry.counter_with("jobs_total", &[("kind", "a")]).add(5);
+        registry.counter_with("jobs_total", &[("kind", "a"), ("node", "x")]).add(7);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter_value("jobs_total", &[]), 3);
+        assert_eq!(snap.counter_value("jobs_total", &[("kind", "a")]), 5);
+        assert_eq!(snap.counter_value("jobs_total", &[("node", "x"), ("kind", "a")]), 7);
+        assert_eq!(snap.counter_value("jobs_total", &[("kind", "b")]), 0);
+        assert_eq!(snap.counter_value("absent_total", &[]), 0);
     }
 
     #[test]

@@ -37,7 +37,6 @@
 use crate::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{ErrorBody, ErrorCode, Response, MAX_LINE_BYTES};
 use crate::server::{dispatch_request, Handled, ServerState};
-use crate::stats::ServerStats;
 use crate::transport::{Listener, Transport};
 use smith85_obs::Counter;
 use std::collections::HashMap;
@@ -246,7 +245,7 @@ fn service(
     while !conn.busy && !conn.closing {
         let Some(pos) = conn.read_buf.iter().position(|&b| b == b'\n') else {
             if conn.read_buf.len() > MAX_LINE_BYTES {
-                ServerStats::bump(&state.stats.protocol_errors);
+                state.metrics.protocol_errors.inc();
                 conn.enqueue(&Response::Error(ErrorBody::new(
                     ErrorCode::Oversized,
                     format!("request line exceeds {MAX_LINE_BYTES} bytes"),
@@ -258,7 +257,7 @@ fn service(
         let mut line: Vec<u8> = conn.read_buf.drain(..=pos).collect();
         line.pop(); // the newline
         if line.len() > MAX_LINE_BYTES {
-            ServerStats::bump(&state.stats.protocol_errors);
+            state.metrics.protocol_errors.inc();
             conn.enqueue(&Response::Error(ErrorBody::new(
                 ErrorCode::Oversized,
                 format!("request line exceeds {MAX_LINE_BYTES} bytes"),
@@ -269,7 +268,7 @@ fn service(
         let text = match std::str::from_utf8(&line) {
             Ok(text) => text,
             Err(_) => {
-                ServerStats::bump(&state.stats.protocol_errors);
+                state.metrics.protocol_errors.inc();
                 conn.enqueue(&Response::Error(ErrorBody::new(
                     ErrorCode::BadRequest,
                     "request line is not valid UTF-8",

@@ -63,7 +63,7 @@ pub mod router;
 pub mod server;
 #[cfg(unix)]
 pub mod signal;
-pub mod stats;
+pub(crate) mod stats;
 pub mod transport;
 
 pub use client::{Client, ClientBuilder, ClientError, RetryPolicy, MAX_BACKOFF_MS};

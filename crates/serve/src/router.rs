@@ -29,15 +29,13 @@
 //!   shard is marked stale (`router_shard_stale{shard=...} 1`) instead
 //!   of blocking the scrape.
 
-use crate::protocol::{
-    ErrorBody, ErrorCode, Request, Response, RouterCounters, TraceEnvelope, MAX_LINE_BYTES,
-};
+use crate::protocol::{ErrorBody, ErrorCode, Request, Response, TraceEnvelope, MAX_LINE_BYTES};
 use crate::transport::Transport;
 use smith85_obs::{Counter, Gauge, GaugeSnapshot, Registry, RegistrySnapshot};
 use smith85_tracelog::{self as tracelog, FieldValue};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -87,9 +85,11 @@ pub(crate) struct Shard {
     inflight_gauge: Arc<Gauge>,
 }
 
-/// Shared router state: the ring, per-shard counters, global counters.
-/// Metric handles are resolved once at construction, so forwarding
-/// takes no registry lock and builds no metric key.
+/// Shared router state: the ring, per-shard state, and the router's
+/// counters. Every counter lives in the node's registry (the `stats`
+/// reply reads them there); the handles are resolved once at
+/// construction, so forwarding takes no registry lock and builds no
+/// metric key.
 pub(crate) struct RouterState {
     shards: Vec<Arc<Shard>>,
     /// `(hash, shard index)` sorted by hash — the consistent-hash ring.
@@ -102,9 +102,12 @@ pub(crate) struct RouterState {
     hedged: Arc<Counter>,
     /// `router_shard_overloads_total`.
     shard_overloads: Arc<Counter>,
-    health_probes: AtomicU64,
-    federated_shards: AtomicU64,
-    stale_shards: AtomicU64,
+    /// `router_health_probes_total`.
+    health_probes: Arc<Counter>,
+    /// `router_federated_shards_total`.
+    federated_shards: Arc<Counter>,
+    /// `router_stale_shards_total`.
+    stale_shards: Arc<Counter>,
 }
 
 /// 64-bit FNV-1a over a byte stream; the same cheap stable hash the
@@ -186,10 +189,10 @@ impl RouterState {
             forwarded: registry.counter("router_forwarded_total"),
             hedged: registry.counter("router_hedged_total"),
             shard_overloads: registry.counter("router_shard_overloads_total"),
+            health_probes: registry.counter("router_health_probes_total"),
+            federated_shards: registry.counter("router_federated_shards_total"),
+            stale_shards: registry.counter("router_stale_shards_total"),
             registry,
-            health_probes: AtomicU64::new(0),
-            federated_shards: AtomicU64::new(0),
-            stale_shards: AtomicU64::new(0),
         }
     }
 
@@ -219,24 +222,6 @@ impl RouterState {
         order
     }
 
-    /// Point-in-time router counters for `stats` responses.
-    pub(crate) fn counters(&self) -> RouterCounters {
-        RouterCounters {
-            shards: self.shards.len() as u64,
-            healthy: self
-                .shards
-                .iter()
-                .filter(|s| s.up.load(Ordering::Relaxed))
-                .count() as u64,
-            forwarded: self.forwarded.get(),
-            hedged: self.hedged.get(),
-            shard_overloads: self.shard_overloads.get(),
-            health_probes: self.health_probes.load(Ordering::Relaxed),
-            federated_shards: self.federated_shards.load(Ordering::Relaxed),
-            stale_shards: self.stale_shards.load(Ordering::Relaxed),
-        }
-    }
-
     fn mark(&self, index: usize, up: bool) {
         let shard = &self.shards[index];
         shard.up.store(up, Ordering::Relaxed);
@@ -246,7 +231,7 @@ impl RouterState {
     /// One health-probe round: ping every shard, flip flags and gauges.
     pub(crate) fn probe_round(&self) {
         for (index, shard) in self.shards.iter().enumerate() {
-            self.health_probes.fetch_add(1, Ordering::Relaxed);
+            self.health_probes.inc();
             let was_up = shard.up.load(Ordering::Relaxed);
             let up = probe_shard(
                 &shard.addr,
@@ -370,14 +355,14 @@ impl RouterState {
             };
             match snapshot {
                 Some(snapshot) => {
-                    self.federated_shards.fetch_add(1, Ordering::Relaxed);
+                    self.federated_shards.inc();
                     federated.absorb_totals(&snapshot);
                     let mut labeled = snapshot.with_label("shard", &shard.addr);
                     labeled.gauges.push(stale);
                     federated.append(labeled);
                 }
                 None => {
-                    self.stale_shards.fetch_add(1, Ordering::Relaxed);
+                    self.stale_shards.inc();
                     federated.append(RegistrySnapshot {
                         gauges: vec![stale],
                         ..RegistrySnapshot::default()
@@ -612,7 +597,11 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.code, ErrorCode::Overloaded, "{err}");
         assert!(err.message.contains("budget"), "{err}");
-        assert_eq!(state.counters().shard_overloads, 1);
+        let snapshot = state.registry.snapshot();
+        assert_eq!(
+            snapshot.counter_value("router_shard_overloads_total", &[]),
+            1
+        );
     }
 
     #[test]
@@ -624,7 +613,14 @@ mod tests {
             .forward(&simulate("VCCOM", 4_096), "0123456789abcdef")
             .unwrap_err();
         assert_eq!(err.code, ErrorCode::Overloaded, "{err}");
-        let counters = state.counters();
-        assert_eq!(counters.healthy, 0, "both shards must be marked down");
+        let snapshot = state.registry.snapshot();
+        let up = snapshot
+            .gauges
+            .iter()
+            .filter(|g| g.name == "router_shard_up");
+        assert!(
+            up.map(|g| g.value).eq([0.0, 0.0]),
+            "both shards must be marked down"
+        );
     }
 }

@@ -38,9 +38,8 @@ use crate::protocol::{
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::router::{RouterOptions, RouterState};
-use crate::stats::ServerStats;
+use crate::stats::{self, KindCounter, ServeMetrics};
 use smith85_core::session::SimSession;
-use smith85_obs::MS_BOUNDS;
 use smith85_tracelog::{
     self as tracelog, mint_trace_id, NdjsonWriter, Severity, SinkHandle, TraceContext,
 };
@@ -323,7 +322,7 @@ pub(crate) struct Job {
 
 pub(crate) struct ServerState {
     pub(crate) queue: BoundedQueue<Job>,
-    pub(crate) stats: ServerStats,
+    pub(crate) metrics: ServeMetrics,
     shutdown: AtomicBool,
     workers: usize,
     default_deadline_ms: Option<u64>,
@@ -359,13 +358,18 @@ impl ServerState {
     }
 
     fn snapshot(&self) -> StatsResult {
-        self.stats.snapshot(
+        stats::stats_result(
+            &self.session,
             self.queue.depth(),
             self.queue.high_water(),
             self.workers,
-            &self.session,
-            self.router.as_ref().map(|router| router.counters()),
+            self.router.is_some(),
         )
+    }
+
+    /// Points the queue-depth gauge at the queue's current depth.
+    fn publish_queue_depth(&self) {
+        self.metrics.queue_depth.set(self.queue.depth() as f64);
     }
 }
 
@@ -418,14 +422,11 @@ impl Server {
             None => None,
             Some(addr) => Some(TcpListener::bind(addr)?),
         };
-        // Pre-register the serve-layer metrics so the Prometheus
-        // exposition lists every family from the first scrape, before
-        // any job has run.
+        // Resolving the serve-layer handles once here also registers
+        // them, so the Prometheus exposition lists every family from the
+        // first scrape, before any job has run.
         let registry = opts.session.registry();
-        registry.counter("serve_deadline_misses_total");
-        registry.gauge("serve_queue_depth");
-        registry.histogram("serve_queue_wait_ms", MS_BOUNDS);
-        registry.histogram("serve_exec_ms", MS_BOUNDS);
+        let metrics = ServeMetrics::resolve(registry);
         let router = opts
             .router
             .clone()
@@ -442,7 +443,7 @@ impl Server {
             metrics_listener,
             state: Arc::new(ServerState {
                 queue: BoundedQueue::new(opts.queue_capacity),
-                stats: ServerStats::default(),
+                metrics,
                 shutdown: AtomicBool::new(false),
                 workers: opts.workers.max(1),
                 default_deadline_ms: opts.default_deadline_ms,
@@ -618,12 +619,14 @@ fn prober_loop(router: &RouterState, state: &ServerState) {
 }
 
 fn worker_loop(state: &ServerState) {
+    let metrics = &state.metrics;
     while let Some(job) = state.queue.pop() {
-        let probe = state.session.probe();
-        probe.gauge("serve_queue_depth", state.queue.depth() as f64);
+        state.publish_queue_depth();
         let queue_wait = job.admitted.elapsed();
         let queue_ms = queue_wait.as_millis() as u64;
-        probe.observe("serve_queue_wait_ms", queue_wait.as_secs_f64() * 1_000.0);
+        metrics
+            .queue_wait_ms
+            .observe(queue_wait.as_secs_f64() * 1_000.0);
         let kind_name = match &job.kind {
             JobKind::Simulate(_) => "simulate",
             JobKind::Sweep(_) => "sweep",
@@ -652,8 +655,7 @@ fn worker_loop(state: &ServerState) {
         let _enter = span.as_ref().map(|s| tracelog::enter(s.ctx().clone()));
         if let Some(deadline) = job.deadline {
             if Instant::now() > deadline {
-                ServerStats::bump(&state.stats.deadline_misses);
-                probe.count("serve_deadline_misses_total", 1);
+                metrics.deadline_misses.inc();
                 access_log(&span, kind_name, "deadline_miss", queue_ms, 0);
                 job.reply.send(Response::Error(ErrorBody::new(
                     ErrorCode::DeadlineExceeded,
@@ -661,7 +663,7 @@ fn worker_loop(state: &ServerState) {
                 )));
                 // The gauge must track the queue on *every* exit path,
                 // not just the next iteration's pop.
-                probe.gauge("serve_queue_depth", state.queue.depth() as f64);
+                state.publish_queue_depth();
                 continue;
             }
         }
@@ -695,14 +697,16 @@ fn worker_loop(state: &ServerState) {
         }));
         let exec_elapsed = start.elapsed();
         let exec_ms = exec_elapsed.as_millis() as u64;
-        probe.observe("serve_exec_ms", exec_elapsed.as_secs_f64() * 1_000.0);
+        metrics
+            .exec_ms
+            .observe(exec_elapsed.as_secs_f64() * 1_000.0);
         let busy_counter = match &job.kind {
-            JobKind::Simulate(_) => Some(&state.stats.busy_ms_simulate),
-            JobKind::Sweep(_) => Some(&state.stats.busy_ms_sweep),
+            JobKind::Simulate(_) => Some(&metrics.busy_ms_simulate),
+            JobKind::Sweep(_) => Some(&metrics.busy_ms_sweep),
             JobKind::Forward(_) => None,
         };
         if let Some(counter) = busy_counter {
-            ServerStats::add_ms(counter, exec_ms);
+            counter.add(exec_ms);
         }
         let (response, outcome_name) = match outcome {
             Ok(Ok(mut response)) => {
@@ -710,8 +714,7 @@ fn worker_loop(state: &ServerState) {
                     .deadline
                     .is_some_and(|deadline| Instant::now() > deadline)
                 {
-                    ServerStats::bump(&state.stats.deadline_misses);
-                    probe.count("serve_deadline_misses_total", 1);
+                    metrics.deadline_misses.inc();
                     (
                         Response::Error(ErrorBody::new(
                             ErrorCode::DeadlineExceeded,
@@ -739,7 +742,7 @@ fn worker_loop(state: &ServerState) {
                             _ => {}
                         }
                     }
-                    ServerStats::bump(&state.stats.completed);
+                    metrics.completed.inc();
                     (response, "ok")
                 }
             }
@@ -747,9 +750,9 @@ fn worker_loop(state: &ServerState) {
                 // A shard at its budget (or an unreachable ring) is an
                 // overload signal, not a protocol violation.
                 if error.code == ErrorCode::Overloaded {
-                    ServerStats::bump(&state.stats.rejected_overload);
+                    metrics.rejected_overload.inc();
                 } else {
-                    ServerStats::bump(&state.stats.protocol_errors);
+                    metrics.protocol_errors.inc();
                 }
                 (Response::Error(error), "error")
             }
@@ -766,15 +769,12 @@ fn worker_loop(state: &ServerState) {
         };
         access_log(&span, kind_name, outcome_name, queue_ms, exec_ms);
         job.reply.send(response);
-        probe.gauge("serve_queue_depth", state.queue.depth() as f64);
+        state.publish_queue_depth();
     }
     // Shutdown drain finished: whatever value the gauge last held, the
     // queue is empty now — report that, so a final scrape never shows a
     // stale nonzero depth.
-    state
-        .session
-        .probe()
-        .gauge("serve_queue_depth", state.queue.depth() as f64);
+    state.publish_queue_depth();
     state.journal.flush();
 }
 
@@ -821,18 +821,19 @@ pub(crate) fn dispatch_request(line: &str, state: &Arc<ServerState>, reply: Repl
     let (request, envelope) = match Request::decode_with_envelope(line) {
         Ok(decoded) => decoded,
         Err(error) => {
-            ServerStats::bump(&state.stats.protocol_errors);
+            state.metrics.protocol_errors.inc();
             return Handled::Inline(Box::new(Response::Error(error)));
         }
     };
     match request {
         Request::Ping => Handled::Inline(Box::new(Response::Pong)),
         Request::Catalog => {
-            ServerStats::bump(&state.stats.catalog_requests);
+            state.metrics.catalog_requests.add(1);
             Handled::Inline(Box::new(Response::Catalog(exec::catalog_result())))
         }
         Request::Stats => {
-            ServerStats::bump(&state.stats.stats_requests);
+            // Counted before the snapshot, so the reply includes itself.
+            state.metrics.stats_requests.add(1);
             Handled::Inline(Box::new(Response::Stats(state.snapshot())))
         }
         // On a router this federates the healthy shards' snapshots;
@@ -855,7 +856,7 @@ pub(crate) fn dispatch_request(line: &str, state: &Arc<ServerState>, reply: Repl
                 state,
                 kind,
                 deadline_ms,
-                &state.stats.simulate_requests,
+                &state.metrics.simulate_requests,
                 envelope,
                 reply,
             )
@@ -871,7 +872,7 @@ pub(crate) fn dispatch_request(line: &str, state: &Arc<ServerState>, reply: Repl
                 state,
                 kind,
                 deadline_ms,
-                &state.stats.sweep_requests,
+                &state.metrics.sweep_requests,
                 envelope,
                 reply,
             )
@@ -883,7 +884,7 @@ fn submit_job(
     state: &Arc<ServerState>,
     kind: JobKind,
     deadline_ms: Option<u64>,
-    admitted_counter: &std::sync::atomic::AtomicU64,
+    admitted_counter: &KindCounter,
     envelope: crate::protocol::TraceEnvelope,
     reply: ReplyTo,
 ) -> Handled {
@@ -899,7 +900,7 @@ fn submit_job(
     match state.queue.try_push(job) {
         Ok(()) => {}
         Err(PushError::Full(_)) => {
-            ServerStats::bump(&state.stats.rejected_overload);
+            state.metrics.rejected_overload.inc();
             return Handled::Inline(Box::new(Response::Error(ErrorBody::new(
                 ErrorCode::Overloaded,
                 format!(
@@ -915,11 +916,8 @@ fn submit_job(
             ))));
         }
     }
-    ServerStats::bump(admitted_counter);
-    state
-        .session
-        .probe()
-        .gauge("serve_queue_depth", state.queue.depth() as f64);
+    admitted_counter.add(1);
+    state.publish_queue_depth();
     Handled::Admitted
 }
 

@@ -1,105 +1,152 @@
-//! Live server counters behind the `stats` endpoint.
+//! The `stats` view. The serve layer keeps no counters of its own:
+//! every tally is a registry counter, counted through handles resolved
+//! once when the server binds ([`ServeMetrics`]), and [`stats_result`]
+//! reads a reply out of a registry snapshot through one name table
+//! (listed in EXPERIMENTS.md, "Live stats"), so `stats` and `/metrics`
+//! agree by construction. Sizes still come from their owners.
 //!
-//! Everything is a relaxed atomic: the counters are monotonic tallies
-//! read for observability, not for synchronization, so the cheapest
-//! ordering is the right one.
+//! The two `kind`-labeled families also carry their unlabeled total, as
+//! a router's federated view does for its `shard` label: that series
+//! sorts first in its family, so a reader that takes the first series
+//! of a name sees the family total, never one kind's share.
 
 use crate::protocol::{OnePassCounters, PoolCounters, RouterCounters, StatsResult, StoreCounters};
 use smith85_core::SimSession;
-use std::sync::atomic::{AtomicU64, Ordering};
+use smith85_obs::{Counter, Gauge, Histogram, Registry, MS_BOUNDS};
+use std::sync::Arc;
 
-/// Monotonic request/queue/worker counters, shared across threads.
-#[derive(Default)]
-pub struct ServerStats {
-    /// `simulate` requests admitted.
-    pub simulate_requests: AtomicU64,
-    /// `sweep` requests admitted.
-    pub sweep_requests: AtomicU64,
-    /// `catalog` requests answered.
-    pub catalog_requests: AtomicU64,
-    /// `stats` requests answered.
-    pub stats_requests: AtomicU64,
-    /// Jobs completed successfully by workers.
-    pub completed: AtomicU64,
-    /// Jobs refused because the queue was full.
-    pub rejected_overload: AtomicU64,
-    /// Requests that failed to parse or validate.
-    pub protocol_errors: AtomicU64,
-    /// Jobs whose deadline expired.
-    pub deadline_misses: AtomicU64,
-    /// Worker milliseconds spent executing `simulate` jobs.
-    pub busy_ms_simulate: AtomicU64,
-    /// Worker milliseconds spent executing `sweep` jobs.
-    pub busy_ms_sweep: AtomicU64,
+/// One `kind` series of a labeled serve family, counted together with
+/// the family's unlabeled total.
+pub(crate) struct KindCounter {
+    kind: Arc<Counter>,
+    total: Arc<Counter>,
 }
 
-impl ServerStats {
-    /// Adds one to a counter.
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `ms` to a busy-time counter.
-    pub fn add_ms(counter: &AtomicU64, ms: u64) {
-        counter.fetch_add(ms, Ordering::Relaxed);
-    }
-
-    /// A point-in-time snapshot joined with queue state, the session's
-    /// pool, (when the server runs with `--store`) persistent-store
-    /// state and one-pass counters, and (in router mode) shard-router
-    /// counters. The one-pass counters come from the session registry,
-    /// which only real engine traversals bump: memo and store hits add
-    /// nothing.
-    pub fn snapshot(
-        &self,
-        queue_depth: usize,
-        queue_high_water: usize,
-        workers: usize,
-        session: &SimSession,
-        router: Option<RouterCounters>,
-    ) -> StatsResult {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let pool_stats = session.pool().stats();
-        let registry = session.registry();
-        StatsResult {
-            simulate_requests: load(&self.simulate_requests),
-            sweep_requests: load(&self.sweep_requests),
-            catalog_requests: load(&self.catalog_requests),
-            stats_requests: load(&self.stats_requests),
-            completed: load(&self.completed),
-            rejected_overload: load(&self.rejected_overload),
-            protocol_errors: load(&self.protocol_errors),
-            deadline_misses: load(&self.deadline_misses),
-            queue_depth,
-            queue_high_water,
-            workers,
-            busy_ms_simulate: load(&self.busy_ms_simulate),
-            busy_ms_sweep: load(&self.busy_ms_sweep),
-            pool: PoolCounters {
-                entries: pool_stats.entries,
-                hits: pool_stats.hits,
-                misses: pool_stats.misses,
-                materialized_bytes: pool_stats.materialized_bytes,
-                resident_bytes: pool_stats.memory_bytes as u64,
-            },
-            store: session.store().map(|store| {
-                let s = store.stats();
-                StoreCounters {
-                    entries: s.entries,
-                    bytes: s.total_bytes,
-                    hits: s.hits,
-                    misses: s.misses,
-                    writes: s.writes,
-                    corrupt_quarantined: s.corrupt_quarantined,
-                    gc_evictions: s.gc_evictions,
-                }
-            }),
-            one_pass: Some(OnePassCounters {
-                refs: registry.counter("one_pass_refs_total").get(),
-                grid_cells: registry.counter("one_pass_grid_cells").get(),
-            }),
-            router,
+impl KindCounter {
+    fn resolve(registry: &Registry, name: &str, kind: &str) -> KindCounter {
+        KindCounter {
+            kind: registry.counter_with(name, &[("kind", kind)]),
+            total: registry.counter(name),
         }
+    }
+
+    pub(crate) fn add(&self, n: u64) {
+        self.kind.add(n);
+        self.total.add(n);
+    }
+}
+
+/// The serve layer's handles into the session registry, resolved (and
+/// so registered, for the first scrape) once in
+/// [`Server::bind`](crate::Server::bind). The request path counts only
+/// through these.
+pub(crate) struct ServeMetrics {
+    pub(crate) simulate_requests: KindCounter,
+    pub(crate) sweep_requests: KindCounter,
+    pub(crate) catalog_requests: KindCounter,
+    pub(crate) stats_requests: KindCounter,
+    pub(crate) completed: Arc<Counter>,
+    pub(crate) rejected_overload: Arc<Counter>,
+    pub(crate) protocol_errors: Arc<Counter>,
+    pub(crate) deadline_misses: Arc<Counter>,
+    pub(crate) busy_ms_simulate: KindCounter,
+    pub(crate) busy_ms_sweep: KindCounter,
+    pub(crate) queue_depth: Arc<Gauge>,
+    pub(crate) queue_wait_ms: Arc<Histogram>,
+    pub(crate) exec_ms: Arc<Histogram>,
+}
+
+impl ServeMetrics {
+    pub(crate) fn resolve(registry: &Registry) -> ServeMetrics {
+        let requests = |kind| KindCounter::resolve(registry, "serve_requests_total", kind);
+        let busy_ms = |kind| KindCounter::resolve(registry, "serve_busy_ms_total", kind);
+        ServeMetrics {
+            simulate_requests: requests("simulate"),
+            sweep_requests: requests("sweep"),
+            catalog_requests: requests("catalog"),
+            stats_requests: requests("stats"),
+            completed: registry.counter("serve_completed_total"),
+            rejected_overload: registry.counter("serve_rejected_overload_total"),
+            protocol_errors: registry.counter("serve_protocol_errors_total"),
+            deadline_misses: registry.counter("serve_deadline_misses_total"),
+            busy_ms_simulate: busy_ms("simulate"),
+            busy_ms_sweep: busy_ms("sweep"),
+            queue_depth: registry.gauge("serve_queue_depth"),
+            queue_wait_ms: registry.histogram("serve_queue_wait_ms", MS_BOUNDS),
+            exec_ms: registry.histogram("serve_exec_ms", MS_BOUNDS),
+        }
+    }
+}
+
+/// Builds a `stats` reply from a snapshot of `session`'s registry: the
+/// node's own, so a router never reports its shards' counts. The queue
+/// sizes and worker count come from the server; `router` says whether
+/// the node routes.
+pub(crate) fn stats_result(
+    session: &SimSession,
+    queue_depth: usize,
+    queue_high_water: usize,
+    workers: usize,
+    router: bool,
+) -> StatsResult {
+    let snapshot = session.registry().snapshot();
+    let counter = |name: &str| snapshot.counter_value(name, &[]);
+    let by_kind = |name: &str, kind: &str| snapshot.counter_value(name, &[("kind", kind)]);
+    let pool = session.pool().stats();
+    StatsResult {
+        simulate_requests: by_kind("serve_requests_total", "simulate"),
+        sweep_requests: by_kind("serve_requests_total", "sweep"),
+        catalog_requests: by_kind("serve_requests_total", "catalog"),
+        stats_requests: by_kind("serve_requests_total", "stats"),
+        completed: counter("serve_completed_total"),
+        rejected_overload: counter("serve_rejected_overload_total"),
+        protocol_errors: counter("serve_protocol_errors_total"),
+        deadline_misses: counter("serve_deadline_misses_total"),
+        queue_depth,
+        queue_high_water,
+        workers,
+        busy_ms_simulate: by_kind("serve_busy_ms_total", "simulate"),
+        busy_ms_sweep: by_kind("serve_busy_ms_total", "sweep"),
+        pool: PoolCounters {
+            entries: pool.entries,
+            hits: counter("pool_hits_total"),
+            misses: counter("pool_misses_total"),
+            materialized_bytes: counter("pool_materialized_bytes_total"),
+            resident_bytes: pool.memory_bytes as u64,
+        },
+        store: session.store().map(|store| {
+            let sizes = store.stats();
+            StoreCounters {
+                entries: sizes.entries,
+                bytes: sizes.total_bytes,
+                hits: counter("store_hits_total"),
+                misses: counter("store_misses_total"),
+                writes: counter("store_writes_total"),
+                corrupt_quarantined: counter("store_corrupt_quarantined_total"),
+                gc_evictions: counter("store_gc_evictions_total"),
+            }
+        }),
+        one_pass: Some(OnePassCounters {
+            refs: counter("one_pass_refs_total"),
+            grid_cells: counter("one_pass_grid_cells"),
+        }),
+        router: router.then(|| {
+            let up = snapshot
+                .gauges
+                .iter()
+                .filter(|g| g.name == "router_shard_up");
+            let (shards, healthy) = up.fold((0, 0.0), |(n, sum), g| (n + 1, sum + g.value));
+            RouterCounters {
+                shards,
+                healthy: healthy as u64,
+                forwarded: counter("router_forwarded_total"),
+                hedged: counter("router_hedged_total"),
+                shard_overloads: counter("router_shard_overloads_total"),
+                health_probes: counter("router_health_probes_total"),
+                federated_shards: counter("router_federated_shards_total"),
+                stale_shards: counter("router_stale_shards_total"),
+            }
+        }),
     }
 }
 
@@ -109,15 +156,14 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_counters() {
-        let stats = ServerStats::default();
-        ServerStats::bump(&stats.simulate_requests);
-        ServerStats::bump(&stats.simulate_requests);
-        ServerStats::bump(&stats.rejected_overload);
-        ServerStats::add_ms(&stats.busy_ms_simulate, 37);
         let session = SimSession::builder().build().unwrap();
+        let metrics = ServeMetrics::resolve(session.registry());
+        metrics.simulate_requests.add(2);
+        metrics.rejected_overload.inc();
+        metrics.busy_ms_simulate.add(37);
         session.registry().counter("one_pass_refs_total").add(5_000);
         session.registry().counter("one_pass_grid_cells").add(54);
-        let snap = stats.snapshot(3, 9, 4, &session, None);
+        let snap = stats_result(&session, 3, 9, 4, false);
         assert_eq!(snap.simulate_requests, 2);
         assert_eq!(snap.rejected_overload, 1);
         assert_eq!(snap.busy_ms_simulate, 37);

@@ -160,14 +160,7 @@ fn event_loop_lifecycle_metrics_track_connections() {
         Response::Metrics(s) => s,
         other => panic!("expected metrics, got {other:?}"),
     };
-    let counter = |name: &str| {
-        snapshot
-            .counters
-            .iter()
-            .find(|c| c.name == name && c.labels.is_empty())
-            .map(|c| c.value)
-            .unwrap_or(0)
-    };
+    let counter = |name: &str| snapshot.counter_value(name, &[]);
     assert!(
         counter("event_loop_conns_accepted_total") >= 2,
         "raw conn + metrics client accepted: {snapshot:?}"

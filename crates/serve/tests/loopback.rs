@@ -7,6 +7,7 @@
 //! worker, and shutdown drains admitted work.
 
 use smith85_cachesim::{CacheConfig, Simulator, UnifiedCache};
+use smith85_core::session::SimSession;
 use smith85_serve::{
     CacheSpec, Client, ClientError, ErrorCode, Request, Response, ServeOptions, Server,
     SimulateSpec,
@@ -722,6 +723,118 @@ fn panicking_job_gets_typed_error_and_gauge_returns_to_zero() {
     let stats = server.stop().expect("clean shutdown");
     assert_eq!(stats.simulate_requests, 2, "both jobs were admitted");
     assert_eq!(stats.completed, 1, "only the non-panicking job completed");
+}
+
+type Labels<'a> = &'a [(&'a str, &'a str)];
+
+/// `stats` is a view over the registry `metrics` exports. On one server
+/// with a store, a simulate (repeated: the store answers) and a grid
+/// sweep that succeed, a catalog and stats requests, a protocol error,
+/// an overload and a deadline miss move the stats counters; each reads
+/// its expected count and equals its series in a `metrics` reply.
+#[test]
+fn stats_rows_equal_their_registry_series() {
+    let dir = std::env::temp_dir().join(format!("smith85-stats-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // A damaged record for the store's recovery scan to quarantine.
+    std::fs::create_dir_all(dir.join("objects")).expect("store directory");
+    let damaged = dir.join("objects").join(format!("{}.rec", "0".repeat(32)));
+    std::fs::write(damaged, b"garbage").expect("damaged record");
+    // One worker and a queue bound of one: a slow job plus a queued job
+    // leave no room for a third.
+    let server = Server::spawn(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_capacity: 1,
+        session: SimSession::builder().store(&dir).build().expect("store session"),
+        ..ServeOptions::default()
+    })
+    .expect("spawn server");
+    let addr = server.addr().to_string();
+    let connect = || Client::builder().addr(&addr).connect().expect("connect");
+    let call = |request: &Request| connect().call(request);
+    let raw = |line: &str| connect().send_raw_line(line);
+    let mut stats_calls = 0;
+    let mut stats = || {
+        stats_calls += 1;
+        fetch_stats(&addr)
+    };
+    assert!(matches!(call(&Request::Catalog), Ok(Response::Catalog(_))));
+    assert!(matches!(raw("hello there"), Ok(Response::Error(_))));
+    let simulate = simulate_request("VCCOM", 20_000, 1 << 12);
+    for _ in 0..2 {
+        assert!(matches!(call(&simulate), Ok(Response::Simulate(_))));
+    }
+    let sweep =
+        r#"{"type":"sweep","workload":"VCCOM","len":20000,"sizes":[1024,4096],"ways":[1,2]}"#;
+    assert!(matches!(raw(sweep), Ok(Response::Sweep(_))));
+    // A slow job holds the worker, a job with a 1 ms deadline waits
+    // behind it past the deadline, and a third finds the queue full.
+    let late = r#"{"type":"simulate","workload":"VCCOM","len":1000,"size":4096,"deadline_ms":1}"#;
+    std::thread::scope(|scope| {
+        let slow = scope.spawn(|| call(&simulate_request("VCCOM", 2_000_000, 1 << 14)));
+        wait_until(|| {
+            let s = stats();
+            s.simulate_requests == 3 && s.queue_depth == 0
+        });
+        let late = scope.spawn(|| raw(late));
+        wait_until(|| stats().queue_depth == 1);
+        match call(&simulate_request("VCCOM", 1_000, 1 << 13)) {
+            Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Overloaded, "{e:?}"),
+            other => panic!("expected overloaded error, got {other:?}"),
+        }
+        assert!(matches!(slow.join().unwrap(), Ok(Response::Simulate(_))));
+        match late.join().unwrap() {
+            Ok(Response::Error(e)) => assert_eq!(e.code, ErrorCode::DeadlineExceeded, "{e:?}"),
+            other => panic!("expected deadline_exceeded, got {other:?}"),
+        }
+    });
+
+    // The server is idle: only the stats request's own counter moves.
+    let s = stats();
+    let snapshot = match call(&Request::Metrics) {
+        Ok(Response::Metrics(snapshot)) => snapshot,
+        other => panic!("expected metrics_result, got {other:?}"),
+    };
+    let store = s.store.clone().expect("the server runs with a store");
+    let one_pass = s.one_pass.clone().expect("stats carries one_pass");
+    let kind = |k| [("kind", k)];
+    // (stats field, its series, labels, the count where the run fixes it)
+    let rows: [(u64, &str, Labels, Option<u64>); 20] = [
+        (s.simulate_requests, "serve_requests_total", &kind("simulate"), Some(4)),
+        (s.sweep_requests, "serve_requests_total", &kind("sweep"), Some(1)),
+        (s.catalog_requests, "serve_requests_total", &kind("catalog"), Some(1)),
+        (s.stats_requests, "serve_requests_total", &kind("stats"), Some(stats_calls)),
+        (s.completed, "serve_completed_total", &[], Some(4)),
+        (s.rejected_overload, "serve_rejected_overload_total", &[], Some(1)),
+        (s.protocol_errors, "serve_protocol_errors_total", &[], Some(1)),
+        (s.deadline_misses, "serve_deadline_misses_total", &[], Some(1)),
+        (s.busy_ms_simulate, "serve_busy_ms_total", &kind("simulate"), None),
+        (s.busy_ms_sweep, "serve_busy_ms_total", &kind("sweep"), None),
+        (s.pool.hits, "pool_hits_total", &[], Some(1)),
+        (s.pool.misses, "pool_misses_total", &[], Some(2)),
+        (s.pool.materialized_bytes, "pool_materialized_bytes_total", &[], None),
+        (store.hits, "store_hits_total", &[], None),
+        (store.misses, "store_misses_total", &[], None),
+        (store.writes, "store_writes_total", &[], None),
+        (store.corrupt_quarantined, "store_corrupt_quarantined_total", &[], Some(1)),
+        (store.gc_evictions, "store_gc_evictions_total", &[], Some(0)),
+        (one_pass.refs, "one_pass_refs_total", &[], Some(20_000)),
+        (one_pass.grid_cells, "one_pass_grid_cells", &[], Some(4)),
+    ];
+    for (value, name, labels, expected) in rows {
+        assert_eq!(value, snapshot.counter_value(name, labels), "stats vs {name}{labels:?}");
+        if let Some(expected) = expected {
+            assert_eq!(value, expected, "stats {name}{labels:?}");
+        }
+    }
+    // The counters without a fixed count moved too.
+    assert!(s.busy_ms_simulate > 0 && s.pool.materialized_bytes > 0, "{s:?}");
+    assert!(store.hits > 0 && store.misses > 0 && store.writes > 0, "{store:?}");
+    // Sizes pass through from their owners.
+    assert_eq!((s.queue_depth, s.queue_high_water, s.workers, s.pool.entries), (0, 1, 1, 1));
+    server.stop().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn wait_until(mut condition: impl FnMut() -> bool) {

@@ -166,25 +166,6 @@ fn fetch_metrics(client: &mut Client) -> smith85_obs::RegistrySnapshot {
     }
 }
 
-fn counter_value(
-    snapshot: &smith85_obs::RegistrySnapshot,
-    name: &str,
-    labels: &[(&str, &str)],
-) -> u64 {
-    snapshot
-        .counters
-        .iter()
-        .find(|c| {
-            c.name == name
-                && c.labels.len() == labels.len()
-                && labels
-                    .iter()
-                    .all(|(k, v)| c.labels.iter().any(|(lk, lv)| lk == k && lv == v))
-        })
-        .map(|c| c.value)
-        .unwrap_or(0)
-}
-
 fn stale_flag(snapshot: &smith85_obs::RegistrySnapshot, shard: &str) -> Option<f64> {
     snapshot
         .gauges
@@ -241,16 +222,16 @@ fn federated_metrics_sum_shards_exactly_and_mark_dead_shards_stale() {
     // answers (the router itself runs no simulations), and the same
     // series reappear under shard labels.
     for name in ["pool_misses_total", "pool_materialized_bytes_total"] {
-        let direct_sum = counter_value(&snap_a, name, &[]) + counter_value(&snap_b, name, &[]);
+        let direct_sum = snap_a.counter_value(name, &[]) + snap_b.counter_value(name, &[]);
         assert!(direct_sum > 0, "{name} must have moved on the shards");
         assert_eq!(
-            counter_value(&federated, name, &[]),
+            federated.counter_value(name, &[]),
             direct_sum,
             "aggregate {name} must be the exact shard sum"
         );
         assert_eq!(
-            counter_value(&federated, name, &[("shard", addr_a.as_str())])
-                + counter_value(&federated, name, &[("shard", addr_b.as_str())]),
+            federated.counter_value(name, &[("shard", addr_a.as_str())])
+                + federated.counter_value(name, &[("shard", addr_b.as_str())]),
             direct_sum,
             "shard-labeled {name} series must add up to the same total"
         );
@@ -316,12 +297,12 @@ fn federated_metrics_sum_shards_exactly_and_mark_dead_shards_stale() {
     assert_eq!(stale_flag(&after, &addr_b), Some(1.0), "dead shard must read stale");
     assert_eq!(stale_flag(&after, &addr_a), Some(0.0), "live shard stays fresh");
     assert_eq!(
-        counter_value(&after, "pool_misses_total", &[]),
-        counter_value(&snap_a, "pool_misses_total", &[]),
+        after.counter_value("pool_misses_total", &[]),
+        snap_a.counter_value("pool_misses_total", &[]),
         "aggregate must now be the live shard alone"
     );
     assert_eq!(
-        counter_value(&after, "pool_misses_total", &[("shard", addr_b.as_str())]),
+        after.counter_value("pool_misses_total", &[("shard", addr_b.as_str())]),
         0,
         "no fresh labeled series for a stale shard"
     );
@@ -329,6 +310,35 @@ fn federated_metrics_sum_shards_exactly_and_mark_dead_shards_stale() {
     let counters = s.router.expect("router counters");
     assert!(counters.federated_shards >= 3, "live-shard absorptions counted");
     assert!(counters.stale_shards >= 1, "stale shard counted");
+
+    // `stats` reads the router's own registry, not the federated view
+    // (the router simulates nothing). Each router row equals its series
+    // in the router's metrics reply; the prober keeps counting and the
+    // reply federates once more, so stats replies taken just before and
+    // just after bracket each series.
+    assert_eq!((s.pool.misses, s.pool.materialized_bytes), (0, 0));
+    let lo = stats(&mut via_router).router.expect("router counters");
+    let view = fetch_metrics(&mut via_router);
+    let hi = stats(&mut via_router).router.expect("router counters");
+    for (name, lo, hi) in [
+        ("forwarded", lo.forwarded, hi.forwarded),
+        ("hedged", lo.hedged, hi.hedged),
+        ("shard_overloads", lo.shard_overloads, hi.shard_overloads),
+        ("health_probes", lo.health_probes, hi.health_probes),
+        ("federated_shards", lo.federated_shards, hi.federated_shards),
+        ("stale_shards", lo.stale_shards, hi.stale_shards),
+    ] {
+        let value = view.counter_value(&format!("router_{name}_total"), &[]);
+        assert!(lo <= value && value <= hi, "router.{name}: {lo} <= {value} <= {hi}");
+    }
+    assert_eq!((hi.forwarded, hi.hedged, hi.shard_overloads), (6, 0, 0));
+    assert!(hi.health_probes >= 2, "a probe round pings both shards");
+    assert_eq!(hi.federated_shards - lo.federated_shards, 1, "the reply federated A");
+    assert_eq!(hi.stale_shards - lo.stale_shards, 1, "and marked B stale");
+    let up = view.gauges.iter().filter(|g| g.name == "router_shard_up");
+    let (shards, healthy) = up.fold((0, 0.0), |(n, sum), g| (n + 1, sum + g.value));
+    assert_eq!((hi.shards, hi.healthy), (2, 1));
+    assert_eq!((shards, healthy as u64), (hi.shards, hi.healthy), "count and sum shard_up");
 
     router.stop().unwrap();
     backend_a.stop().unwrap();

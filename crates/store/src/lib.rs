@@ -61,9 +61,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
-/// Metric sink for store activity. The core session adapts its `Probe`
-/// onto this so store counters surface in the obs registry without the
-/// store depending on obs. All methods default to no-ops.
+/// Metric sink for store activity. The core session feeds this from its
+/// metrics registry so store counters surface there without the store
+/// depending on obs. All methods default to no-ops.
 pub trait StoreObserver: Send + Sync {
     /// Adds `n` to the named counter.
     fn count(&self, _name: &'static str, _n: u64) {}

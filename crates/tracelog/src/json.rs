@@ -412,37 +412,67 @@ impl<'a> Parser<'a> {
             .get(self.pos..end)
             .and_then(|b| std::str::from_utf8(b).ok())
             .ok_or_else(|| self.err("truncated \\u escape"))?;
+        // Four hex digits exactly: `from_str_radix` alone also takes a sign.
         let value = u32::from_str_radix(digits, 16)
-            .map_err(|_| self.err("bad \\u escape"))?;
+            .ok()
+            .filter(|_| digits.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| self.err("bad \\u escape"))?;
         self.pos = end;
         Ok(value)
     }
 
+    /// Consumes `byte` if it is next.
+    fn eat(&mut self, byte: u8) -> bool {
+        let next = self.peek() == Some(byte);
+        self.pos += usize::from(next);
+        next
+    }
+
+    /// Skips a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// A number in RFC 8259 form:
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let negative = self.eat(b'-');
+        let int_start = self.pos;
+        let int_digits = self.digits();
+        // One digit, or several that do not start with `0`.
+        let mut valid = int_digits == 1 || (int_digits > 1 && self.bytes[int_start] != b'0');
+        let fraction = self.eat(b'.');
+        if fraction {
+            valid &= self.digits() > 0;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
+        let exponent = self.eat(b'e') || self.eat(b'E');
+        if exponent {
+            let _ = self.eat(b'+') || self.eat(b'-');
+            valid &= self.digits() > 0;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        // The grammar admits only ASCII, so the slice is valid UTF-8.
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        let invalid = || JsonError {
+            at: start,
+            message: format!("invalid number {text:?}"),
+        };
+        if !valid {
+            return Err(invalid());
+        }
         // Exact unsigned integers stay exact; everything else is f64.
-        if !text.is_empty() && text.bytes().all(|b| b.is_ascii_digit()) {
+        if !(negative || fraction || exponent) {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Json::Uint(n));
             }
         }
         match text.parse::<f64>() {
             Ok(f) if f.is_finite() => Ok(Json::Num(f)),
-            _ => Err(JsonError {
-                at: start,
-                message: format!("invalid number {text:?}"),
-            }),
+            _ => Err(invalid()),
         }
     }
 }
@@ -590,7 +620,13 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        for text in ["{} trailing", "}", "[", "\"\\", "{\"a\":1,}", "@"] {
+        // Not RFC 8259 numbers, though `str::parse` takes them, and a
+        // `\u` escape whose four "digits" include a sign.
+        let not_json = ["1.", "-.5", "1.e5", "01", "-01", "00", r#""\u+041""#];
+        for text in ["{} trailing", "}", "[", "\"\\", "{\"a\":1,}", "@"]
+            .into_iter()
+            .chain(not_json)
+        {
             assert!(Json::parse(text).is_err(), "{text:?} should fail");
         }
     }
