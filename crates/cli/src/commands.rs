@@ -4,7 +4,6 @@ use crate::{CliError, Opts};
 use smith85_cachesim::{
     CacheConfig, FetchPolicy, Mapping, Replacement, StackAnalyzer, WritePolicy, PAPER_SIZES,
 };
-use smith85_core::experiments::{self};
 use smith85_core::runner;
 use smith85_core::session::SimSession;
 use smith85_core::targets::{design_target, traffic_factor, CacheKind};
@@ -16,7 +15,8 @@ use std::io::Read as _;
 
 /// Usage text.
 pub(crate) fn help() -> String {
-    "\
+    format!(
+        "\
 smith85 — trace-driven cache evaluation (Smith, ISCA 1985 reproduction)
 
 USAGE:
@@ -55,12 +55,13 @@ USAGE:
           [--instr-alpha F] [--data-alpha F] [--seq F] [--stack F]
           [--arch vax|ibm370|z8000|cdc6400|m68000] [--len N] [--seed N]
       Build a custom workload profile, characterize it and sweep it.
-  smith85 experiment NAME [--quick true] [--len N] [--threads N]
-      Run a paper experiment (table1, table2, fig2, table3, fig3_4,
-      prefetch, table5, clark, z80000, m68020, traffic_ratio,
-      trace_length, multiprocessor, multiprogramming, calibration,
-      perturbations, interface, line_size, fudge, conclusions,
-      ablations, design_grid, family_conclusions).
+  smith85 experiment NAME|all [--quick true] [--len N] [--threads N]
+          [--csv true]
+      Run one paper experiment and print its tables; `all` prints every
+      experiment in suite order. NAME is one of (aliases in parentheses):
+{names}
+      --csv true prints an experiment's CSV form, where it has one. A
+      checklist experiment exits nonzero when one of its claims fails.
   smith85 suite [--out DIR] [--resume true] [--quick true] [--len N]
           [--threads N]
       Run every experiment with checkpointing: each result lands in
@@ -129,8 +130,9 @@ USAGE:
       Tail a journal: print events as they are appended (ctrl-c stops;
       --max-events exits after N printed events; --trace-id shows only
       one trace).
-"
-    .to_string()
+",
+        names = experiment_names()
+    )
 }
 
 fn load_workload(opts: &Opts) -> Result<Trace, CliError> {
@@ -425,57 +427,25 @@ pub(crate) fn sweep(opts: &Opts) -> Result<String, CliError> {
         let ways = parse_usize_list(list, "ways")?;
         let mut spec = smith85_cachesim::GridSpec::new(sizes, ways);
         spec.line_size = line;
-        if policy == Replacement::Lru {
-            let grid = SimSession::default()
-                .sweep_grid(trace.as_slice(), &spec)
-                .map_err(|e| CliError::usage(format!("bad sweep grid: {e}")))?;
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "{:>10} {:>6} {:>6} {:>9} {:>9} {:>7}  (LRU, copy-back, {line}-byte lines; one pass)",
-                "size", "ways", "sets", "miss", "traffic", "dirty"
-            );
-            for (cell, stats) in grid.iter() {
-                let _ = writeln!(
-                    out,
-                    "{:>10} {:>6} {:>6} {:>9.4} {:>9.4} {:>7.4}",
-                    cell.size_bytes,
-                    cell.ways,
-                    cell.sets,
-                    stats.miss_ratio(),
-                    stats.traffic_ratio(),
-                    stats.dirty_push_fraction()
-                );
-            }
-            return Ok(out);
-        }
-        // Cell enumeration and validation are policy-independent, so the
-        // fallback borrows them from the engine with LRU swapped in.
-        let engine = smith85_cachesim::OnePassEngine::new(&spec)
-            .map_err(|e| CliError::usage(format!("bad sweep grid: {e}")))?;
+        spec.replacement = policy;
         let session = SimSession::default();
+        let (grid, label, how) = if policy == Replacement::Lru {
+            let grid = session
+                .sweep_grid(trace.as_slice(), &spec)
+                .map(|grid| grid.iter().map(|(cell, stats)| (*cell, *stats)).collect());
+            (grid, "LRU".to_string(), "one pass")
+        } else {
+            let grid = session.sweep_policy(trace.as_slice(), &spec);
+            (grid, policy.key_label(), "per config")
+        };
+        let grid: Vec<_> = grid.map_err(|e| CliError::usage(format!("bad sweep grid: {e}")))?;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>10} {:>6} {:>6} {:>9} {:>9} {:>7}  ({}, copy-back, {line}-byte lines; per config)",
-            "size", "ways", "sets", "miss", "traffic", "dirty",
-            policy.key_label()
+            "{:>10} {:>6} {:>6} {:>9} {:>9} {:>7}  ({label}, copy-back, {line}-byte lines; {how})",
+            "size", "ways", "sets", "miss", "traffic", "dirty"
         );
-        for cell in engine.cells() {
-            let lines = cell.size_bytes / line;
-            let mapping = if cell.ways == lines {
-                Mapping::FullyAssociative
-            } else if cell.ways == 1 {
-                Mapping::Direct
-            } else {
-                Mapping::SetAssociative(cell.ways)
-            };
-            let config = CacheConfig::builder(cell.size_bytes)
-                .line_size(line)
-                .mapping(mapping)
-                .replacement(policy)
-                .build()?;
-            let stats = session.simulate_unified(trace.as_slice(), config)?;
+        for (cell, stats) in grid {
             let _ = writeln!(
                 out,
                 "{:>10} {:>6} {:>6} {:>9.4} {:>9.4} {:>7.4}",
@@ -660,44 +630,56 @@ pub(crate) fn experiment(opts: &Opts) -> Result<String, CliError> {
         .first()
         .ok_or_else(|| CliError::usage("which experiment? (e.g. `smith85 experiment table1`)"))?;
     let session = session_from_opts(opts)?;
-    let config = session.config().clone();
+    let config = session.config();
     let csv = opts.get("csv").is_some();
-    let out = match name.as_str() {
-        "table1" | "fig1" => {
-            let t = experiments::table1::run(&config);
-            if csv {
-                t.to_csv()
-            } else {
-                t.render()
-            }
+    if name == "all" {
+        if csv {
+            return Err(CliError::usage("--csv takes one experiment, not `all`"));
         }
-        "table2" => experiments::table2::run(&config).render(),
-        "fig2" => experiments::fig2::run(&config).render(),
-        "table3" => experiments::table3::run(&config).render(),
-        "fig3_4" | "fig3" | "fig4" => experiments::fig3_fig4::run(&config).render(),
-        "prefetch" | "fig5_6_7" | "fig8_9_10" | "table4" => {
-            experiments::prefetch::run(&config).render()
+        let mut out = String::new();
+        for entry in runner::registry() {
+            out.push_str(&(entry.run)(config).text);
+            out.push('\n');
         }
-        "table5" => experiments::table5::run(&config).render(),
-        "clark" => experiments::clark_validation::run(&config).render(),
-        "z80000" => experiments::z80000::run(&config).render(),
-        "m68020" => experiments::m68020::run(&config).render(),
-        "traffic_ratio" => experiments::traffic_ratio::run(&config).render(),
-        "design_grid" => experiments::design_grid::run(&config).render(),
-        "trace_length" => experiments::trace_length::run(&config).render(),
-        "multiprocessor" => experiments::multiprocessor::run(&config).render(),
-        "calibration" => experiments::calibration_report::run(&config).render(),
-        "multiprogramming" => experiments::multiprogramming::run(&config).render(),
-        "conclusions" => experiments::conclusions::run(&config).render(),
-        "family_conclusions" => experiments::family_conclusions::run(&config).render(),
-        "line_size" => experiments::line_size::run(&config).render(),
-        "fudge" => experiments::fudge_validation::run(&config).render(),
-        "perturbations" => experiments::perturbations::run(&config).render(),
-        "interface" => experiments::interface_effects::run(&config).render(),
-        "ablations" => experiments::ablations::run(&config).render(),
-        other => return Err(CliError::UnknownExperiment(other.to_string())),
-    };
-    Ok(out)
+        return Ok(out);
+    }
+    let entry =
+        runner::lookup(name).ok_or_else(|| CliError::UnknownExperiment(name.to_string()))?;
+    if csv {
+        let render = entry
+            .csv
+            .ok_or_else(|| CliError::usage(format!("experiment {} has no CSV form", entry.name)))?;
+        return Ok(render(config));
+    }
+    let rendered = (entry.run)(config);
+    if rendered.holds {
+        Ok(rendered.text)
+    } else {
+        Err(CliError::ClaimFailed(rendered.text))
+    }
+}
+
+/// The `experiment` names for the help text, from the registry: each
+/// name with its aliases, wrapped under the usage line.
+fn experiment_names() -> String {
+    let mut out = String::new();
+    let mut line = String::new();
+    for entry in runner::registry() {
+        let mut item = entry.name.to_string();
+        if !entry.aliases.is_empty() {
+            let _ = write!(item, " ({})", entry.aliases.join(", "));
+        }
+        if !line.is_empty() && line.len() + item.len() + 2 > 64 {
+            let _ = writeln!(out, "        {line},");
+            line.clear();
+        }
+        if !line.is_empty() {
+            line.push_str(", ");
+        }
+        line.push_str(&item);
+    }
+    let _ = write!(out, "        {line}");
+    out
 }
 
 pub(crate) fn suite(opts: &Opts) -> Result<String, CliError> {
@@ -714,7 +696,9 @@ pub(crate) fn suite(opts: &Opts) -> Result<String, CliError> {
     if std::env::var_os("SMITH85_SUITE_PANIC").is_some() {
         entries.push(runner::ExperimentEntry {
             name: "injected-panic",
+            aliases: &[],
             run: |_| panic!("deliberate panic injected via SMITH85_SUITE_PANIC"),
+            csv: None,
         });
     }
     let report = runner::run_suite_with(&config, &options, &entries, |outcome| {

@@ -33,6 +33,9 @@ pub enum CliError {
     /// `smith85 suite` completed with failed experiments; the payload is
     /// the final report (the run itself was not aborted).
     Suite(String),
+    /// An experiment ran, but a claim it checks does not hold; the
+    /// payload is its full output, which still goes to stdout.
+    ClaimFailed(String),
     /// The simulation server answered a `submit` with a typed error.
     Server(String),
     /// A persistent-store operation failed, or `cache verify` found
@@ -61,6 +64,7 @@ impl fmt::Display for CliError {
             CliError::Config(e) => e.fmt(f),
             CliError::File(e) => e.fmt(f),
             CliError::Suite(report) => write!(f, "suite finished with failures\n{report}"),
+            CliError::ClaimFailed(_) => write!(f, "a checked claim does not hold (see the output)"),
             CliError::Server(m) => write!(f, "{m}"),
             CliError::Store(m) => write!(f, "{m}"),
         }
@@ -576,6 +580,48 @@ mod tests {
             run_str(&["experiment", "nope"]),
             Err(CliError::UnknownExperiment(_))
         ));
+    }
+
+    #[test]
+    fn every_experiment_name_and_alias_runs_through_the_registry() {
+        let printed = |name: &str| match run_str(&[
+            "experiment", name, "--quick", "true", "--len", "300",
+        ]) {
+            Ok(text) | Err(CliError::ClaimFailed(text)) => text,
+            Err(e) => panic!("experiment {name}: {e}"),
+        };
+        let help = run_str(&["help"]).unwrap();
+        let mut all = String::new();
+        for entry in smith85_core::runner::registry() {
+            let text = printed(entry.name);
+            assert!(!text.is_empty(), "{} printed nothing", entry.name);
+            assert!(help.contains(entry.name), "help misses {}", entry.name);
+            for alias in entry.aliases {
+                assert_eq!(printed(alias), text, "alias {alias} of {}", entry.name);
+                assert!(help.contains(alias), "help misses {alias}");
+            }
+            all.push_str(&text);
+            all.push('\n');
+        }
+        assert!(smith85_core::runner::lookup("all").is_none());
+        assert_eq!(printed("all"), all, "`all` prints every entry in registry order");
+    }
+
+    #[test]
+    fn experiment_csv_needs_an_entry_with_a_csv_form() {
+        let args = |name| ["experiment", name, "--quick", "true", "--len", "300", "--csv", "true"];
+        for entry in smith85_core::runner::registry() {
+            for name in std::iter::once(entry.name).chain(entry.aliases.iter().copied()) {
+                let out = run_str(&args(name));
+                if entry.csv.is_some() {
+                    let csv = out.unwrap();
+                    assert!(csv.lines().next().unwrap().contains(','), "{name}: {csv}");
+                } else {
+                    assert!(matches!(out, Err(CliError::Usage(_))), "{name}");
+                }
+            }
+        }
+        assert!(matches!(run_str(&args("all")), Err(CliError::Usage(_))));
     }
 
     #[test]

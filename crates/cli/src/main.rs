@@ -10,6 +10,9 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(err) => {
+            if let smith85_cli::CliError::ClaimFailed(output) = &err {
+                print!("{output}");
+            }
             eprintln!("smith85: {err}");
             eprintln!("run `smith85 help` for usage");
             ExitCode::FAILURE

@@ -65,3 +65,16 @@ fn list_is_stable_output() {
         50 // header + 49 traces
     );
 }
+
+#[test]
+fn conclusions_exit_status_follows_the_checklist() {
+    let out = smith85(&["experiment", "conclusions", "--quick", "true", "--len", "2000"]);
+    let session = smith85_core::session::SimSession::builder()
+        .quick()
+        .trace_len(2000)
+        .build()
+        .unwrap();
+    let checked = smith85_core::experiments::conclusions::run(session.config());
+    assert_eq!(out.status.success(), checked.all_hold(), "{out:?}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), checked.render());
+}

@@ -1,6 +1,6 @@
 //! **§5 conclusions, checked** — the paper's closing claims, each
 //! re-derived from the reproduced experiments and reported as a pass/fail
-//! checklist. This is the capstone binary: if these hold, the
+//! checklist. This is the capstone experiment: if these hold, the
 //! reproduction carries the paper's message.
 
 use crate::experiments::{prefetch, table1, table3, traffic_ratio, ExperimentConfig};

@@ -2,8 +2,9 @@
 //!
 //! Every experiment follows the same shape: `run(&ExperimentConfig)`
 //! produces a serializable result struct, and the result's `render()`
-//! returns the plain-text table/series the paper printed. The binaries in
-//! `smith85-bench` are thin wrappers over these.
+//! returns the plain-text table/series the paper printed.
+//! [`crate::runner::registry`] lists them for the suite and for
+//! `smith85 experiment`.
 
 pub mod ablations;
 pub mod calibration_report;

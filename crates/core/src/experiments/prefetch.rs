@@ -241,7 +241,7 @@ impl PrefetchStudy {
     }
 
     /// Renders Figures 5/6/7 (miss-ratio factors).
-    pub fn render_miss_factors(&self) -> String {
+    fn render_miss_factors(&self) -> String {
         let mut out = String::new();
         for (fig, kind) in [
             ("Figure 5: unified", CacheKind::Unified),
@@ -266,7 +266,7 @@ impl PrefetchStudy {
     }
 
     /// Renders Figures 8/9/10 and Table 4 (traffic factors).
-    pub fn render_traffic_factors(&self) -> String {
+    fn render_traffic_factors(&self) -> String {
         let mut out = String::new();
         for (fig, kind) in [
             ("Figure 8: unified", CacheKind::Unified),

@@ -90,8 +90,9 @@
 //!
 //! ## Where to go next
 //!
-//! * Every table/figure: `smith85-bench` binaries (`--bin table1`, ...).
+//! * Every table/figure: `smith85 experiment NAME` (`table1`, ...; `all`
+//!   for every one), names from [`crate::runner::registry`].
 //! * The experiments as a library: [`crate::experiments`].
-//! * Sanity gates: `--bin conclusions` re-derives §5's claims and fails
-//!   loudly if a change breaks one.
-//! * The substitution's audit trail: `--bin calibration_report`.
+//! * Sanity gates: `smith85 experiment conclusions` re-derives §5's
+//!   claims and exits nonzero if a change breaks one.
+//! * The substitution's audit trail: `smith85 experiment calibration`.

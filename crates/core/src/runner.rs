@@ -1,5 +1,10 @@
-//! Checkpointed suite runner: every experiment, run to completion, with
-//! resume.
+//! The experiment table and the checkpointed suite runner: every
+//! experiment, run to completion, with resume.
+//!
+//! [`registry`] is the reproduction's only list of experiments. The
+//! suite runs it in order, and the `smith85` tool resolves
+//! `experiment NAME` through it (names and aliases, see [`lookup`]),
+//! prints `experiment all` from it and lists it in `help`.
 //!
 //! The full reproduction is a multi-minute (at paper scale, multi-hour)
 //! batch job, and batch jobs die: a panicking experiment, a killed shell,
@@ -26,32 +31,67 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// One runnable experiment: a stable name and a render-to-text closure.
+/// One runnable experiment: a stable name, the other names it answers
+/// to, and its renderers. [`registry`] is the only list of them: the
+/// suite, `smith85 experiment` and `smith85 help` all read it.
 pub struct ExperimentEntry {
     /// Stable name, used for the result file and on `--resume`.
     pub name: &'static str,
+    /// Other names `smith85 experiment` accepts: the paper's figure
+    /// and table numbers the experiment regenerates.
+    pub aliases: &'static [&'static str],
     /// Runs the experiment and renders its paper-style output.
-    pub run: fn(&ExperimentConfig) -> String,
+    pub run: fn(&ExperimentConfig) -> Rendered,
+    /// Runs the experiment and renders it as CSV, for the experiments
+    /// that have a CSV form.
+    pub csv: Option<fn(&ExperimentConfig) -> String>,
+}
+
+/// An experiment's rendered output.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rendered {
+    /// The paper-style text.
+    pub text: String,
+    /// False when a claim the experiment checks does not hold (the §5
+    /// checklist). The suite still records such a run as a pass: the
+    /// experiment ran, and its text says which claim failed.
+    pub holds: bool,
+}
+
+impl From<String> for Rendered {
+    fn from(text: String) -> Self {
+        Rendered { text, holds: true }
+    }
 }
 
 /// Every experiment of the reproduction, in the paper's presentation
-/// order (same order as `smith85-bench`'s `all_experiments`).
+/// order.
 pub fn registry() -> Vec<ExperimentEntry> {
     macro_rules! entry {
         ($name:literal, $module:ident) => {
+            entry!($name, $module, [])
+        };
+        ($name:literal, $module:ident, [$($alias:literal),*]) => {
             ExperimentEntry {
                 name: $name,
-                run: |c| experiments::$module::run(c).render(),
+                aliases: &[$($alias),*],
+                run: |c| experiments::$module::run(c).render().into(),
+                csv: None,
             }
         };
     }
     vec![
         entry!("table2", table2),
-        entry!("table1", table1),
+        ExperimentEntry {
+            name: "table1",
+            aliases: &["fig1"],
+            run: |c| experiments::table1::run(c).render().into(),
+            csv: Some(|c| experiments::table1::run(c).to_csv()),
+        },
         entry!("fig2", fig2),
         entry!("table3", table3),
-        entry!("fig3_4", fig3_fig4),
-        entry!("prefetch", prefetch),
+        entry!("fig3_4", fig3_fig4, ["fig3", "fig4"]),
+        entry!("prefetch", prefetch, ["fig5_6_7", "fig8_9_10", "table4"]),
         entry!("table5", table5),
         entry!("clark", clark_validation),
         entry!("z80000", z80000),
@@ -68,8 +108,26 @@ pub fn registry() -> Vec<ExperimentEntry> {
         entry!("interface", interface_effects),
         entry!("ablations", ablations),
         entry!("family_conclusions", family_conclusions),
-        entry!("conclusions", conclusions),
+        ExperimentEntry {
+            name: "conclusions",
+            aliases: &[],
+            run: |c| {
+                let checked = experiments::conclusions::run(c);
+                Rendered {
+                    text: checked.render(),
+                    holds: checked.all_hold(),
+                }
+            },
+            csv: None,
+        },
     ]
+}
+
+/// The [`registry`] entry whose name or one of whose aliases is `name`.
+pub fn lookup(name: &str) -> Option<ExperimentEntry> {
+    registry()
+        .into_iter()
+        .find(|entry| entry.name == name || entry.aliases.contains(&name))
 }
 
 /// How a suite run treats its output directory.
@@ -158,24 +216,15 @@ impl fmt::Display for SuiteReport {
     }
 }
 
-/// Runs the full [`registry`] with checkpointing; see the module docs.
+/// Runs `entries` (the [`registry`], or a test's stand-ins) with
+/// checkpointing, reporting each outcome to `progress` as it lands; see
+/// the module docs.
 ///
 /// # Errors
 ///
 /// Returns an I/O error only for output-directory failures (creating it,
 /// writing result files). Experiment panics are *not* errors: they are
 /// recorded as [`ExperimentStatus::Fail`] outcomes.
-pub fn run_suite(config: &ExperimentConfig, opts: &RunnerOptions) -> io::Result<SuiteReport> {
-    run_suite_with(config, opts, &registry(), |_| {})
-}
-
-/// [`run_suite`] over a caller-supplied registry, reporting each outcome
-/// to `progress` as it lands. Exposed so tests (and the CLI's fault
-/// hooks) can inject deliberately failing experiments.
-///
-/// # Errors
-///
-/// See [`run_suite`].
 pub fn run_suite_with(
     config: &ExperimentConfig,
     opts: &RunnerOptions,
@@ -233,7 +282,7 @@ pub fn run_suite_with(
                 Ok(rendered) => {
                     write_atomic(
                         &result_path,
-                        &result_json(entry.name, &hash, duration_ms, &rendered),
+                        &result_json(entry.name, &hash, duration_ms, &rendered.text),
                     )?;
                     ExperimentOutcome {
                         name: entry.name,
@@ -415,31 +464,38 @@ mod tests {
         dir
     }
 
+    fn fake_entry(name: &'static str, run: fn(&ExperimentConfig) -> Rendered) -> ExperimentEntry {
+        ExperimentEntry {
+            name,
+            aliases: &[],
+            run,
+            csv: None,
+        }
+    }
+
     fn fake_entries() -> Vec<ExperimentEntry> {
         vec![
-            ExperimentEntry {
-                name: "ok_a",
-                run: |c| format!("a at {}", c.trace_len),
-            },
-            ExperimentEntry {
-                name: "boom",
-                run: |_| panic!("deliberate failure"),
-            },
-            ExperimentEntry {
-                name: "ok_b",
-                run: |_| "b".to_string(),
-            },
+            fake_entry("ok_a", |c| format!("a at {}", c.trace_len).into()),
+            fake_entry("boom", |_| panic!("deliberate failure")),
+            fake_entry("ok_b", |_| "b".to_string().into()),
         ]
     }
 
     #[test]
     fn registry_covers_every_experiment() {
-        let names: Vec<_> = registry().iter().map(|e| e.name).collect();
+        let entries = registry();
+        let names: Vec<_> = entries.iter().map(|e| e.name).collect();
         assert_eq!(names.len(), 23);
-        let mut unique = names.clone();
+        let mut unique: Vec<_> = entries
+            .iter()
+            .flat_map(|e| std::iter::once(e.name).chain(e.aliases.iter().copied()))
+            .collect();
+        let answered = unique.len();
         unique.sort_unstable();
         unique.dedup();
-        assert_eq!(unique.len(), names.len(), "duplicate registry names");
+        assert_eq!(unique.len(), answered, "a name or alias answers twice");
+        assert_eq!(lookup("fig4").map(|e| e.name), Some("fig3_4"));
+        assert!(lookup("nope").is_none());
         for required in [
             "table1",
             "table2",
@@ -493,7 +549,7 @@ mod tests {
 
         // Second run, resuming, with the failure repaired.
         let mut repaired = fake_entries();
-        repaired[1].run = |_| "fixed".to_string();
+        repaired[1].run = |_| "fixed".to_string().into();
         let opts = RunnerOptions {
             out_dir: out.clone(),
             resume: true,
@@ -521,14 +577,8 @@ mod tests {
             resume: false,
         };
         let entries = vec![
-            ExperimentEntry {
-                name: "ok_a",
-                run: |_| "a".to_string(),
-            },
-            ExperimentEntry {
-                name: "ok_b",
-                run: |_| "b".to_string(),
-            },
+            fake_entry("ok_a", |_| "a".to_string().into()),
+            fake_entry("ok_b", |_| "b".to_string().into()),
         ];
         run_suite_with(&config, &opts, &entries, |_| {}).unwrap();
 
@@ -594,10 +644,7 @@ mod tests {
             out_dir: out.clone(),
             resume: true,
         };
-        let entries = vec![ExperimentEntry {
-            name: "ok_a",
-            run: |c| format!("len {}", c.trace_len),
-        }];
+        let entries = vec![fake_entry("ok_a", |c| format!("len {}", c.trace_len).into())];
         run_suite_with(&config, &opts, &entries, |_| {}).unwrap();
         let mut bigger = config.clone();
         bigger.trace_len *= 2;

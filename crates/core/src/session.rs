@@ -37,7 +37,6 @@
 //! ```
 
 use crate::experiments::{ConfigError, ExperimentConfig, Workload};
-use crate::runner::{self, RunnerOptions, SuiteReport};
 use crate::trace_pool::TracePool;
 use smith85_cachesim::{
     CacheConfig, CacheStats, ConfigError as CacheConfigError, GridCell, GridSpec, Mapping,
@@ -48,7 +47,6 @@ use smith85_obs::{Counter, Gauge, Registry};
 use smith85_store::Store;
 use smith85_trace::MemoryAccess;
 use smith85_tracelog::{self as tracelog, FieldValue, SinkHandle, TraceContext};
-use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -473,9 +471,9 @@ impl SimSession {
         Ok((*grid).clone())
     }
 
-    /// Per-configuration replacement-policy sweep over a pooled workload
-    /// prefix: one full [`UnifiedCache`] run per realizable
-    /// `(size, ways)` cell of `spec`, under `spec.replacement`.
+    /// Per-configuration replacement-policy sweep over `replay`: one
+    /// full [`UnifiedCache`] run per realizable `(size, ways)` cell of
+    /// `spec`, under `spec.replacement`.
     ///
     /// This is the fallback path for the grids the one-pass engine
     /// rejects with `OnePassUnsupported`: Mattson stack inclusion only
@@ -484,29 +482,65 @@ impl SimSession {
     /// borrowed from the engine itself (ways clamped to the line count,
     /// duplicate fully-associative cells dropped), so the LRU column of
     /// a policy matrix lines up cell-for-cell with
-    /// [`sweep_grid_workload`](Self::sweep_grid_workload). Memoized per
-    /// (workload identity, length, spec) like the one-pass sweep.
+    /// [`sweep_grid`](Self::sweep_grid).
     ///
-    /// Emits a `policy_sweep_workload` span and bumps the
-    /// `policy_grid_cells` counter.
+    /// Bumps the `policy_grid_cells` counter.
     ///
     /// # Errors
     ///
     /// Returns the engine's [`CacheConfigError`] for a malformed grid
     /// (sizes/ways not powers of two, cache smaller than a line, empty
     /// grid) — every *policy* is in-envelope here.
+    pub fn sweep_policy(
+        &self,
+        replay: &[MemoryAccess],
+        spec: &GridSpec,
+    ) -> Result<Vec<(GridCell, CacheStats)>, CacheConfigError> {
+        let cells = policy_cells(spec)?;
+        self.config.metrics.policy_cells.add(cells.len() as u64);
+        Ok(cells
+            .iter()
+            .map(|cell| {
+                let lines = cell.size_bytes / spec.line_size;
+                let mapping = if cell.ways == lines {
+                    Mapping::FullyAssociative
+                } else if cell.ways == 1 {
+                    Mapping::Direct
+                } else {
+                    Mapping::SetAssociative(cell.ways)
+                };
+                let config = CacheConfig::builder(cell.size_bytes)
+                    .line_size(spec.line_size)
+                    .mapping(mapping)
+                    .write_policy(spec.write_policy)
+                    .replacement(spec.replacement)
+                    .build()
+                    .expect("cell shapes validated by the engine");
+                let stats = self
+                    .simulate_unified(replay, config)
+                    .expect("cell configs are valid");
+                (*cell, stats)
+            })
+            .collect())
+    }
+
+    /// [`sweep_policy`](Self::sweep_policy) over a pooled workload
+    /// prefix (the serve kernel for non-LRU grids), memoized per
+    /// (workload identity, length, spec) like the one-pass sweep.
+    ///
+    /// Emits a `policy_sweep_workload` span.
+    ///
+    /// # Errors
+    ///
+    /// See [`sweep_policy`](Self::sweep_policy).
     pub fn sweep_policy_workload(
         &self,
         workload: &Workload,
         len: usize,
         spec: &GridSpec,
     ) -> Result<Vec<(GridCell, CacheStats)>, CacheConfigError> {
-        // The engine's constructor is the single source of truth for
-        // cell enumeration and grid validation; borrow it with the
-        // policy swapped to LRU so only genuine shape errors surface.
-        let mut lru_spec = spec.clone();
-        lru_spec.replacement = Replacement::Lru;
-        let cells: Vec<GridCell> = OnePassEngine::new(&lru_spec)?.cells().to_vec();
+        // Validate eagerly so errors are never memoized.
+        policy_cells(spec)?;
         let key = format!(
             "policy_grid/{}/{}/sizes={:?}/ways={:?}/line={}/policy={:?}/replacement={:?}/full={}",
             crate::trace_pool::workload_key(workload),
@@ -532,50 +566,12 @@ impl SimSession {
                 || {
                     let trace = self.config.pool.workload(workload, len);
                     self.count_family_refs(workload, len);
-                    let replay = &trace.as_slice()[..len];
-                    self.config.metrics.policy_cells.add(cells.len() as u64);
-                    cells
-                        .iter()
-                        .map(|cell| {
-                            let lines = cell.size_bytes / spec.line_size;
-                            let mapping = if cell.ways == lines {
-                                Mapping::FullyAssociative
-                            } else if cell.ways == 1 {
-                                Mapping::Direct
-                            } else {
-                                Mapping::SetAssociative(cell.ways)
-                            };
-                            let config = CacheConfig::builder(cell.size_bytes)
-                                .line_size(spec.line_size)
-                                .mapping(mapping)
-                                .write_policy(spec.write_policy)
-                                .replacement(spec.replacement)
-                                .build()
-                                .expect("cell shapes validated by the engine");
-                            let stats = self
-                                .simulate_unified(replay, config)
-                                .expect("cell configs are valid");
-                            (*cell, stats)
-                        })
-                        .collect::<Vec<_>>()
+                    self.sweep_policy(&trace.as_slice()[..len], spec)
+                        .expect("grid spec validated above")
                 },
             )
         });
         Ok((*grid).clone())
-    }
-
-    /// Runs the full experiment suite under this session's config; see
-    /// [`runner::run_suite`].
-    ///
-    /// # Errors
-    ///
-    /// See [`runner::run_suite`].
-    pub fn run_suite(&self, opts: &RunnerOptions) -> io::Result<SuiteReport> {
-        self.traced(
-            "suite",
-            Vec::new,
-            || runner::run_suite(&self.config, opts),
-        )
     }
 
     /// Bumps `family_refs_total` for non-CPU workloads, so dashboards
@@ -599,6 +595,16 @@ impl SimSession {
             metrics.cachesim_refs_per_sec.observe(refs as f64 / elapsed);
         }
     }
+}
+
+/// The cells of a per-configuration policy grid. The engine's
+/// constructor is the single source of truth for cell enumeration and
+/// grid validation; borrow it with the policy swapped to LRU so only
+/// genuine shape errors surface.
+fn policy_cells(spec: &GridSpec) -> Result<Vec<GridCell>, CacheConfigError> {
+    let mut lru_spec = spec.clone();
+    lru_spec.replacement = Replacement::Lru;
+    Ok(OnePassEngine::new(&lru_spec)?.cells().to_vec())
 }
 
 /// Span fields identifying a workload-level kernel run.

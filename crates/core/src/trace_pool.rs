@@ -258,7 +258,7 @@ impl TracePool {
 
     fn entry(&self, key: String, len: usize, generate: impl FnOnce() -> Trace) -> Arc<Trace> {
         let trace_ctx = smith85_tracelog::current();
-        let counters = {
+        let (counters, shorter_held) = {
             let mut state = self.lock();
             loop {
                 if let Some(existing) = state.traces.get(&key) {
@@ -281,7 +281,7 @@ impl TracePool {
                 }
                 if state.inflight.insert(key.clone()) {
                     // This thread materializes; others wait.
-                    break state.counters.clone();
+                    break (state.counters.clone(), state.traces.contains_key(&key));
                 }
                 // Someone else is generating this key. Wait for them
                 // rather than duplicating the work; on wakeup, recheck —
@@ -303,9 +303,12 @@ impl TracePool {
         // the persistent store. The record is CRC-validated on read (a
         // corrupt spill is quarantined and comes back as a miss), so a
         // disk hit replays bit-identically with no generation — it counts
-        // as a pool hit, not a miss, and materializes nothing.
+        // as a pool hit, not a miss, and materializes nothing. When the
+        // pool already holds a shorter buffer for the key, the spill is
+        // no longer than it (this process wrote or read it), so reading
+        // it back could only find it too short.
         let store = self.store();
-        if let Some(store) = store.as_ref() {
+        if let Some(store) = store.as_ref().filter(|_| !shorter_held) {
             if let Some(disk) = store.get_trace(&spill_key(&marker.key)) {
                 if disk.len() >= len {
                     counters.hits.inc();

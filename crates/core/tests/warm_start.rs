@@ -115,3 +115,19 @@ fn store_budget_caps_spill_growth() {
     assert!(stats.gc_evictions >= 1, "eviction must have happened");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn longer_prefix_in_one_process_skips_the_shorter_spill() {
+    let dir = tmp_root("regrow");
+    let session = build(&dir);
+    let profile = catalog::by_name("VCCOM").unwrap().profile().clone();
+    session.config().pool.profile(&profile, 20_000);
+    // The pool holds the 20,000-ref buffer this process spilled, so the
+    // spill cannot serve 40,000 refs: regenerate without reading it.
+    let longer = session.config().pool.profile(&profile, 40_000);
+    assert_eq!(longer.len(), 40_000);
+    let snapshot = session.registry().snapshot();
+    assert_eq!(snapshot.counter_value("store_hits_total", &[]), 0);
+    assert_eq!(snapshot.counter_value("pool_misses_total", &[]), 2);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

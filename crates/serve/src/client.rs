@@ -10,7 +10,7 @@
 //! One request per call; responses come back in order, so a single
 //! connection is also a valid way to issue a request sequence.
 
-use crate::protocol::{ErrorBody, ErrorCode, Request, Response, MAX_LINE_BYTES};
+use crate::protocol::{ErrorBody, ErrorCode, Request, Response, TraceEnvelope, MAX_LINE_BYTES};
 use crate::transport::{Endpoint, Transport};
 use std::io::{self, BufRead, BufReader, Read, Write};
 #[cfg(unix)]
@@ -255,7 +255,10 @@ impl ClientBuilder {
             endpoint: self.endpoint,
             deadline_ms: self.deadline_ms,
             retry: self.retry,
-            trace_id: self.trace_id,
+            envelope: TraceEnvelope {
+                trace_id: self.trace_id,
+                parent_span: None,
+            },
             timeout: self.timeout,
         })
     }
@@ -270,7 +273,7 @@ pub struct Client {
     endpoint: Endpoint,
     deadline_ms: Option<u64>,
     retry: RetryPolicy,
-    trace_id: Option<String>,
+    envelope: TraceEnvelope,
     timeout: Option<Duration>,
 }
 
@@ -280,7 +283,7 @@ impl std::fmt::Debug for Client {
             .field("endpoint", &self.endpoint)
             .field("deadline_ms", &self.deadline_ms)
             .field("retry", &self.retry)
-            .field("trace_id", &self.trace_id)
+            .field("trace_id", &self.envelope.trace_id)
             .finish_non_exhaustive()
     }
 }
@@ -319,7 +322,7 @@ impl Client {
     /// See [`ClientError`].
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
         let effective = self.with_deadline(request);
-        let line = effective.encode_with_trace(self.trace_id.as_deref());
+        let line = effective.encode_with_envelope(&self.envelope);
         let seed = jitter_seed(&line);
         // A refused connection means this stream is dead, so the next
         // attempt reconnects first; transient overloads keep the

@@ -451,26 +451,17 @@ impl Request {
     /// Encodes the request as one JSON line (no trailing newline),
     /// with the [`PROTOCOL_VERSION`] envelope (`"v":1`) leading.
     pub fn encode(&self) -> String {
-        self.encode_with_trace(None)
+        self.encode_with_envelope(&TraceEnvelope::default())
     }
 
-    /// Encodes like [`Request::encode`], adding a `trace_id` envelope
-    /// field when one is given. A server admits the request under that
-    /// id instead of minting one, so a router (or any caller) can
-    /// correlate its own spans with the backend's journal. Servers
-    /// without trace support ignore the field (unknown request fields
-    /// are always ignored).
-    pub fn encode_with_trace(&self, trace_id: Option<&str>) -> String {
-        self.encode_with_envelope(&TraceEnvelope {
-            trace_id: trace_id.map(str::to_string),
-            parent_span: None,
-        })
-    }
-
-    /// Encodes like [`Request::encode_with_trace`], additionally writing
-    /// the `parent_span` envelope field when the envelope carries one
-    /// (routers use it to link the shard's `request` span under their
-    /// own forward span). Pre-tracing servers ignore both fields.
+    /// Encodes like [`Request::encode`], adding the envelope's
+    /// `trace_id` field when it carries one, and then its `parent_span`
+    /// field when it carries that too. A server admits the request
+    /// under the trace id instead of minting one, so a router (or any
+    /// caller) can correlate its own spans with the backend's journal;
+    /// routers send the parent span to link the shard's `request` span
+    /// under their own forward span. Pre-tracing servers ignore both
+    /// fields (unknown request fields are always ignored).
     pub fn encode_with_envelope(&self, envelope: &TraceEnvelope) -> String {
         let mut value = match self {
             Request::Simulate(spec) => {
@@ -553,28 +544,17 @@ impl Request {
     /// Returns a typed [`ErrorBody`] (`bad_request`, `unknown_type`) the
     /// server sends back verbatim.
     pub fn decode(line: &str) -> Result<Request, ErrorBody> {
-        Self::decode_with_trace(line).map(|(request, _trace)| request)
+        Self::decode_with_envelope(line).map(|(request, _envelope)| request)
     }
 
-    /// Decodes one request line plus its optional `trace_id` envelope
-    /// field (see [`Request::encode_with_trace`]). Servers use this to
-    /// admit forwarded requests under the caller's trace id. Ids longer
-    /// than 64 bytes or with non-alphanumeric characters are ignored
-    /// rather than rejected — a hostile id must not break journaling.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Request::decode`].
-    pub fn decode_with_trace(line: &str) -> Result<(Request, Option<String>), ErrorBody> {
-        Self::decode_with_envelope(line).map(|(request, envelope)| (request, envelope.trace_id))
-    }
-
-    /// Decodes one request line plus its full [`TraceEnvelope`]:
-    /// `trace_id` (as in [`Request::decode_with_trace`]) and the
-    /// optional `parent_span` id. `parent_span` is only honoured
-    /// alongside a valid `trace_id`, and a non-numeric or zero value is
-    /// ignored rather than rejected — hostile envelopes must not break
-    /// request handling.
+    /// Decodes one request line plus its [`TraceEnvelope`]. Servers use
+    /// this to admit forwarded requests under the caller's trace id.
+    /// Ids longer than 64 bytes or with non-alphanumeric characters are
+    /// ignored rather than rejected — a hostile id must not break
+    /// journaling. `parent_span` is only honoured alongside a valid
+    /// `trace_id`, and a non-numeric or zero value is ignored rather
+    /// than rejected — hostile envelopes must not break request
+    /// handling.
     ///
     /// # Errors
     ///
@@ -1701,13 +1681,16 @@ mod tests {
             policy: None,
             deadline_ms: None,
         });
-        let line = request.encode_with_trace(Some("4f3a2b1c9d8e7f60"));
-        let (decoded, trace) = Request::decode_with_trace(&line).unwrap();
+        let line = request.encode_with_envelope(&TraceEnvelope {
+            trace_id: Some("4f3a2b1c9d8e7f60".into()),
+            parent_span: None,
+        });
+        let (decoded, envelope) = Request::decode_with_envelope(&line).unwrap();
         assert_eq!(decoded, request);
-        assert_eq!(trace.as_deref(), Some("4f3a2b1c9d8e7f60"));
+        assert_eq!(envelope.trace_id.as_deref(), Some("4f3a2b1c9d8e7f60"));
         // Plain encode carries no trace and decodes to None.
-        let (_, trace) = Request::decode_with_trace(&request.encode()).unwrap();
-        assert_eq!(trace, None);
+        let (_, envelope) = Request::decode_with_envelope(&request.encode()).unwrap();
+        assert_eq!(envelope.trace_id, None);
         // Hostile ids (too long, non-alphanumeric) are dropped, not fatal.
         let long = "a".repeat(65);
         for bad in [long.as_str(), "abc def", "x\"y", ""] {
@@ -1715,9 +1698,9 @@ mod tests {
                 "{{\"type\":\"ping\",\"trace_id\":{}}}",
                 crate::json::s(bad)
             );
-            let (request, trace) = Request::decode_with_trace(&line).unwrap();
+            let (request, envelope) = Request::decode_with_envelope(&line).unwrap();
             assert_eq!(request, Request::Ping);
-            assert_eq!(trace, None, "id {bad:?} must be ignored");
+            assert_eq!(envelope.trace_id, None, "id {bad:?} must be ignored");
         }
     }
 

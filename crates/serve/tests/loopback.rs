@@ -314,16 +314,8 @@ fn metrics_request_parses_and_counters_are_monotonic() {
         Response::Simulate(_)
     ));
     let first = fetch_metrics(&mut client);
-    let counter = |snapshot: &smith85_serve::RegistrySnapshot, name: &str| {
-        snapshot
-            .counters
-            .iter()
-            .find(|c| c.name == name)
-            .unwrap_or_else(|| panic!("counter {name} missing"))
-            .value
-    };
-    assert_eq!(counter(&first, "cachesim_refs_total"), 3_000);
-    assert_eq!(counter(&first, "pool_misses_total"), 1);
+    assert_eq!(first.counter_value("cachesim_refs_total", &[]), 3_000);
+    assert_eq!(first.counter_value("pool_misses_total", &[]), 1);
     assert!(
         first.histograms.iter().any(|h| h.name == "serve_exec_ms" && h.count == 1),
         "serve_exec_ms must record the job: {first:?}"
@@ -334,17 +326,26 @@ fn metrics_request_parses_and_counters_are_monotonic() {
         Response::Simulate(_)
     ));
     let second = fetch_metrics(&mut client);
+    // Each series against itself: a labelled family has one series per
+    // label set under the same name.
     for c in &first.counters {
+        let labels: Vec<(&str, &str)> =
+            c.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        let now = second.counter_value(&c.name, &labels);
         assert!(
-            counter(&second, &c.name) >= c.value,
-            "counter {} went backwards: {} -> {}",
+            now >= c.value,
+            "counter {}{:?} went backwards: {} -> {now}",
             c.name,
+            c.labels,
             c.value,
-            counter(&second, &c.name)
         );
     }
-    assert_eq!(counter(&second, "cachesim_refs_total"), 6_000);
-    assert_eq!(counter(&second, "pool_hits_total"), 1, "same workload pools");
+    assert_eq!(second.counter_value("cachesim_refs_total", &[]), 6_000);
+    assert_eq!(
+        second.counter_value("pool_hits_total", &[]),
+        1,
+        "same workload pools"
+    );
 
     server.stop().expect("clean shutdown");
 }

@@ -12,8 +12,9 @@
 //! * [`core`] — the experiment harness reproducing every table and
 //!   figure, the design targets, and the performance/bus models.
 //!
-//! The `smith85-bench` crate provides one binary per reproduced
-//! table/figure, and `smith85-cli` the interactive `smith85` tool.
+//! The `smith85-cli` crate provides the `smith85` tool, whose
+//! `experiment` command regenerates each reproduced table/figure, and
+//! `smith85-bench` the `throughput` and `serve_load` benchmarks.
 //!
 //! # Quickstart
 //!
