@@ -10,11 +10,18 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(err) => {
-            if let smith85_cli::CliError::ClaimFailed(output) = &err {
+            use smith85_cli::CliError;
+            if let CliError::ClaimFailed(output) = &err {
                 print!("{output}");
             }
             eprintln!("smith85: {err}");
-            eprintln!("run `smith85 help` for usage");
+            // Only a mistyped command line is fixed by reading the usage.
+            if matches!(
+                err,
+                CliError::Usage(_) | CliError::UnknownTrace(_) | CliError::UnknownExperiment(_)
+            ) {
+                eprintln!("run `smith85 help` for usage");
+            }
             ExitCode::FAILURE
         }
     }

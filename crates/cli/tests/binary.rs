@@ -26,6 +26,30 @@ fn bad_command_exits_nonzero_with_hint() {
     assert!(err.contains("help"), "{err}");
 }
 
+/// Errors that are not about the command line carry no usage hint.
+#[test]
+fn runtime_errors_carry_no_usage_hint() {
+    let refused_submit = ["submit", "ping", "--addr", "127.0.0.1:1"];
+    let failed_claim = [
+        "experiment",
+        "conclusions",
+        "--quick",
+        "true",
+        "--len",
+        "2000",
+    ];
+    for args in [&refused_submit[..], &failed_claim[..]] {
+        let out = smith85(args);
+        assert!(!out.status.success(), "{args:?} must fail: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("smith85:"), "{args:?}: {err}");
+        assert!(
+            !err.contains("smith85 help"),
+            "{args:?} printed the usage hint: {err}"
+        );
+    }
+}
+
 #[test]
 fn simulate_pipeline_end_to_end() {
     let out = smith85(&[

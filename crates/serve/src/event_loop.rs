@@ -1,42 +1,57 @@
 //! The poll(2) event loop: the server's one connection path (unix
 //! targets).
 //!
-//! One thread owns every socket: the TCP, Unix and `/metrics`
-//! listeners, a self-wake pipe, and all client connections. Readiness
-//! drives the work — an idle connection costs one `pollfd` entry per
-//! iteration and nothing else, so thousands of mostly-idle clients pin
-//! no threads. `simulate`/`sweep` execute on the worker pool; a worker
-//! finishing a job pushes the response onto the completion queue and
-//! writes one byte into the wake pipe, which pops the poll.
+//! One thread owns the TCP, Unix and `/metrics` listeners, a self-wake
+//! pipe, and every connection not lent to a job. Readiness drives the
+//! work — an idle connection costs one `pollfd` entry per iteration and
+//! nothing else, so thousands of mostly-idle clients pin no threads.
+//!
+//! A connection belongs to exactly one thread at a time. Cheap requests
+//! are answered by whichever thread reads them. A `simulate`, `sweep`
+//! or forward request moves the connection into its job ([`ReplyTo`]),
+//! after the answers queued ahead of it are flushed. The worker that
+//! runs the job encodes and writes the reply, reads what the socket
+//! holds, and serves every complete line the client pipelined behind it
+//! through the same [`service`] path: a follow-up job is admitted
+//! through the same bounded queue and takes the connection along. Only
+//! when nothing is left to run, or the connection is closing or dead,
+//! does the worker hand it back over the completion queue and write one
+//! byte into the wake pipe, which pops the poll. Replies therefore come
+//! back in request order by construction, and a pipelined burst wakes
+//! the loop twice: when it arrives and when its connection comes home.
+//! A peer that vanishes while its job runs is reclaimed when the job
+//! ends.
 //!
 //! A `/metrics` scrape is an ordinary connection flagged as a scrape:
 //! its request head is buffered until the blank line, EOF or
 //! [`SCRAPE_HEAD_LIMIT`], answered with the Prometheus exposition
 //! (`GET`) or `405`, and closed once the reply drains — so a scraper
-//! that connects and sends nothing delays no other scrape. On a router
-//! the scrape's shard fan-out runs on this thread, as the NDJSON
-//! `metrics` request's does: each live fetch is bounded by the connect
-//! timeout and known-down shards are skipped.
+//! that connects and sends nothing delays no other scrape. Scrapes
+//! never leave the loop. On a router the scrape's shard fan-out runs on
+//! this thread, as the NDJSON `metrics` request's does when the loop
+//! reads it: each live fetch is bounded by the connect timeout and
+//! known-down shards are skipped.
 //!
 //! Flow control: responses are buffered per connection and written when
-//! the socket reports `POLLOUT`; while a connection's outbound buffer
-//! is above [`WRITE_BUF_LIMIT`] (or a job is in flight for it), the
-//! loop stops reading from it — TCP back-pressure propagates to the
-//! client instead of growing an unbounded buffer.
+//! the socket accepts them; while a connection's outbound buffer is
+//! above [`WRITE_BUF_LIMIT`], neither the loop nor a worker reads from
+//! it — TCP back-pressure propagates to the client instead of growing an
+//! unbounded buffer.
 //!
 //! Observability: the loop publishes per-connection lifecycle counters
 //! (`event_loop_conns_{accepted,closed,drained}_total`,
-//! `event_loop_half_closes_total`; scrapes count like any connection),
+//! `event_loop_half_closes_total`, counted once on whichever thread sees
+//! the event; scrapes count like any connection),
 //! `event_loop_poll_wait_us` / `event_loop_dispatch_us` histograms, and
-//! `event_loop_connections` / `event_loop_busy_jobs` /
-//! `event_loop_write_buf_bytes` gauges into the session registry.
-//! Request spans and `access_log` events come from the worker pool;
-//! journal emission stays gated on the sink, so a journal-less server
-//! pays nothing for spans.
+//! `event_loop_connections` (polled plus lent) / `event_loop_busy_jobs`
+//! (lent) / `event_loop_write_buf_bytes` gauges into the session
+//! registry. Request spans and `access_log` events come from the worker
+//! pool; journal emission stays gated on the sink, so a journal-less
+//! server pays nothing for spans.
 
 use crate::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{ErrorBody, ErrorCode, Response, MAX_LINE_BYTES};
-use crate::server::{dispatch_request, Handled, ServerState};
+use crate::server::{dispatch_request, submit_job, Handled, ServerState};
 use crate::transport::{Listener, Transport};
 use smith85_obs::Counter;
 use std::collections::HashMap;
@@ -64,8 +79,8 @@ const US_BOUNDS: [f64; 8] = [
     500_000.0,
 ];
 
-/// Outbound-buffer level above which the loop stops reading more
-/// requests from a connection until writes drain.
+/// Outbound-buffer level above which neither the loop nor a worker
+/// reads more requests from a connection until writes drain.
 const WRITE_BUF_LIMIT: usize = 256 * 1024;
 
 /// Upper bound on the shutdown drain: past it, in-flight connections
@@ -77,41 +92,80 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(600);
 /// sends this much without a blank line is answered on what arrived.
 const SCRAPE_HEAD_LIMIT: usize = 8 * 1024;
 
-/// Finished jobs waiting to be written back, keyed by connection id,
-/// plus the write end of the loop's self-wake pipe (the classic
-/// self-pipe trick, on a nonblocking socketpair so a full pipe — wake
-/// already pending — never blocks a worker).
+/// Connections the workers hand back, keyed by connection id, with
+/// whether each is still alive; plus the write end of the loop's
+/// self-wake pipe (the classic self-pipe trick, on a nonblocking
+/// socketpair so a full pipe — wake already pending — never blocks a
+/// worker) and the loop counter a worker may bump.
 pub(crate) struct Completions {
-    done: Mutex<Vec<(u64, Response)>>,
+    returned: Mutex<Vec<(u64, Conn, bool)>>,
     wake_tx: UnixStream,
+    half_closes: Arc<Counter>,
 }
 
 impl Completions {
-    /// Queues `response` for connection `conn_id` and wakes the poller.
-    fn push(&self, conn_id: u64, response: Response) {
-        self.done
+    /// Hands connection `id` back to the loop (to close it, when not
+    /// `alive`) and wakes the poller.
+    fn give_back(&self, id: u64, conn: Conn, alive: bool) {
+        self.returned
             .lock()
             .expect("completion queue lock poisoned")
-            .push((conn_id, response));
+            .push((id, conn, alive));
         let _ = (&self.wake_tx).write(&[1u8]);
     }
 
-    fn take(&self) -> Vec<(u64, Response)> {
-        std::mem::take(&mut *self.done.lock().expect("completion queue lock poisoned"))
+    fn take(&self) -> Vec<(u64, Conn, bool)> {
+        std::mem::take(
+            &mut *self
+                .returned
+                .lock()
+                .expect("completion queue lock poisoned"),
+        )
     }
 }
 
-/// Where a finished job's response goes: the loop's completion queue,
-/// tagged with the connection that sent the request.
+/// A connection lent to the job its latest request started; the worker
+/// that runs the job answers through it ([`ReplyTo::send`]).
 pub(crate) struct ReplyTo {
-    conn_id: u64,
+    id: u64,
+    conn: Conn,
     completions: Arc<Completions>,
 }
 
 impl ReplyTo {
-    pub(crate) fn send(&self, response: Response) {
-        self.completions.push(self.conn_id, response);
+    /// Encodes and writes a finished job's response on the calling
+    /// worker, then reads what the socket holds (unless the outbound
+    /// buffer is over [`WRITE_BUF_LIMIT`]) and serves every complete
+    /// buffered line. A follow-up job takes the connection along;
+    /// otherwise it goes back to the loop.
+    pub(crate) fn send(self, response: Response, state: &ServerState) {
+        let ReplyTo {
+            id,
+            mut conn,
+            completions,
+        } = self;
+        let started = Instant::now();
+        conn.enqueue(&response);
+        let encoded = Instant::now();
+        let mut alive = conn.flush();
+        let metrics = &state.metrics;
+        metrics.encode_us.observe(micros(encoded - started));
+        metrics.write_us.observe(micros(encoded.elapsed()));
+        if alive && conn.reads() {
+            alive = conn.fill(&completions.half_closes);
+        }
+        if alive {
+            match service(conn, id, state, &completions) {
+                Serviced::Lent => return,
+                Serviced::Kept(kept, still) => (conn, alive) = (kept, still),
+            }
+        }
+        completions.give_back(id, conn, alive);
     }
+}
+
+fn micros(elapsed: Duration) -> f64 {
+    elapsed.as_secs_f64() * 1e6
 }
 
 /// One multiplexed connection.
@@ -124,14 +178,9 @@ struct Conn {
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
     write_pos: usize,
-    /// One job in flight on the worker pool for this connection; the
-    /// loop stops parsing further lines until it completes, so replies
-    /// come back in request order.
-    busy: bool,
-    /// Flush the outbound buffer (and finish the in-flight job, if
-    /// any), then close; set on unrecoverable input (oversized lines)
-    /// and once a scrape is answered. Unlike `eof`, no further buffered
-    /// input is parsed.
+    /// Flush the outbound buffer, then close; set on unrecoverable
+    /// input (oversized lines) and once a scrape is answered. Unlike
+    /// `eof`, no further buffered input is parsed.
     closing: bool,
     /// The peer half-closed: parse what it already sent, answer it,
     /// flush, then close.
@@ -148,7 +197,6 @@ impl Conn {
             read_buf: Vec::new(),
             write_buf: Vec::new(),
             write_pos: 0,
-            busy: false,
             closing: false,
             eof: false,
         })
@@ -158,10 +206,23 @@ impl Conn {
         self.write_buf.len() - self.write_pos
     }
 
+    /// Whether more requests may be read: not closing, not half-closed,
+    /// and the outbound buffer under [`WRITE_BUF_LIMIT`].
+    fn reads(&self) -> bool {
+        !self.closing && !self.eof && self.pending_write() < WRITE_BUF_LIMIT
+    }
+
+    /// A closing or half-closed connection is finished once its
+    /// outbound buffer drains: every line it will be answered for has
+    /// been.
+    fn finished(&self) -> bool {
+        (self.closing || self.eof) && self.pending_write() == 0
+    }
+
     /// The poll mask this connection currently cares about.
     fn interest(&self) -> i16 {
         let mut mask = 0;
-        if !self.busy && !self.closing && !self.eof && self.pending_write() < WRITE_BUF_LIMIT {
+        if self.reads() {
             mask |= POLLIN;
         }
         if self.pending_write() > 0 {
@@ -177,8 +238,7 @@ impl Conn {
     }
 
     /// Writes as much buffered output as the socket accepts. Returns
-    /// `false` when the connection is finished (write failure, or a
-    /// deferred close whose buffer just drained).
+    /// `false` when the write failed: the connection is dead.
     fn flush(&mut self) -> bool {
         while self.pending_write() > 0 {
             match self.stream.write(&self.write_buf[self.write_pos..]) {
@@ -192,27 +252,23 @@ impl Conn {
         if self.pending_write() == 0 {
             self.write_buf.clear();
             self.write_pos = 0;
-            // A closing or half-closed connection dies once its buffer
-            // drains — but not while a job is still in flight for it:
-            // the reply is owed first. When `service` left `busy`
-            // clear, every complete buffered line has been answered.
-            if (self.closing || self.eof) && !self.busy {
-                return false;
-            }
         }
         true
     }
 
     /// Reads everything currently available. Returns `false` on a
-    /// fatal read error; EOF marks the connection closing so already
-    /// buffered requests (a peer that sent then half-closed) still get
-    /// their responses before the slot is reclaimed.
-    fn fill(&mut self) -> bool {
+    /// fatal read error; EOF marks the connection half-closed (counted
+    /// in `half_closes`) so already buffered requests still get their
+    /// responses before the slot is reclaimed.
+    fn fill(&mut self, half_closes: &Counter) -> bool {
         let mut chunk = [0u8; 16 * 1024];
         loop {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
-                    self.eof = true;
+                    if !self.eof {
+                        self.eof = true;
+                        half_closes.inc();
+                    }
                     return true;
                 }
                 Ok(n) => {
@@ -229,34 +285,31 @@ impl Conn {
     }
 }
 
-/// Parses and dispatches every complete buffered line (stopping at one
-/// in-flight job) or, on a scrape, answers a complete request head;
-/// then flushes. Returns `false` when the connection is finished.
+/// What [`service`] did with a connection.
+enum Serviced {
+    /// Still the caller's; `false` when it is finished or dead and
+    /// should close.
+    Kept(Conn, bool),
+    /// Lent to a job on the worker pool.
+    Lent,
+}
+
+/// Answers every complete buffered line — inline, or by lending the
+/// connection to the first job line — or, on a scrape, a complete
+/// request head; then flushes. Runs on the loop for polled connections
+/// and on a worker for a connection whose job just finished.
 fn service(
-    conn: &mut Conn,
+    mut conn: Conn,
     id: u64,
-    state: &Arc<ServerState>,
+    state: &ServerState,
     completions: &Arc<Completions>,
-) -> bool {
+) -> Serviced {
     if conn.scrape {
-        answer_scrape(conn, state);
-        return conn.flush();
+        answer_scrape(&mut conn, state);
     }
-    while !conn.busy && !conn.closing {
-        let Some(pos) = conn.read_buf.iter().position(|&b| b == b'\n') else {
-            if conn.read_buf.len() > MAX_LINE_BYTES {
-                state.metrics.protocol_errors.inc();
-                conn.enqueue(&Response::Error(ErrorBody::new(
-                    ErrorCode::Oversized,
-                    format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                )));
-                conn.closing = true;
-            }
-            break;
-        };
-        let mut line: Vec<u8> = conn.read_buf.drain(..=pos).collect();
-        line.pop(); // the newline
-        if line.len() > MAX_LINE_BYTES {
+    while !conn.scrape && !conn.closing {
+        let newline = conn.read_buf.iter().position(|&b| b == b'\n');
+        if newline.unwrap_or(conn.read_buf.len()) > MAX_LINE_BYTES {
             state.metrics.protocol_errors.inc();
             conn.enqueue(&Response::Error(ErrorBody::new(
                 ErrorCode::Oversized,
@@ -265,6 +318,9 @@ fn service(
             conn.closing = true;
             break;
         }
+        let Some(pos) = newline else { break };
+        let mut line: Vec<u8> = conn.read_buf.drain(..=pos).collect();
+        line.pop(); // the newline
         let text = match std::str::from_utf8(&line) {
             Ok(text) => text,
             Err(_) => {
@@ -279,16 +335,30 @@ fn service(
         if text.trim().is_empty() {
             continue;
         }
-        let reply = ReplyTo {
-            conn_id: id,
-            completions: Arc::clone(completions),
-        };
-        match dispatch_request(text, state, reply) {
+        match dispatch_request(text, state) {
             Handled::Inline(response) => conn.enqueue(&response),
-            Handled::Admitted => conn.busy = true,
+            Handled::Job(request) => {
+                // Answers queued ahead of the job go out before it runs.
+                if !conn.flush() {
+                    return Serviced::Kept(conn, false);
+                }
+                let reply = ReplyTo {
+                    id,
+                    conn,
+                    completions: Arc::clone(completions),
+                };
+                match submit_job(state, request, reply) {
+                    Ok(()) => return Serviced::Lent,
+                    Err((reply, refusal)) => {
+                        conn = reply.conn;
+                        conn.enqueue(&refusal);
+                    }
+                }
+            }
         }
     }
-    conn.flush()
+    let alive = conn.flush() && !conn.finished();
+    Serviced::Kept(conn, alive)
 }
 
 /// Answers a scrape once its request head is complete — a blank line,
@@ -366,7 +436,7 @@ pub(crate) fn run(
     listener: &TcpListener,
     unix_listener: Option<&UnixListener>,
     metrics_listener: Option<&TcpListener>,
-    state: &Arc<ServerState>,
+    state: &ServerState,
 ) -> io::Result<()> {
     // Every listener's fd, with whether its connections are scrapes.
     let mut listeners: Vec<(RawFd, &dyn Listener, bool)> =
@@ -383,11 +453,9 @@ pub(crate) fn run(
     let (wake_rx, wake_tx) = UnixStream::pair()?;
     wake_rx.set_nonblocking(true)?;
     wake_tx.set_nonblocking(true)?;
-    let completions = Arc::new(Completions {
-        done: Mutex::new(Vec::new()),
-        wake_tx,
-    });
     let mut conns: HashMap<u64, Conn> = HashMap::new();
+    // Connections lent to jobs; each comes back through `completions`.
+    let mut lent: usize = 0;
     let mut next_id: u64 = 1;
     let mut drain_started: Option<Instant> = None;
 
@@ -396,13 +464,17 @@ pub(crate) fn run(
     let registry = state.session().registry();
     let accepted = registry.counter("event_loop_conns_accepted_total");
     let closed = registry.counter("event_loop_conns_closed_total");
-    let half_closed = registry.counter("event_loop_half_closes_total");
     let drained_ctr = registry.counter("event_loop_conns_drained_total");
     let conns_gauge = registry.gauge("event_loop_connections");
     let busy_gauge = registry.gauge("event_loop_busy_jobs");
     let write_buf_gauge = registry.gauge("event_loop_write_buf_bytes");
     let poll_wait = registry.histogram("event_loop_poll_wait_us", &US_BOUNDS);
     let dispatch_hist = registry.histogram("event_loop_dispatch_us", &US_BOUNDS);
+    let completions = Arc::new(Completions {
+        returned: Mutex::new(Vec::new()),
+        wake_tx,
+        half_closes: registry.counter("event_loop_half_closes_total"),
+    });
 
     loop {
         if crate::signal::sigint_received() {
@@ -412,12 +484,12 @@ pub(crate) fn run(
         if draining {
             let started = *drain_started.get_or_insert_with(Instant::now);
             // Idle connections are dropped immediately; connections
-            // with a job in flight or unflushed output get the drain
-            // window to finish.
+            // with unflushed output get the drain window to finish, and
+            // lent ones come back when their jobs end.
             let before = conns.len();
-            conns.retain(|_, conn| conn.busy || conn.pending_write() > 0);
+            conns.retain(|_, conn| conn.pending_write() > 0);
             drained_ctr.add((before - conns.len()) as u64);
-            if conns.is_empty() || started.elapsed() > DRAIN_TIMEOUT {
+            if (conns.is_empty() && lent == 0) || started.elapsed() > DRAIN_TIMEOUT {
                 conns_gauge.set(0.0);
                 busy_gauge.set(0.0);
                 write_buf_gauge.set(0.0);
@@ -450,18 +522,14 @@ pub(crate) fn run(
             while matches!((&wake_rx).read(&mut sink), Ok(n) if n > 0) {}
         }
 
-        // Worker completions first: they clear `busy`, which may let a
-        // pipelined follow-up line in the read buffer dispatch below.
-        let mut dead: Vec<u64> = Vec::new();
-        for (id, response) in completions.take() {
-            // A connection that died while its job ran simply has its
-            // response dropped: no one is left to read it.
-            if let Some(conn) = conns.get_mut(&id) {
-                conn.busy = false;
-                conn.enqueue(&response);
-                if !service(conn, id, state, &completions) {
-                    dead.push(id);
-                }
+        // Connections coming home: the worker already served every
+        // complete line they held.
+        for (id, conn, alive) in completions.take() {
+            lent -= 1;
+            if alive {
+                conns.insert(id, conn);
+            } else {
+                closed.inc();
             }
         }
 
@@ -475,46 +543,38 @@ pub(crate) fn run(
 
         for (slot, &id) in order.iter().enumerate() {
             let pfd = fds[conn_base + slot];
-            let Some(conn) = conns.get_mut(&id) else {
+            if !pfd.ready(POLLIN | POLLOUT) {
+                continue;
+            }
+            let Some(mut conn) = conns.remove(&id) else {
                 continue;
             };
             let mut alive = true;
             if pfd.ready(POLLOUT) {
-                alive = conn.flush();
+                alive = conn.flush() && !conn.finished();
             }
             if alive && pfd.ready(POLLIN) {
-                let was_eof = conn.eof;
-                alive = conn.fill() && service(conn, id, state, &completions);
-                if !was_eof && conn.eof {
-                    half_closed.inc();
+                alive = conn.fill(&completions.half_closes);
+                if alive {
+                    match service(conn, id, state, &completions) {
+                        Serviced::Lent => {
+                            lent += 1;
+                            continue;
+                        }
+                        Serviced::Kept(kept, still) => (conn, alive) = (kept, still),
+                    }
                 }
             }
-            if alive && conn.busy && pfd.broken() && !pfd.ready(POLLIN) {
-                // Peer vanished while its job runs: no one will read
-                // the reply, so reclaim the slot now.
-                alive = false;
-            }
-            if !alive {
-                dead.push(id);
-            }
-        }
-        // A connection can land in `dead` twice (completion handling
-        // then readiness handling); dedup so the counter stays exact.
-        dead.sort_unstable();
-        dead.dedup();
-        for id in dead {
-            if conns.remove(&id).is_some() {
+            if alive {
+                conns.insert(id, conn);
+            } else {
                 closed.inc();
             }
         }
 
-        conns_gauge.set(conns.len() as f64);
-        let (mut busy_jobs, mut buffered) = (0u64, 0u64);
-        for conn in conns.values() {
-            busy_jobs += u64::from(conn.busy);
-            buffered += conn.pending_write() as u64;
-        }
-        busy_gauge.set(busy_jobs as f64);
+        conns_gauge.set((conns.len() + lent) as f64);
+        busy_gauge.set(lent as f64);
+        let buffered: usize = conns.values().map(Conn::pending_write).sum();
         write_buf_gauge.set(buffered as f64);
         dispatch_hist.observe(dispatch_started.elapsed().as_micros() as f64);
     }

@@ -18,9 +18,10 @@
 //!   the SIGINT shim are unix-only, so [`Server::bind`] refuses other
 //!   targets with `Unsupported`.
 //! * Cheap requests (`catalog`, `stats`, `ping`, `shutdown`) are answered
-//!   inline; `simulate`/`sweep` go through the [`BoundedQueue`]; a full
-//!   queue is an immediate typed `overloaded` response (admission
-//!   control), never an unbounded backlog.
+//!   inline; `simulate`/`sweep` go through the [`BoundedQueue`] with
+//!   their connection, and the worker that runs the job writes its
+//!   reply; a full queue is an immediate typed `overloaded` response
+//!   (admission control), never an unbounded backlog.
 //! * In router mode ([`RouterOptions`]) workers forward `simulate`/`sweep`
 //!   to backend shards picked by consistent hashing instead of executing
 //!   them locally; see [`crate::router`].
@@ -34,11 +35,11 @@
 use crate::event_loop::ReplyTo;
 use crate::exec;
 use crate::protocol::{
-    ErrorBody, ErrorCode, Request, Response, SimulateSpec, StatsResult, SweepSpec,
+    ErrorBody, ErrorCode, Request, Response, SimulateSpec, StatsResult, SweepSpec, TraceEnvelope,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::router::{RouterOptions, RouterState};
-use crate::stats::{self, KindCounter, ServeMetrics};
+use crate::stats::{self, ServeMetrics};
 use smith85_core::session::SimSession;
 use smith85_tracelog::{
     self as tracelog, mint_trace_id, NdjsonWriter, Severity, SinkHandle, TraceContext,
@@ -299,13 +300,15 @@ pub(crate) enum ReplyTo {}
 
 #[cfg(not(unix))]
 impl ReplyTo {
-    fn send(&self, _response: Response) {
-        match *self {}
+    fn send(self, _response: Response, _state: &ServerState) {
+        match self {}
     }
 }
 
 pub(crate) struct Job {
     kind: JobKind,
+    /// The connection the request arrived on, lent to the job: the
+    /// worker that runs it writes the reply.
     reply: ReplyTo,
     admitted: Instant,
     deadline: Option<Instant>,
@@ -619,156 +622,14 @@ fn prober_loop(router: &RouterState, state: &ServerState) {
 }
 
 fn worker_loop(state: &ServerState) {
-    let metrics = &state.metrics;
     while let Some(job) = state.queue.pop() {
         state.publish_queue_depth();
-        let queue_wait = job.admitted.elapsed();
-        let queue_ms = queue_wait.as_millis() as u64;
-        metrics
-            .queue_wait_ms
-            .observe(queue_wait.as_secs_f64() * 1_000.0);
-        let kind_name = match &job.kind {
-            JobKind::Simulate(_) => "simulate",
-            JobKind::Sweep(_) => "sweep",
-            JobKind::Forward(_) => "forward",
-        };
-        // Root span for the whole request, under the trace id minted at
-        // admission; entered thread-locally so the session kernels, the
-        // pool, and the router's forward spans land in the same trace.
-        // A router roots `router_request` (its hop spans nest below); a
-        // shard receiving a forwarded request roots under the wire
-        // `parent_span`, linking the journals into one tree.
-        let root_name = if state.router.is_some() {
-            "router_request"
-        } else {
-            "request"
-        };
-        let span = state.journal.enabled().then(|| {
-            TraceContext::root_with_parent(
-                state.journal.clone(),
-                &job.trace_id,
-                job.parent_span,
-                root_name,
-                vec![("kind".to_string(), kind_name.into())],
-            )
-        });
-        let _enter = span.as_ref().map(|s| tracelog::enter(s.ctx().clone()));
-        if let Some(deadline) = job.deadline {
-            if Instant::now() > deadline {
-                metrics.deadline_misses.inc();
-                access_log(&span, kind_name, "deadline_miss", queue_ms, 0);
-                job.reply.send(Response::Error(ErrorBody::new(
-                    ErrorCode::DeadlineExceeded,
-                    format!("job waited {queue_ms} ms in queue, past its deadline"),
-                )));
-                // The gauge must track the queue on *every* exit path,
-                // not just the next iteration's pop.
-                state.publish_queue_depth();
-                continue;
-            }
-        }
-        let forwarded = matches!(&job.kind, JobKind::Forward(_));
-        let start = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| match &job.kind {
-            JobKind::Simulate(spec) => {
-                exec::run_simulate(&state.session, spec).map(Response::Simulate)
-            }
-            JobKind::Sweep(spec) => exec::run_sweep(&state.session, spec).map(Response::Sweep),
-            JobKind::Forward(request) => {
-                let router = state
-                    .router
-                    .as_ref()
-                    .expect("forward jobs exist only in router mode");
-                router.forward(request, &job.trace_id).map(|outcome| {
-                    let ctx = tracelog::current();
-                    if ctx.enabled() {
-                        ctx.event(
-                            Severity::Info,
-                            "router_route",
-                            vec![
-                                ("shard".to_string(), outcome.shard.clone().into()),
-                                ("hedges".to_string(), outcome.hedges.into()),
-                            ],
-                        );
-                    }
-                    outcome.response
-                })
-            }
-        }));
-        let exec_elapsed = start.elapsed();
-        let exec_ms = exec_elapsed.as_millis() as u64;
-        metrics
-            .exec_ms
-            .observe(exec_elapsed.as_secs_f64() * 1_000.0);
-        let busy_counter = match &job.kind {
-            JobKind::Simulate(_) => Some(&metrics.busy_ms_simulate),
-            JobKind::Sweep(_) => Some(&metrics.busy_ms_sweep),
-            JobKind::Forward(_) => None,
-        };
-        if let Some(counter) = busy_counter {
-            counter.add(exec_ms);
-        }
-        let (response, outcome_name) = match outcome {
-            Ok(Ok(mut response)) => {
-                if job
-                    .deadline
-                    .is_some_and(|deadline| Instant::now() > deadline)
-                {
-                    metrics.deadline_misses.inc();
-                    (
-                        Response::Error(ErrorBody::new(
-                            ErrorCode::DeadlineExceeded,
-                            format!("job finished after its deadline ({exec_ms} ms of work)"),
-                        )),
-                        "deadline_miss",
-                    )
-                } else {
-                    // Forwarded responses pass through verbatim — their
-                    // queue/exec times and trace id describe the backend
-                    // that actually ran the job, which is what makes the
-                    // router transparent (and bit-identical) to clients.
-                    if !forwarded {
-                        match &mut response {
-                            Response::Simulate(r) => {
-                                r.queue_ms = queue_ms;
-                                r.exec_ms = exec_ms;
-                                r.trace_id = job.trace_id.clone();
-                            }
-                            Response::Sweep(r) => {
-                                r.queue_ms = queue_ms;
-                                r.exec_ms = exec_ms;
-                                r.trace_id = job.trace_id.clone();
-                            }
-                            _ => {}
-                        }
-                    }
-                    metrics.completed.inc();
-                    (response, "ok")
-                }
-            }
-            Ok(Err(error)) => {
-                // A shard at its budget (or an unreachable ring) is an
-                // overload signal, not a protocol violation.
-                if error.code == ErrorCode::Overloaded {
-                    metrics.rejected_overload.inc();
-                } else {
-                    metrics.protocol_errors.inc();
-                }
-                (Response::Error(error), "error")
-            }
-            Err(payload) => (
-                Response::Error(ErrorBody::new(
-                    ErrorCode::Internal,
-                    format!(
-                        "job panicked: {}",
-                        smith85_core::sweep::panic_message(payload.as_ref())
-                    ),
-                )),
-                "panic",
-            ),
-        };
-        access_log(&span, kind_name, outcome_name, queue_ms, exec_ms);
-        job.reply.send(response);
+        let (reply, response) = run_job(state, job);
+        // The request's span is closed by now, so whatever the client
+        // pipelined behind it is attributed to its own request.
+        reply.send(response, state);
+        // The gauge must track the queue on *every* exit path, not just
+        // the next iteration's pop.
         state.publish_queue_depth();
     }
     // Shutdown drain finished: whatever value the gauge last held, the
@@ -776,6 +637,154 @@ fn worker_loop(state: &ServerState) {
     // stale nonzero depth.
     state.publish_queue_depth();
     state.journal.flush();
+}
+
+/// Runs one admitted job under its request span; returns the job's
+/// connection with the response it owes.
+fn run_job(state: &ServerState, job: Job) -> (ReplyTo, Response) {
+    let metrics = &state.metrics;
+    let queue_wait = job.admitted.elapsed();
+    let queue_ms = queue_wait.as_millis() as u64;
+    metrics
+        .queue_wait_ms
+        .observe(queue_wait.as_secs_f64() * 1_000.0);
+    let kind_name = match &job.kind {
+        JobKind::Simulate(_) => "simulate",
+        JobKind::Sweep(_) => "sweep",
+        JobKind::Forward(_) => "forward",
+    };
+    // Root span for the whole request, under the trace id minted at
+    // admission; entered thread-locally so the session kernels, the
+    // pool, and the router's forward spans land in the same trace.
+    // A router roots `router_request` (its hop spans nest below); a
+    // shard receiving a forwarded request roots under the wire
+    // `parent_span`, linking the journals into one tree.
+    let root_name = if state.router.is_some() {
+        "router_request"
+    } else {
+        "request"
+    };
+    let span = state.journal.enabled().then(|| {
+        TraceContext::root_with_parent(
+            state.journal.clone(),
+            &job.trace_id,
+            job.parent_span,
+            root_name,
+            vec![("kind".to_string(), kind_name.into())],
+        )
+    });
+    let _enter = span.as_ref().map(|s| tracelog::enter(s.ctx().clone()));
+    if let Some(deadline) = job.deadline {
+        if Instant::now() > deadline {
+            metrics.deadline_misses.inc();
+            access_log(&span, kind_name, "deadline_miss", queue_ms, 0);
+            let error = ErrorBody::new(
+                ErrorCode::DeadlineExceeded,
+                format!("job waited {queue_ms} ms in queue, past its deadline"),
+            );
+            return (job.reply, Response::Error(error));
+        }
+    }
+    let forwarded = matches!(&job.kind, JobKind::Forward(_));
+    let start = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| match &job.kind {
+        JobKind::Simulate(spec) => exec::run_simulate(&state.session, spec).map(Response::Simulate),
+        JobKind::Sweep(spec) => exec::run_sweep(&state.session, spec).map(Response::Sweep),
+        JobKind::Forward(request) => {
+            let router = state
+                .router
+                .as_ref()
+                .expect("forward jobs exist only in router mode");
+            router.forward(request, &job.trace_id).map(|outcome| {
+                let ctx = tracelog::current();
+                if ctx.enabled() {
+                    ctx.event(
+                        Severity::Info,
+                        "router_route",
+                        vec![
+                            ("shard".to_string(), outcome.shard.clone().into()),
+                            ("hedges".to_string(), outcome.hedges.into()),
+                        ],
+                    );
+                }
+                outcome.response
+            })
+        }
+    }));
+    let exec_elapsed = start.elapsed();
+    let exec_ms = exec_elapsed.as_millis() as u64;
+    metrics
+        .exec_ms
+        .observe(exec_elapsed.as_secs_f64() * 1_000.0);
+    let busy_counter = match &job.kind {
+        JobKind::Simulate(_) => Some(&metrics.busy_ms_simulate),
+        JobKind::Sweep(_) => Some(&metrics.busy_ms_sweep),
+        JobKind::Forward(_) => None,
+    };
+    if let Some(counter) = busy_counter {
+        counter.add(exec_ms);
+    }
+    let (response, outcome_name) = match outcome {
+        Ok(Ok(mut response)) => {
+            if job
+                .deadline
+                .is_some_and(|deadline| Instant::now() > deadline)
+            {
+                metrics.deadline_misses.inc();
+                (
+                    Response::Error(ErrorBody::new(
+                        ErrorCode::DeadlineExceeded,
+                        format!("job finished after its deadline ({exec_ms} ms of work)"),
+                    )),
+                    "deadline_miss",
+                )
+            } else {
+                // Forwarded responses pass through verbatim — their
+                // queue/exec times and trace id describe the backend
+                // that actually ran the job, which is what makes the
+                // router transparent (and bit-identical) to clients.
+                if !forwarded {
+                    match &mut response {
+                        Response::Simulate(r) => {
+                            r.queue_ms = queue_ms;
+                            r.exec_ms = exec_ms;
+                            r.trace_id = job.trace_id.clone();
+                        }
+                        Response::Sweep(r) => {
+                            r.queue_ms = queue_ms;
+                            r.exec_ms = exec_ms;
+                            r.trace_id = job.trace_id.clone();
+                        }
+                        _ => {}
+                    }
+                }
+                metrics.completed.inc();
+                (response, "ok")
+            }
+        }
+        Ok(Err(error)) => {
+            // A shard at its budget (or an unreachable ring) is an
+            // overload signal, not a protocol violation.
+            if error.code == ErrorCode::Overloaded {
+                metrics.rejected_overload.inc();
+            } else {
+                metrics.protocol_errors.inc();
+            }
+            (Response::Error(error), "error")
+        }
+        Err(payload) => (
+            Response::Error(ErrorBody::new(
+                ErrorCode::Internal,
+                format!(
+                    "job panicked: {}",
+                    smith85_core::sweep::panic_message(payload.as_ref())
+                ),
+            )),
+            "panic",
+        ),
+    };
+    access_log(&span, kind_name, outcome_name, queue_ms, exec_ms);
+    (job.reply, response)
 }
 
 /// One per-request access-log event: kind, outcome, and the two wait
@@ -809,15 +818,22 @@ fn access_log(
 pub(crate) enum Handled {
     /// Answered without touching the worker pool.
     Inline(Box<Response>),
-    /// Admitted to the queue; the response arrives via the [`ReplyTo`]
-    /// the caller supplied.
-    Admitted,
+    /// A job for the worker pool: [`submit_job`] admits it together
+    /// with the connection its reply goes to.
+    Job(JobRequest),
 }
 
-/// Parses and routes one request line. Cheap requests are answered
-/// inline; `simulate`/`sweep` are admitted to the worker queue, and the
-/// worker sends the response to `reply`.
-pub(crate) fn dispatch_request(line: &str, state: &Arc<ServerState>, reply: ReplyTo) -> Handled {
+/// A decoded `simulate`/`sweep` (on a router, forward) request that
+/// [`submit_job`] has yet to admit.
+pub(crate) struct JobRequest {
+    kind: JobKind,
+    deadline_ms: Option<u64>,
+    envelope: TraceEnvelope,
+}
+
+/// Parses and routes one request line: cheap requests are answered
+/// inline, `simulate`/`sweep` become a [`JobRequest`].
+pub(crate) fn dispatch_request(line: &str, state: &ServerState) -> Handled {
     let (request, envelope) = match Request::decode_with_envelope(line) {
         Ok(decoded) => decoded,
         Err(error) => {
@@ -852,14 +868,11 @@ pub(crate) fn dispatch_request(line: &str, state: &Arc<ServerState>, reply: Repl
             } else {
                 JobKind::Simulate(spec)
             };
-            submit_job(
-                state,
+            Handled::Job(JobRequest {
                 kind,
                 deadline_ms,
-                &state.metrics.simulate_requests,
                 envelope,
-                reply,
-            )
+            })
         }
         Request::Sweep(spec) => {
             let deadline_ms = spec.deadline_ms.or(state.default_deadline_ms);
@@ -868,26 +881,32 @@ pub(crate) fn dispatch_request(line: &str, state: &Arc<ServerState>, reply: Repl
             } else {
                 JobKind::Sweep(spec)
             };
-            submit_job(
-                state,
+            Handled::Job(JobRequest {
                 kind,
                 deadline_ms,
-                &state.metrics.sweep_requests,
                 envelope,
-                reply,
-            )
+            })
         }
     }
 }
 
-fn submit_job(
-    state: &Arc<ServerState>,
-    kind: JobKind,
-    deadline_ms: Option<u64>,
-    admitted_counter: &KindCounter,
-    envelope: crate::protocol::TraceEnvelope,
+/// Admits `request` to the work queue with the connection its reply
+/// goes to. A full queue or a draining server refuses it, and the
+/// connection comes back with the typed error it owes the client.
+pub(crate) fn submit_job(
+    state: &ServerState,
+    request: JobRequest,
     reply: ReplyTo,
-) -> Handled {
+) -> Result<(), (ReplyTo, Box<Response>)> {
+    let JobRequest {
+        kind,
+        deadline_ms,
+        envelope,
+    } = request;
+    let requests = match &kind {
+        JobKind::Sweep(_) | JobKind::Forward(Request::Sweep(_)) => &state.metrics.sweep_requests,
+        _ => &state.metrics.simulate_requests,
+    };
     let admitted = Instant::now();
     let job = Job {
         kind,
@@ -899,26 +918,28 @@ fn submit_job(
     };
     match state.queue.try_push(job) {
         Ok(()) => {}
-        Err(PushError::Full(_)) => {
+        Err(PushError::Full(job)) => {
             state.metrics.rejected_overload.inc();
-            return Handled::Inline(Box::new(Response::Error(ErrorBody::new(
+            let error = ErrorBody::new(
                 ErrorCode::Overloaded,
                 format!(
                     "work queue is full ({} jobs); retry later",
                     state.queue.depth()
                 ),
-            ))));
+            );
+            return Err((job.reply, Box::new(Response::Error(error))));
         }
-        Err(PushError::Closed(_)) => {
-            return Handled::Inline(Box::new(Response::Error(ErrorBody::new(
+        Err(PushError::Closed(job)) => {
+            let error = ErrorBody::new(
                 ErrorCode::ShuttingDown,
                 "server is draining and no longer admits work",
-            ))));
+            );
+            return Err((job.reply, Box::new(Response::Error(error))));
         }
     }
-    admitted_counter.add(1);
+    requests.add(1);
     state.publish_queue_depth();
-    Handled::Admitted
+    Ok(())
 }
 
 #[cfg(test)]

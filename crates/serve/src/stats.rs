@@ -36,6 +36,32 @@ impl KindCounter {
     }
 }
 
+/// Bucket bounds (microseconds) for the `serve_stage_us` waterfall:
+/// single-microsecond steps where encoding and writing a reply sit
+/// (3–10 µs), widening up to a second for slower stages.
+const STAGE_US_BOUNDS: &[f64] = &[
+    1.0,
+    2.0,
+    3.0,
+    4.0,
+    5.0,
+    6.0,
+    8.0,
+    10.0,
+    15.0,
+    20.0,
+    30.0,
+    50.0,
+    100.0,
+    250.0,
+    500.0,
+    1_000.0,
+    2_500.0,
+    10_000.0,
+    100_000.0,
+    1_000_000.0,
+];
+
 /// The serve layer's handles into the session registry, resolved (and
 /// so registered, for the first scrape) once in
 /// [`Server::bind`](crate::Server::bind). The request path counts only
@@ -54,12 +80,18 @@ pub(crate) struct ServeMetrics {
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) queue_wait_ms: Arc<Histogram>,
     pub(crate) exec_ms: Arc<Histogram>,
+    /// `serve_stage_us{stage="encode"}`: a job reply's encoding.
+    pub(crate) encode_us: Arc<Histogram>,
+    /// `serve_stage_us{stage="write"}`: a job reply's socket write.
+    pub(crate) write_us: Arc<Histogram>,
 }
 
 impl ServeMetrics {
     pub(crate) fn resolve(registry: &Registry) -> ServeMetrics {
         let requests = |kind| KindCounter::resolve(registry, "serve_requests_total", kind);
         let busy_ms = |kind| KindCounter::resolve(registry, "serve_busy_ms_total", kind);
+        let stage_us =
+            |stage| registry.histogram_with("serve_stage_us", &[("stage", stage)], STAGE_US_BOUNDS);
         ServeMetrics {
             simulate_requests: requests("simulate"),
             sweep_requests: requests("sweep"),
@@ -74,6 +106,8 @@ impl ServeMetrics {
             queue_depth: registry.gauge("serve_queue_depth"),
             queue_wait_ms: registry.histogram("serve_queue_wait_ms", MS_BOUNDS),
             exec_ms: registry.histogram("serve_exec_ms", MS_BOUNDS),
+            encode_us: stage_us("encode"),
+            write_us: stage_us("write"),
         }
     }
 }

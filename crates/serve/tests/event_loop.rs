@@ -6,12 +6,14 @@
 //! thread-per-connection server the loop replaced. Also pinned here:
 //! pipelined requests on one connection answer in order, and a client
 //! that sends-then-half-closes still gets every answer (no data loss on
-//! EOF).
+//! EOF). A connection belongs to one thread at a time: the worker that
+//! runs a job writes its reply and serves what was pipelined behind it,
+//! so a pipelined burst costs the loop a bounded number of wake-ups.
 
 #![cfg(unix)]
 
 use smith85_serve::{
-    CacheSpec, Client, Request, Response, ServeOptions, Server, SimulateSpec,
+    CacheSpec, Client, RegistrySnapshot, Request, Response, ServeOptions, Server, SimulateSpec,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -222,5 +224,219 @@ fn half_close_after_sending_still_gets_every_answer() {
     let mut tail = String::new();
     let n = reader.read_line(&mut tail).expect("clean EOF");
     assert_eq!(n, 0, "expected EOF after the final answer, got {tail:?}");
+    server.stop().expect("clean shutdown");
+}
+/// Reads one reply line and decodes it.
+fn read_response(reader: &mut impl BufRead) -> Response {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read response");
+    Response::decode(line.trim_end()).expect("decode response")
+}
+
+fn metrics(client: &mut Client) -> RegistrySnapshot {
+    match client.call(&Request::Metrics).expect("metrics") {
+        Response::Metrics(snapshot) => snapshot,
+        other => panic!("expected metrics, got {other:?}"),
+    }
+}
+
+fn gauge(snapshot: &RegistrySnapshot, name: &str) -> f64 {
+    snapshot
+        .gauges
+        .iter()
+        .find(|g| g.name == name && g.labels.is_empty())
+        .map_or(0.0, |g| g.value)
+}
+
+fn histogram_count(snapshot: &RegistrySnapshot, name: &str) -> u64 {
+    snapshot
+        .histograms
+        .iter()
+        .find(|h| h.name == name && h.labels.is_empty())
+        .map_or(0, |h| h.count)
+}
+
+/// Polls `metrics` on `client` until `condition` holds (60 s at most).
+fn wait_for_metrics(
+    client: &mut Client,
+    what: &str,
+    mut condition: impl FnMut(&RegistrySnapshot) -> bool,
+) -> RegistrySnapshot {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let snapshot = metrics(client);
+        if condition(&snapshot) {
+            return snapshot;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{what} not reached in 60 s: {snapshot:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// A job long enough to still be running while the test acts on it.
+const LONG_JOB_REFS: usize = 2_000_000;
+
+#[test]
+fn inline_answers_around_jobs_keep_request_order() {
+    let server = spawn();
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let burst = [
+        Request::Ping,
+        simulate_request("VCCOM", 2_000, 1 << 12),
+        Request::Catalog,
+        simulate_request("ZGREP", 2_000, 1 << 10),
+        Request::Ping,
+    ]
+    .iter()
+    .map(|request| request.encode() + "\n")
+    .collect::<String>();
+    stream.write_all(burst.as_bytes()).expect("write burst");
+
+    let mut reader = BufReader::new(stream);
+    assert!(matches!(read_response(&mut reader), Response::Pong));
+    match read_response(&mut reader) {
+        Response::Simulate(r) => {
+            assert_eq!((r.workload.as_str(), r.cache_bytes), ("VCCOM", 1 << 12))
+        }
+        other => panic!("expected the first simulate result, got {other:?}"),
+    }
+    assert!(matches!(read_response(&mut reader), Response::Catalog(_)));
+    match read_response(&mut reader) {
+        Response::Simulate(r) => {
+            assert_eq!((r.workload.as_str(), r.cache_bytes), ("ZGREP", 1 << 10))
+        }
+        other => panic!("expected the second simulate result, got {other:?}"),
+    }
+    assert!(matches!(read_response(&mut reader), Response::Pong));
+    server.stop().expect("clean shutdown");
+}
+
+/// A peer that vanishes while its job runs is reclaimed when the job
+/// ends: closed once, and the connection gauge (polled plus lent
+/// connections) returns to where it was.
+#[test]
+fn peer_gone_mid_job_is_closed_once_when_the_job_ends() {
+    let server = spawn();
+    let mut client = Client::builder()
+        .addr(server.addr().to_string())
+        .connect()
+        .expect("metrics client");
+    let baseline = metrics(&mut client);
+    let closed_before = baseline.counter_value("event_loop_conns_closed_total", &[]);
+    let conns_before = gauge(&baseline, "event_loop_connections");
+
+    let mut doomed = TcpStream::connect(server.addr()).expect("connect");
+    let line = simulate_request("VCCOM", LONG_JOB_REFS, 1 << 14).encode() + "\n";
+    doomed.write_all(line.as_bytes()).expect("write job");
+    // Lent to its job: not polled, but still counted as a connection.
+    wait_for_metrics(&mut client, "the job's connection lent", |s| {
+        gauge(s, "event_loop_busy_jobs") == 1.0
+            && gauge(s, "event_loop_connections") == conns_before + 1.0
+    });
+    drop(doomed);
+
+    wait_for_metrics(&mut client, "the vanished peer reclaimed", |s| {
+        s.counter_value("event_loop_conns_closed_total", &[]) > closed_before
+            && gauge(s, "event_loop_connections") == conns_before
+            && gauge(s, "event_loop_busy_jobs") == 0.0
+    });
+    std::thread::sleep(Duration::from_millis(200));
+    let after = metrics(&mut client);
+    assert_eq!(
+        after.counter_value("event_loop_conns_closed_total", &[]),
+        closed_before + 1,
+        "the vanished peer is closed exactly once: {after:?}"
+    );
+    assert_eq!(gauge(&after, "event_loop_connections"), conns_before);
+    assert!(matches!(
+        client.call(&Request::Ping).expect("ping"),
+        Response::Pong
+    ));
+    server.stop().expect("clean shutdown");
+}
+
+/// The shutdown drain waits for connections lent to running jobs.
+#[test]
+fn shutdown_mid_job_still_delivers_the_reply() {
+    let server = spawn();
+    let addr = server.addr().to_string();
+    let mut first = TcpStream::connect(&addr).expect("connect");
+    let line = simulate_request("VCCOM", LONG_JOB_REFS, 1 << 14).encode() + "\n";
+    first.write_all(line.as_bytes()).expect("write job");
+
+    let mut second = Client::builder()
+        .addr(addr)
+        .connect()
+        .expect("second client");
+    wait_for_metrics(&mut second, "the job's connection lent", |s| {
+        gauge(s, "event_loop_busy_jobs") == 1.0
+    });
+    assert!(matches!(
+        second.call(&Request::Shutdown).expect("shutdown"),
+        Response::Ok
+    ));
+
+    match read_response(&mut BufReader::new(first)) {
+        Response::Simulate(r) => assert_eq!(r.len, LONG_JOB_REFS),
+        other => panic!("expected the in-flight job's result, got {other:?}"),
+    }
+    let stats = server.stop().expect("clean shutdown");
+    assert_eq!(stats.completed, 1, "{stats:?}");
+}
+
+/// The mechanism, pinned by a count: 32 simulates written in one burst
+/// wake the loop at most 8 times between two `metrics` replies. A loop
+/// that took back every reply would read 34: one wake for the burst,
+/// one per reply and one for the second `metrics`.
+#[test]
+fn pipelined_burst_wakes_the_loop_a_bounded_number_of_times() {
+    const BURST: usize = 32;
+    const MAX_WAKES: u64 = 8;
+    let server = spawn();
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let polls = |stream: &mut TcpStream, reader: &mut BufReader<TcpStream>| {
+        stream
+            .write_all((Request::Metrics.encode() + "\n").as_bytes())
+            .expect("write metrics");
+        match read_response(reader) {
+            Response::Metrics(s) => histogram_count(&s, "event_loop_poll_wait_us"),
+            other => panic!("expected metrics, got {other:?}"),
+        }
+    };
+    // Warm the pool so the burst measures serving, not generation.
+    let warm = simulate_request("VCCOM", 2_000, 1 << 10).encode() + "\n";
+    stream.write_all(warm.as_bytes()).expect("write warm-up");
+    assert!(matches!(read_response(&mut reader), Response::Simulate(_)));
+
+    let before = polls(&mut stream, &mut reader);
+    // Distinct lengths (shortest last, so every request is a pool hit)
+    // tell the answers apart.
+    let lens: Vec<usize> = (0..BURST).map(|i| 2_000 - i).collect();
+    let burst: String = lens
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| simulate_request("VCCOM", len, 1 << (10 + i % 4)).encode() + "\n")
+        .collect();
+    stream.write_all(burst.as_bytes()).expect("write burst");
+    for (i, &len) in lens.iter().enumerate() {
+        match read_response(&mut reader) {
+            Response::Simulate(r) => assert_eq!(
+                (r.len, r.cache_bytes),
+                (len, 1 << (10 + i % 4)),
+                "answer {i} out of order"
+            ),
+            other => panic!("expected simulate result {i}, got {other:?}"),
+        }
+    }
+    let after = polls(&mut stream, &mut reader);
+    assert!(
+        after - before <= MAX_WAKES,
+        "{BURST} pipelined simulates woke the loop {} times (at most {MAX_WAKES})",
+        after - before
+    );
     server.stop().expect("clean shutdown");
 }

@@ -838,6 +838,47 @@ fn stats_rows_equal_their_registry_series() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The worker that runs a job encodes and writes its reply, and times
+/// both stages: after N simulates each stage histogram counts N.
+/// Inline answers (the `metrics` reply itself) are not job replies.
+#[test]
+fn job_replies_record_encode_and_write_stages() {
+    const N: u64 = 5;
+    let server = spawn_default();
+    let mut client = Client::builder()
+        .addr(server.addr().to_string())
+        .connect()
+        .expect("connect");
+    for i in 0..N {
+        let size = 1 << (10 + i);
+        match client
+            .call(&simulate_request("ZGREP", 2_000, size))
+            .expect("simulate")
+        {
+            Response::Simulate(r) => assert_eq!(r.cache_bytes, size),
+            other => panic!("expected simulate result, got {other:?}"),
+        }
+    }
+    let snapshot = match client.call(&Request::Metrics).expect("metrics") {
+        Response::Metrics(s) => s,
+        other => panic!("expected metrics, got {other:?}"),
+    };
+    for stage in ["encode", "write"] {
+        let histogram = snapshot
+            .histograms
+            .iter()
+            .find(|h| {
+                h.name == "serve_stage_us" && h.labels == [("stage".to_string(), stage.to_string())]
+            })
+            .unwrap_or_else(|| panic!("serve_stage_us{{stage={stage}}} missing: {snapshot:?}"));
+        assert_eq!(histogram.count, N, "stage {stage}: {histogram:?}");
+        assert!(
+            histogram.sum > 0.0,
+            "stage {stage} must take measurable time: {histogram:?}"
+        );
+    }
+    server.stop().expect("clean shutdown");
+}
 fn wait_until(mut condition: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(30);
     while !condition() {
