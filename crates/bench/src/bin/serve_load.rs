@@ -176,13 +176,11 @@ fn spawn_store_server(store_dir: &str) -> smith85_serve::RunningServer {
         .store(store_dir)
         .build()
         .expect("session with store");
-    Server::spawn(
-        ServeOptions::builder()
-            .addr("127.0.0.1:0")
-            .session(session)
-            .build()
-            .expect("store-backed serve options"),
-    )
+    Server::spawn(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        session,
+        ..ServeOptions::default()
+    })
     .expect("spawn store-backed server")
 }
 
@@ -265,13 +263,11 @@ fn run_scale_out(config: &ModeConfig) -> ScaleOut {
     // Event loop: the connection count where a thread-per-connection
     // accept loop (with its 100ms accept cadence) stops keeping up.
     let connections = config.connections.max(64);
-    let event_server = Server::spawn(
-        ServeOptions::builder()
-            .addr("127.0.0.1:0")
-            .queue_capacity(connections * 4)
-            .build()
-            .expect("event-loop serve options"),
-    )
+    let event_server = Server::spawn(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        queue_capacity: connections * 4,
+        ..ServeOptions::default()
+    })
     .expect("spawn event-loop server");
     // Journaling costs a fixed ~5 events per request, independent of
     // request size, so the overhead ratio below is only meaningful
@@ -290,14 +286,12 @@ fn run_scale_out(config: &ModeConfig) -> ScaleOut {
         std::process::id()
     ));
     let _ = std::fs::remove_file(&journal_path);
-    let instr_server = Server::spawn(
-        ServeOptions::builder()
-            .addr("127.0.0.1:0")
-            .queue_capacity(connections * 4)
-            .journal(journal_path.clone())
-            .build()
-            .expect("instrumented serve options"),
-    )
+    let instr_server = Server::spawn(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        queue_capacity: connections * 4,
+        journal: Some(journal_path.clone()),
+        ..ServeOptions::default()
+    })
     .expect("spawn instrumented event-loop server");
 
     // The journaling price tag is a ratio of two short passes, and the
@@ -355,27 +349,23 @@ fn run_scale_out(config: &ModeConfig) -> ScaleOut {
     // Router: two backend shards plus a front router, all in-process.
     let backends: Vec<smith85_serve::RunningServer> = (0..2)
         .map(|_| {
-            Server::spawn(
-                ServeOptions::builder()
-                    .addr("127.0.0.1:0")
-                    .build()
-                    .expect("backend serve options"),
-            )
+            Server::spawn(ServeOptions {
+                addr: "127.0.0.1:0".to_string(),
+                ..ServeOptions::default()
+            })
             .expect("spawn backend shard")
         })
         .collect();
     let backend_addrs: Vec<String> = backends.iter().map(|b| b.addr().to_string()).collect();
-    let router_server = Server::spawn(
-        ServeOptions::builder()
-            .addr("127.0.0.1:0")
-            .router(RouterOptions {
-                backends: backend_addrs.clone(),
-                probe_interval_ms: 100,
-                ..RouterOptions::default()
-            })
-            .build()
-            .expect("router serve options"),
-    )
+    let router_server = Server::spawn(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        router: Some(RouterOptions {
+            backends: backend_addrs.clone(),
+            probe_interval_ms: 100,
+            ..RouterOptions::default()
+        }),
+        ..ServeOptions::default()
+    })
     .expect("spawn router");
     let router_addr = router_server.addr().to_string();
     let bit_identical = check_bit_identical(&router_addr, &backend_addrs[0], config.trace_len);
@@ -682,12 +672,10 @@ fn main() {
     let in_process = match addr {
         Some(_) => None,
         None => Some(
-            Server::spawn(
-                ServeOptions::builder()
-                    .addr("127.0.0.1:0")
-                    .build()
-                    .expect("serve options"),
-            )
+            Server::spawn(ServeOptions {
+                addr: "127.0.0.1:0".to_string(),
+                ..ServeOptions::default()
+            })
             .expect("spawn in-process server"),
         ),
     };

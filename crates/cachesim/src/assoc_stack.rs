@@ -10,7 +10,6 @@
 //! associativity should be small" aside into a measurable curve.
 
 use crate::fast_hash::FastHashMap;
-use serde::{Deserialize, Serialize};
 use smith85_trace::{MemoryAccess, PAPER_LINE_SIZE};
 
 /// Streaming within-set stack-distance analyzer for a fixed set count.
@@ -142,7 +141,7 @@ impl Extend<MemoryAccess> for AssocAnalyzer {
 
 /// Result of an all-associativity pass: miss ratios for every way count
 /// at the analyzed set count.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AssocProfile {
     sets: usize,
     line_size: usize,

@@ -1,12 +1,11 @@
 //! Cache configuration: the design choices the paper evaluates.
 
 use crate::error::ConfigError;
-use serde::{Deserialize, Serialize};
 use smith85_trace::PAPER_LINE_SIZE;
 use std::fmt;
 
 /// The placement (mapping) algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mapping {
     /// Direct mapped: one way per set.
     Direct,
@@ -39,7 +38,7 @@ impl fmt::Display for Mapping {
 }
 
 /// The replacement algorithm used within a set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Replacement {
     /// Least recently used (the paper's choice).
     Lru,
@@ -103,7 +102,7 @@ impl fmt::Display for Replacement {
 }
 
 /// The write (update) policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WritePolicy {
     /// Every store is sent to memory. `allocate` controls whether a write
     /// miss also loads the line into the cache.
@@ -146,7 +145,7 @@ impl fmt::Display for WritePolicy {
 }
 
 /// The fetch algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FetchPolicy {
     /// Fetch a line only on a miss to it.
     Demand,
@@ -179,7 +178,7 @@ impl fmt::Display for FetchPolicy {
 ///     .unwrap();
 /// assert_eq!(config.sets(), 16 * 1024 / 32 / 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     size_bytes: usize,
     line_size: usize,

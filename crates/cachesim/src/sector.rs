@@ -11,11 +11,10 @@
 
 use crate::error::ConfigError;
 use crate::stats::CacheStats;
-use serde::{Deserialize, Serialize};
 use smith85_trace::MemoryAccess;
 
 /// Configuration of a sector cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectorCacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,

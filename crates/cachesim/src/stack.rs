@@ -13,7 +13,6 @@
 
 use crate::fast_hash::FastHashMap;
 use crate::fenwick::Fenwick;
-use serde::{Deserialize, Serialize};
 use smith85_trace::{AccessKind, MemoryAccess, PAPER_LINE_SIZE};
 
 /// Streaming stack-distance analyzer.
@@ -159,7 +158,7 @@ impl Extend<MemoryAccess> for StackAnalyzer {
 
 /// The result of a stack-analysis pass: enough to answer "what would the
 /// miss ratio be for a fully-associative LRU cache of any size".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StackProfile {
     line_size: usize,
     hist: Vec<[u64; 3]>,

@@ -1,6 +1,5 @@
 //! Cache statistics: the quantities the paper tabulates.
 
-use serde::{Deserialize, Serialize};
 use smith85_trace::AccessKind;
 use std::fmt;
 use std::ops::{Add, AddAssign};
@@ -10,7 +9,7 @@ use std::ops::{Add, AddAssign};
 /// All the paper's metrics derive from these: miss ratios (overall and by
 /// access kind), memory traffic in bytes (fetch + write + push), the number
 /// of lines pushed and the fraction pushed dirty, and prefetch activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     refs: [u64; 3],
     misses: [u64; 3],

@@ -8,12 +8,11 @@
 //! word-aligned entries that absorbs stores to the same unit and emits
 //! one memory write per entry when it drains.
 
-use serde::{Deserialize, Serialize};
 use smith85_trace::{Addr, MemoryAccess};
 use std::collections::VecDeque;
 
 /// Statistics of a write-combining buffer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WriteBufferStats {
     /// Stores presented by the processor.
     pub stores: u64,

@@ -2,8 +2,10 @@
 
 use crate::{CliError, Opts};
 use smith85_cachesim::{
-    CacheConfig, FetchPolicy, Mapping, Replacement, StackAnalyzer, WritePolicy, PAPER_SIZES,
+    CacheConfig, ConfigError, FetchPolicy, Mapping, Replacement, StackAnalyzer, WritePolicy,
+    PAPER_SIZES,
 };
+use smith85_core::experiments::resolve_named_workload;
 use smith85_core::runner;
 use smith85_core::session::SimSession;
 use smith85_core::targets::{design_target, traffic_factor, CacheKind};
@@ -32,7 +34,7 @@ USAGE:
       Print the Table 2 characteristics of a workload.
   smith85 simulate (--trace NAME [--len N] | --file FILE) --size BYTES
           [--line BYTES] [--ways N|full]
-          [--policy lru|fifo|random[:seed]|plru] (--replacement is a synonym)
+          [--policy lru|fifo|random[:seed]|plru]
           [--write cb|cb-nofetch|wt|wt-noalloc] [--fetch demand|prefetch]
           [--purge N] [--org unified|split]
           [--fault-drop P] [--fault-dup P] [--fault-flip P] [--fault-seed N]
@@ -135,22 +137,22 @@ USAGE:
     )
 }
 
+/// The first `len` references of the workload called `name`, resolved as
+/// the server resolves it: a CPU catalog trace, a Table 3 mix or a family
+/// profile. Returns the workload's catalog spelling of the name too.
+fn named_trace(name: &str, len: usize) -> Result<(String, Trace), CliError> {
+    let workload = resolve_named_workload(name, None)
+        .ok_or_else(|| CliError::UnknownTrace(name.to_string()))?;
+    let stream = workload
+        .try_stream()
+        .map_err(|e| CliError::usage(format!("invalid workload {name:?}: {e}")))?;
+    let trace = stream.take(len).collect::<Vec<_>>().into();
+    Ok((workload.name().to_string(), trace))
+}
+
 fn load_workload(opts: &Opts) -> Result<Trace, CliError> {
     match (opts.get("trace"), opts.get("file")) {
-        (Some(name), None) => {
-            let len = opts.get_parse("len", 100_000usize)?;
-            if let Some(spec) = catalog::by_name(name) {
-                return Ok(spec.generate(len));
-            }
-            // Fall back to the storage/network family catalog so every
-            // profile family works with --trace.
-            let spec = smith85_families::by_name(name)
-                .ok_or_else(|| CliError::UnknownTrace(name.to_string()))?;
-            let stream = spec
-                .try_generator()
-                .map_err(|e| CliError::usage(format!("invalid family profile: {e}")))?;
-            Ok(stream.take(len).collect::<Vec<_>>().into())
-        }
+        (Some(name), None) => Ok(named_trace(name, opts.get_parse("len", 100_000usize)?)?.1),
         (None, Some(path)) => {
             let mut bytes = Vec::new();
             File::open(path)?.read_to_end(&mut bytes)?;
@@ -250,11 +252,9 @@ pub(crate) fn catalog_cmd(opts: &Opts) -> Result<String, CliError> {
 
 pub(crate) fn generate(opts: &Opts) -> Result<String, CliError> {
     opts.expect_only(&["trace", "len", "out", "format"])?;
-    let name = opts.require("trace")?;
-    let spec = catalog::by_name(name).ok_or_else(|| CliError::UnknownTrace(name.to_string()))?;
     let len = opts.get_parse("len", 250_000usize)?;
     let out_path = opts.require("out")?;
-    let trace = spec.generate(len);
+    let (name, trace) = named_trace(opts.require("trace")?, len)?;
     let file = File::create(out_path)?;
     match opts.get("format").unwrap_or("text") {
         "text" => trace_io::write_text(file, &trace)?,
@@ -262,7 +262,7 @@ pub(crate) fn generate(opts: &Opts) -> Result<String, CliError> {
         "dinero" => trace_io::write_dinero(file, &trace)?,
         other => return Err(CliError::usage(format!("unknown format {other:?}"))),
     }
-    Ok(format!("wrote {} references of {} to {}\n", len, spec.name(), out_path))
+    Ok(format!("wrote {len} references of {name} to {out_path}\n"))
 }
 
 pub(crate) fn characterize(opts: &Opts) -> Result<String, CliError> {
@@ -329,10 +329,9 @@ fn parse_config(opts: &Opts) -> Result<CacheConfig, CliError> {
         .build()?)
 }
 
-/// Parses the shared `--policy` flag (with `--replacement` kept as a
-/// synonym for older scripts) into a [`Replacement`].
+/// Parses the shared `--policy` flag into a [`Replacement`].
 fn parse_policy(opts: &Opts) -> Result<Replacement, CliError> {
-    match opts.get("policy").or_else(|| opts.get("replacement")) {
+    match opts.get("policy") {
         None => Ok(Replacement::Lru),
         Some(text) => Replacement::parse(text).ok_or_else(|| {
             CliError::usage(format!(
@@ -362,8 +361,8 @@ fn render_stats(stats: &smith85_cachesim::CacheStats) -> String {
 
 pub(crate) fn simulate(opts: &Opts) -> Result<String, CliError> {
     opts.expect_only(&[
-        "trace", "file", "len", "size", "line", "ways", "policy", "replacement", "write", "fetch",
-        "purge", "org", "fault-drop", "fault-dup", "fault-flip", "fault-seed",
+        "trace", "file", "len", "size", "line", "ways", "policy", "write", "fetch", "purge", "org",
+        "fault-drop", "fault-dup", "fault-flip", "fault-seed",
     ])?;
     let mut trace = load_workload(opts)?;
     let faults = smith85_trace::fault::FaultConfig {
@@ -412,12 +411,23 @@ fn parse_usize_list(list: &str, flag: &str) -> Result<Vec<usize>, CliError> {
 
 pub(crate) fn sweep(opts: &Opts) -> Result<String, CliError> {
     opts.expect_only(&["trace", "file", "len", "sizes", "ways", "line", "policy"])?;
-    let trace = load_workload(opts)?;
     let sizes: Vec<usize> = match opts.get("sizes") {
         None => PAPER_SIZES.to_vec(),
         Some(list) => parse_usize_list(list, "sizes")?,
     };
     let line = opts.get_parse("line", 16usize)?;
+    // Stack analysis has no answer for a cache that holds no line.
+    if line == 0 || !line.is_power_of_two() {
+        return Err(ConfigError::NotPowerOfTwo {
+            what: "line size",
+            value: line,
+        }
+        .into());
+    }
+    if let Some(&cache) = sizes.iter().find(|&&size| size < line) {
+        return Err(ConfigError::CacheSmallerThanLine { cache, line }.into());
+    }
+    let trace = load_workload(opts)?;
     let policy = parse_policy(opts)?;
     // --ways switches to the one-pass grid engine: every requested
     // (size, ways) cell from a single trace traversal. The one-pass
@@ -739,11 +749,12 @@ pub(crate) fn serve(opts: &Opts) -> Result<String, CliError> {
         "addr", "unix", "workers", "queue", "deadline-ms", "metrics-addr", "journal", "store",
         "store-budget", "router", "probe-ms", "shard-inflight", "router-replicas",
     ])?;
-    let defaults = smith85_serve::ServeOptions::default();
-    let mut builder = smith85_serve::ServeOptions::builder()
-        .addr(opts.get("addr").unwrap_or("127.0.0.1:4085"))
-        .workers(opts.get_parse("workers", defaults.workers)?.max(1))
-        .queue_capacity(opts.get_parse("queue", defaults.queue_capacity)?);
+    let mut options = smith85_serve::ServeOptions {
+        addr: opts.get("addr").unwrap_or("127.0.0.1:4085").to_string(),
+        ..smith85_serve::ServeOptions::default()
+    };
+    options.workers = opts.get_parse("workers", options.workers)?.max(1);
+    options.queue_capacity = opts.get_parse("queue", options.queue_capacity)?;
     if let Some(store_dir) = opts.get("store") {
         let mut session = SimSession::builder().store(store_dir);
         if let Some(budget) = opts.get("store-budget") {
@@ -766,11 +777,11 @@ pub(crate) fn serve(opts: &Opts) -> Result<String, CliError> {
                 eprintln!("smith85-serve: quarantined {} ({})", entry.name, entry.reason);
             }
         }
-        builder = builder.session(session);
+        options.session = session;
     } else if opts.get("store-budget").is_some() {
         return Err(CliError::usage("--store-budget needs --store DIR"));
     }
-    let router = match opts.get("router") {
+    options.router = match opts.get("router") {
         Some(backends) => {
             let router_defaults = smith85_serve::RouterOptions::default();
             Some(smith85_serve::RouterOptions {
@@ -785,7 +796,6 @@ pub(crate) fn serve(opts: &Opts) -> Result<String, CliError> {
                 shard_inflight: opts
                     .get_parse("shard-inflight", router_defaults.shard_inflight)?,
                 replicas: opts.get_parse("router-replicas", router_defaults.replicas)?,
-                ..router_defaults
             })
         }
         None => {
@@ -799,27 +809,17 @@ pub(crate) fn serve(opts: &Opts) -> Result<String, CliError> {
             None
         }
     };
-    let routed = router.is_some();
-    if let Some(router) = router {
-        builder = builder.router(router);
-    }
-    if let Some(path) = opts.get("unix") {
-        builder = builder.unix_path(path);
-    }
+    options.unix_path = opts.get("unix").map(std::path::PathBuf::from);
     if let Some(ms) = opts.get("deadline-ms") {
-        builder = builder.default_deadline_ms(
+        options.default_deadline_ms = Some(
             ms.parse()
                 .map_err(|_| CliError::usage(format!("bad --deadline-ms {ms:?}")))?,
         );
     }
-    if let Some(addr) = opts.get("metrics-addr") {
-        builder = builder.metrics_addr(addr);
-    }
-    if let Some(path) = opts.get("journal") {
-        builder = builder.journal(path);
-    }
-    let options = builder
-        .build()
+    options.metrics_addr = opts.get("metrics-addr").map(str::to_string);
+    options.journal = opts.get("journal").map(std::path::PathBuf::from);
+    options
+        .validate()
         .map_err(|e| CliError::usage(format!("invalid serve configuration: {e}")))?;
     let (workers, queue) = (options.workers, options.queue_capacity);
     let unix = options.unix_path.clone();
@@ -840,7 +840,7 @@ pub(crate) fn serve(opts: &Opts) -> Result<String, CliError> {
             .map(|p| format!(", unix socket {}", p.display()))
             .unwrap_or_default(),
     );
-    if let Some(backends) = backends.filter(|_| routed) {
+    if let Some(backends) = backends {
         eprintln!("smith85-serve: routing simulate/sweep across shards [{backends}]");
     }
     if let Some(addr) = server.metrics_addr() {
@@ -1422,7 +1422,7 @@ mod tests {
     #[test]
     fn parse_config_full_grid() {
         let c = parse_config(&opts(&[
-            "--size", "8192", "--line", "32", "--ways", "4", "--replacement", "fifo", "--write",
+            "--size", "8192", "--line", "32", "--ways", "4", "--policy", "fifo", "--write",
             "wt", "--fetch", "prefetch", "--purge", "20000",
         ]))
         .unwrap();
@@ -1435,7 +1435,7 @@ mod tests {
 
     #[test]
     fn parse_config_rejects_nonsense() {
-        assert!(parse_config(&opts(&["--size", "1024", "--replacement", "clock"])).is_err());
+        assert!(parse_config(&opts(&["--size", "1024", "--policy", "clock"])).is_err());
         assert!(parse_config(&opts(&["--size", "1024", "--write", "wb"])).is_err());
         assert!(parse_config(&opts(&[])).is_err());
     }

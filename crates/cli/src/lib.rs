@@ -20,7 +20,7 @@ use std::fmt;
 pub enum CliError {
     /// Bad arguments; the message explains what to fix.
     Usage(String),
-    /// A named trace is not in the catalog.
+    /// No CPU trace, Table 3 mix or family profile has this name.
     UnknownTrace(String),
     /// A named experiment does not exist.
     UnknownExperiment(String),
@@ -55,7 +55,11 @@ impl fmt::Display for CliError {
         match self {
             CliError::Usage(m) => write!(f, "{m}"),
             CliError::UnknownTrace(n) => {
-                write!(f, "no trace named {n:?} in the catalog (try `smith85 list`)")
+                write!(f, "no trace, mix or family profile named {n:?}")?;
+                if let Some(nearest) = smith85_core::experiments::nearest_workload_name(n) {
+                    write!(f, "; nearest catalog match is {nearest:?}")?;
+                }
+                write!(f, " (try `smith85 catalog`)")
             }
             CliError::UnknownExperiment(n) => {
                 write!(f, "no experiment named {n:?} (try `smith85 help`)")
@@ -243,6 +247,14 @@ mod tests {
             run_str(&["simulate", "--trace", "NOPE", "--size", "1024"]),
             Err(CliError::UnknownTrace(_))
         ));
+        let err = run_str(&["simulate", "--trace", "VCOM", "--size", "1024"]).unwrap_err();
+        assert!(err.to_string().contains("nearest catalog match is \"VCCOM\""), "{err}");
+    }
+
+    #[test]
+    fn table3_mixes_resolve_as_served() {
+        let out = run_str(&["characterize", "--trace", "Z8000 - Assorted", "--len", "3000"]);
+        assert!(out.unwrap().starts_with("refs      3000\n"));
     }
 
     #[test]

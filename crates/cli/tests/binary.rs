@@ -50,6 +50,19 @@ fn runtime_errors_carry_no_usage_hint() {
     }
 }
 
+/// A sweep size that holds no line is refused, naming the size; it
+/// used to panic (exit 101) in the stack analysis.
+#[test]
+fn sweep_rejects_sizes_smaller_than_a_line() {
+    for size in ["8", "0"] {
+        let out = smith85(&["sweep", "--trace", "VCCOM", "--len", "2000", "--sizes", size]);
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("cache of {size} bytes")), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}
+
 #[test]
 fn simulate_pipeline_end_to_end() {
     let out = smith85(&[

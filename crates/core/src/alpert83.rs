@@ -10,10 +10,8 @@
 //! optimistic for the 32-bit Z80000, and predicts ≈30% miss (0.70 hit) for
 //! a 256-byte cache with 16-byte blocks under a realistic 32-bit workload.
 
-use serde::{Deserialize, Serialize};
-
 /// One of Alpert's projections.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Projection {
     /// Effective block (subblock transfer) size in bytes.
     pub fetch_bytes: usize,

@@ -12,10 +12,8 @@
 //! traffic; the bus delivers `bandwidth` bytes per second; processors fit
 //! until the offered load reaches a utilization ceiling.
 
-use serde::{Deserialize, Serialize};
-
 /// A shared memory bus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharedBus {
     /// Deliverable bandwidth in bytes per second.
     pub bandwidth: f64,

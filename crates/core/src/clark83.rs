@@ -9,10 +9,8 @@
 //! The paper also quotes the rule of thumb that, at 8 KiB, moving from
 //! 8- to 16-byte lines roughly halves the miss ratio.
 
-use serde::{Deserialize, Serialize};
-
 /// One cache-size row of Clark's measurements (8-byte lines).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Clark83Row {
     /// Cache size in bytes.
     pub cache_bytes: usize,

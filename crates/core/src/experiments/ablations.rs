@@ -13,7 +13,6 @@
 use crate::experiments::{table3_workloads, ExperimentConfig, Workload};
 use crate::report::{fmt_ratio, TextTable};
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::{
     Cache, CacheConfig, Mapping, Replacement, Simulator, SplitCache, StackAnalyzer, UnifiedCache,
     WriteBuffer, WritePolicy,
@@ -25,7 +24,7 @@ use smith85_synth::catalog;
 pub const REPRESENTATIVES: [&str; 4] = ["MVS1", "FCOMP1", "VCCOM", "TWOD"];
 
 /// Line-size sweep result for one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LineSizeRow {
     /// Trace name.
     pub name: String,
@@ -38,7 +37,7 @@ pub struct LineSizeRow {
 }
 
 /// Associativity sweep result for one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssocRow {
     /// Trace name.
     pub name: String,
@@ -48,7 +47,7 @@ pub struct AssocRow {
 }
 
 /// Replacement-policy sweep result for one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplacementRow {
     /// Trace name.
     pub name: String,
@@ -58,7 +57,7 @@ pub struct ReplacementRow {
 }
 
 /// Write-policy traffic result for one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WritePolicyRow {
     /// Trace name.
     pub name: String,
@@ -71,7 +70,7 @@ pub struct WritePolicyRow {
 }
 
 /// Write-combining effectiveness for one trace (§3.3's exception).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WriteCombineRow {
     /// Trace name.
     pub name: String,
@@ -83,7 +82,7 @@ pub struct WriteCombineRow {
 }
 
 /// Purge-interval sensitivity for one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PurgeRow {
     /// Workload name.
     pub name: String,
@@ -96,7 +95,7 @@ pub struct PurgeRow {
 }
 
 /// All ablation results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ablations {
     /// Line-size sweep (4 KiB cache).
     pub line_size: Vec<LineSizeRow>,

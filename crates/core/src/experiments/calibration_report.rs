@@ -11,13 +11,12 @@ use crate::experiments::{table3, table3_workloads, ExperimentConfig};
 use crate::report::TextTable;
 use crate::stat_util::mean;
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::StackAnalyzer;
 use smith85_synth::{catalog, paper_data, TraceGroup};
 use smith85_trace::stats::TraceCharacterizer;
 
 /// One (metric, paper, measured) comparison line.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// What is being compared (e.g. `"Z8000 ifetch fraction"`).
     pub label: String,
@@ -39,7 +38,7 @@ impl Comparison {
 }
 
 /// The calibration report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationReport {
     /// Table 3 dirty-fraction comparisons (16 rows).
     pub table3: Vec<Comparison>,

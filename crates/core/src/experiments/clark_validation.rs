@@ -12,12 +12,11 @@ use crate::report::{fmt_ratio, TextTable};
 use crate::stat_util::mean;
 use crate::sweep::parallel_map;
 use crate::targets::{design_target, CacheKind};
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::StackAnalyzer;
 use smith85_synth::{catalog, TraceGroup};
 
 /// One comparison row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClarkRow {
     /// Cache size (bytes).
     pub size: usize,
@@ -32,7 +31,7 @@ pub struct ClarkRow {
 }
 
 /// The validation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClarkValidation {
     /// The 8 KiB and 4 KiB rows.
     pub rows: Vec<ClarkRow>,

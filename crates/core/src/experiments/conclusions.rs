@@ -7,10 +7,9 @@ use crate::experiments::{prefetch, table1, table3, traffic_ratio, ExperimentConf
 use crate::report::TextTable;
 use crate::stat_util::{mean, percentile};
 use crate::targets::CacheKind;
-use serde::{Deserialize, Serialize};
 
 /// One checked claim.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Claim {
     /// Where the paper makes it.
     pub source: String,
@@ -23,7 +22,7 @@ pub struct Claim {
 }
 
 /// The checked conclusions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Conclusions {
     /// Every checked claim.
     pub claims: Vec<Claim>,

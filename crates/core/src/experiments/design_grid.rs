@@ -13,7 +13,6 @@
 use crate::experiments::{table3_workloads, ExperimentConfig};
 use crate::report::{fmt_ratio, TextTable};
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::{one_pass_grid, GridSpec};
 
 /// The associativities crossed with every size (the fully-associative
@@ -21,7 +20,7 @@ use smith85_cachesim::{one_pass_grid, GridSpec};
 pub const GRID_WAYS: [usize; 4] = [1, 2, 4, 8];
 
 /// One workload's full design-space grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignGridRow {
     /// Workload name.
     pub name: String,
@@ -37,7 +36,7 @@ pub struct DesignGridRow {
 }
 
 /// The design-space study: every workload × every grid cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignGridStudy {
     /// Sizes swept (the config's size sweep).
     pub sizes: Vec<usize>,

@@ -15,7 +15,6 @@
 use crate::experiments::{resolve_named_workload, ExperimentConfig, Workload};
 use crate::report::{fmt_ratio, TextTable};
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::{Cache, CacheConfig, Mapping, Replacement};
 
 /// The fixed design point every policy is judged at: small enough that
@@ -46,7 +45,7 @@ pub const WORKLOADS: [&str; 6] = [
 ];
 
 /// One workload's policy matrix at the fixed design point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FamilyRow {
     /// Workload name.
     pub name: String,
@@ -62,7 +61,7 @@ pub struct FamilyRow {
 }
 
 /// The cross-family policy study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FamilyConclusions {
     /// References per workload.
     pub trace_len: usize,

@@ -4,10 +4,9 @@
 use crate::experiments::ExperimentConfig;
 use crate::hard80;
 use crate::report::render_series;
-use serde::{Deserialize, Serialize};
 
 /// The Figure 2 result: analytic curves evaluated at the swept sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig2 {
     /// Cache sizes (bytes).
     pub sizes: Vec<usize>,

@@ -7,11 +7,10 @@
 use crate::experiments::{table3_workloads, ExperimentConfig};
 use crate::report::render_series;
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::{Simulator, SplitCache};
 
 /// One workload's curves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SplitMissRow {
     /// Workload name.
     pub name: String,
@@ -22,7 +21,7 @@ pub struct SplitMissRow {
 }
 
 /// The Figures 3 & 4 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Fig4 {
     /// Cache sizes swept (each half's size, bytes).
     pub sizes: Vec<usize>,

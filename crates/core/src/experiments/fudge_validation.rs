@@ -11,7 +11,6 @@ use crate::fudge;
 use crate::report::{fmt_ratio, TextTable};
 use crate::stat_util::mean;
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::StackAnalyzer;
 use smith85_synth::{catalog, TraceGroup};
 use smith85_trace::MachineArch;
@@ -20,7 +19,7 @@ use smith85_trace::MachineArch;
 pub const EVAL_SIZE: usize = 1024;
 
 /// One prediction: source group → target group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FudgePrediction {
     /// Group whose measurement is the starting point.
     pub from: String,
@@ -48,7 +47,7 @@ impl FudgePrediction {
 }
 
 /// The validation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FudgeValidation {
     /// All evaluated (from, to) pairs.
     pub predictions: Vec<FudgePrediction>,

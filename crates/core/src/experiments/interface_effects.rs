@@ -10,7 +10,6 @@
 use crate::experiments::ExperimentConfig;
 use crate::report::TextTable;
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_synth::catalog;
 use smith85_trace::interface::InterfaceAdapter;
 use smith85_trace::InterfaceSpec;
@@ -26,7 +25,7 @@ pub const INTERFACES: [InterfaceSpec; 6] = [
 ];
 
 /// One trace's expansion factors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterfaceRow {
     /// Trace name.
     pub name: String,
@@ -36,7 +35,7 @@ pub struct InterfaceRow {
 }
 
 /// The interface study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterfaceEffects {
     /// Per-trace rows.
     pub rows: Vec<InterfaceRow>,

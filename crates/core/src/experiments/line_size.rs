@@ -12,7 +12,6 @@
 use crate::experiments::{table3_workloads, ExperimentConfig, Workload};
 use crate::report::{fmt_ratio, TextTable};
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::StackAnalyzer;
 
 /// Line sizes swept.
@@ -21,7 +20,7 @@ pub const LINE_SIZES: [usize; 6] = [4, 8, 16, 32, 64, 128];
 pub const CACHE_SIZES: [usize; 3] = [1024, 4096, 16384];
 
 /// One (workload, cache size) cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LineSizeCell {
     /// Cache size in bytes.
     pub cache_bytes: usize,
@@ -36,7 +35,7 @@ pub struct LineSizeCell {
 }
 
 /// One workload's cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LineSizeRow {
     /// Workload name.
     pub name: String,
@@ -45,7 +44,7 @@ pub struct LineSizeRow {
 }
 
 /// The line-size study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LineSizeStudy {
     /// Per-workload rows.
     pub rows: Vec<LineSizeRow>,

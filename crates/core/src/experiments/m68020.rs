@@ -14,14 +14,13 @@ use crate::experiments::{table3_workloads, ExperimentConfig};
 use crate::report::{fmt_ratio, TextTable};
 use crate::stat_util::{mean, min_max};
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::{Cache, CacheConfig, FetchPolicy};
 
 /// The M68020 cache size.
 pub const CACHE_BYTES: usize = 256;
 
 /// One workload's miss ratios in the four cache variants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct M68020Row {
     /// Workload name.
     pub name: String,
@@ -36,7 +35,7 @@ pub struct M68020Row {
 }
 
 /// The study result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct M68020Study {
     /// Per-workload rows.
     pub rows: Vec<M68020Row>,

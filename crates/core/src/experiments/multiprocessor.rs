@@ -12,14 +12,13 @@ use crate::experiments::{table3_workloads, ExperimentConfig};
 use crate::performance::MachineModel;
 use crate::report::TextTable;
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::{CacheConfig, FetchPolicy, Simulator, UnifiedCache};
 
 /// The cache size each processor carries.
 pub const CACHE_BYTES: usize = 8 * 1024;
 
 /// One workload's system-level comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiprocessorRow {
     /// Workload name.
     pub name: String,
@@ -42,7 +41,7 @@ pub struct MultiprocessorRow {
 }
 
 /// The study result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiprocessorStudy {
     /// Per-workload rows.
     pub rows: Vec<MultiprocessorRow>,

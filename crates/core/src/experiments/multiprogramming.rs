@@ -12,7 +12,6 @@
 use crate::experiments::ExperimentConfig;
 use crate::report::{fmt_ratio, TextTable};
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::{CacheConfig, Simulator, UnifiedCache};
 use smith85_synth::catalog;
 use smith85_trace::PAPER_PURGE_INTERVAL;
@@ -23,7 +22,7 @@ pub const DEGREES: [usize; 4] = [1, 2, 5, 10];
 pub const WATCH_SIZES: [usize; 3] = [4 * 1024, 16 * 1024, 64 * 1024];
 
 /// One degree's miss ratios.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegreeRow {
     /// Number of programs in the mix.
     pub degree: usize,
@@ -34,7 +33,7 @@ pub struct DegreeRow {
 }
 
 /// The multiprogramming study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiprogrammingStudy {
     /// One row per degree.
     pub rows: Vec<DegreeRow>,

@@ -11,7 +11,6 @@
 use crate::experiments::ExperimentConfig;
 use crate::report::{fmt_ratio, TextTable};
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::{CacheConfig, Simulator, UnifiedCache};
 use smith85_synth::catalog;
 use smith85_synth::perturb::{WithDma, WithInterrupts};
@@ -28,7 +27,7 @@ pub const DMA_SPACING: f64 = 8_000.0;
 pub const DMA_BURST: f64 = 256.0;
 
 /// One trace's miss ratios under each perturbation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerturbationRow {
     /// Trace name.
     pub name: String,
@@ -43,7 +42,7 @@ pub struct PerturbationRow {
 }
 
 /// The perturbation study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Perturbations {
     /// Per-trace rows.
     pub rows: Vec<PerturbationRow>,

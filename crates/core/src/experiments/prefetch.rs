@@ -15,13 +15,12 @@ use crate::experiments::{table3_workloads, ExperimentConfig, Workload};
 use crate::report::{fmt_factor, render_series, TextTable};
 use crate::targets::{self, CacheKind};
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::{
     CacheConfig, CacheStats, FetchPolicy, Simulator, SplitCache, UnifiedCache,
 };
 
 /// Miss and traffic numbers for one (workload, size, organisation) cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyPair {
     /// Miss ratio under demand fetch.
     pub demand_miss: f64,
@@ -56,7 +55,7 @@ impl PolicyPair {
 }
 
 /// One workload's cells across the size sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrefetchRow {
     /// Workload name.
     pub name: String,
@@ -69,7 +68,7 @@ pub struct PrefetchRow {
 }
 
 /// The full prefetch-study result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrefetchStudy {
     /// Cache sizes swept (bytes).
     pub sizes: Vec<usize>,

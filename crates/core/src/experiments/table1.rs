@@ -9,12 +9,11 @@ use crate::experiments::ExperimentConfig;
 use crate::report::{fmt_ratio, TextTable};
 use crate::stat_util;
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::StackAnalyzer;
 use smith85_synth::catalog;
 
 /// One row: a trace (or trace section) and its miss-ratio curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Trace name (sections are suffixed, e.g. `VAXIMA3`).
     pub name: String,
@@ -25,7 +24,7 @@ pub struct Table1Row {
 }
 
 /// The full Table 1 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1 {
     /// Cache sizes swept (bytes).
     pub sizes: Vec<usize>,

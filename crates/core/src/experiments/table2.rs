@@ -5,12 +5,11 @@ use crate::experiments::ExperimentConfig;
 use crate::report::TextTable;
 use crate::stat_util;
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_synth::catalog;
 use smith85_trace::stats::TraceCharacterizer;
 
 /// One row of Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// Trace name.
     pub name: String,
@@ -39,7 +38,7 @@ pub struct Table2Row {
 }
 
 /// The full Table 2 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2 {
     /// Per-trace rows (49).
     pub rows: Vec<Table2Row>,

@@ -11,14 +11,13 @@ use crate::fudge;
 use crate::report::TextTable;
 use crate::stat_util;
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::{Simulator, SplitCache};
 
 /// Cache size of each half in the paper's Table 3 setup.
 pub const HALF_SIZE: usize = 16 * 1024;
 
 /// One row: workload and its dirty-push fraction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table3Row {
     /// Workload name.
     pub name: String,
@@ -29,7 +28,7 @@ pub struct Table3Row {
 }
 
 /// The full Table 3 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table3 {
     /// Per-workload rows (16 at full scale).
     pub rows: Vec<Table3Row>,

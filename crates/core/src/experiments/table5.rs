@@ -10,13 +10,12 @@ use crate::experiments::{fig3_fig4, table1, ExperimentConfig};
 use crate::report::{fmt_ratio, TextTable};
 use crate::stat_util::percentile;
 use crate::targets::{self, CacheKind};
-use serde::{Deserialize, Serialize};
 
 /// The percentile the paper aims at.
 pub const TARGET_PERCENTILE: f64 = 85.0;
 
 /// One size row: measured estimates vs the paper's targets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table5Row {
     /// Cache size (bytes).
     pub size: usize,
@@ -35,7 +34,7 @@ pub struct Table5Row {
 }
 
 /// The full Table 5 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table5 {
     /// Rows per swept size.
     pub rows: Vec<Table5Row>,
@@ -48,18 +47,6 @@ pub fn run(config: &ExperimentConfig) -> Table5 {
     let f34 = fig3_fig4::run(config);
     Table5 {
         rows: build_rows(config, &t1, &f34),
-    }
-}
-
-/// Builds Table 5 from already-run Table 1 and Figures 3/4 results (used
-/// by callers that need all three).
-pub fn from_results(
-    config: &ExperimentConfig,
-    t1: &table1::Table1,
-    f34: &fig3_fig4::Fig3Fig4,
-) -> Table5 {
-    Table5 {
-        rows: build_rows(config, t1, f34),
     }
 }
 

@@ -13,7 +13,6 @@
 use crate::experiments::ExperimentConfig;
 use crate::report::{fmt_ratio, TextTable};
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::StackAnalyzer;
 use smith85_synth::catalog;
 
@@ -23,7 +22,7 @@ pub const LENGTH_FRACTIONS: [f64; 4] = [0.125, 0.25, 0.5, 1.0];
 pub const WATCH_SIZES: [usize; 3] = [1024, 16 * 1024, 64 * 1024];
 
 /// One trace's estimates at each (prefix, size).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceLengthRow {
     /// Trace name.
     pub name: String,
@@ -34,7 +33,7 @@ pub struct TraceLengthRow {
 }
 
 /// The study result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceLengthStudy {
     /// Per-trace rows.
     pub rows: Vec<TraceLengthRow>,

@@ -11,11 +11,10 @@
 use crate::experiments::{table3_workloads, ExperimentConfig};
 use crate::report::{fmt_factor, TextTable};
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::{CacheConfig, Simulator, UnifiedCache, WritePolicy};
 
 /// One workload's traffic-ratio curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficRatioRow {
     /// Workload name.
     pub name: String,
@@ -29,7 +28,7 @@ pub struct TrafficRatioRow {
 }
 
 /// The traffic-ratio study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficRatioStudy {
     /// Sizes swept.
     pub sizes: Vec<usize>,

@@ -14,12 +14,11 @@ use crate::experiments::ExperimentConfig;
 use crate::report::TextTable;
 use crate::stat_util::mean;
 use crate::sweep::parallel_map;
-use serde::{Deserialize, Serialize};
 use smith85_cachesim::{SectorCache, SectorCacheConfig};
 use smith85_synth::{catalog, TraceGroup};
 
 /// Average hit ratio of one workload family at one transfer size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FamilyHit {
     /// Transfer (subblock) size in bytes.
     pub fetch_bytes: usize,
@@ -32,7 +31,7 @@ pub struct FamilyHit {
 }
 
 /// The Z80000 study result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Z80000Study {
     /// One row per transfer size (2, 4, 16).
     pub rows: Vec<FamilyHit>,

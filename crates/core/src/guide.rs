@@ -41,21 +41,30 @@
 //! ## 2. Model your own workload
 //!
 //! If you know your program's reference mix and footprint (the Table 2
-//! columns), build a profile and get its whole miss-ratio curve in one
-//! stack-analysis pass:
+//! columns), describe it as a profile, check it, and get its whole
+//! miss-ratio curve in one stack-analysis pass:
 //!
 //! ```
 //! use smith85_cachesim::StackAnalyzer;
-//! use smith85_synth::ProfileBuilder;
+//! use smith85_synth::{Locality, ProgramProfile};
+//! use smith85_trace::{MachineArch, SourceLanguage};
 //!
 //! # fn main() -> Result<(), smith85_synth::ProfileError> {
-//! let profile = ProfileBuilder::new("MYDB")
-//!     .ifetch_fraction(0.45)
-//!     .read_fraction(0.38)
-//!     .branch_fraction(0.16)
-//!     .code_kb(48.0)
-//!     .data_kb(96.0)
-//!     .build()?;
+//! let profile = ProgramProfile {
+//!     name: "MYDB".to_string(),
+//!     arch: MachineArch::Vax,
+//!     language: SourceLanguage::C,
+//!     description: "custom workload".to_string(),
+//!     ifetch_fraction: 0.45,
+//!     read_fraction: 0.38,
+//!     branch_fraction: 0.16,
+//!     code_bytes: 48 * 1024,
+//!     data_bytes: 96 * 1024,
+//!     locality: Locality::default(),
+//!     seed: 0x5_8a17,
+//!     paper_length: 250_000,
+//! };
+//! profile.validate()?;
 //!
 //! let mut analyzer = StackAnalyzer::new();
 //! for access in profile.generator().take(60_000) {

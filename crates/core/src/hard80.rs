@@ -8,10 +8,8 @@
 //! problem-state hit ratios the paper quotes (≈0.982 / 0.984 at 16K / 32K)
 //! and the qualitative supervisor curve. These machines used 32-byte lines.
 
-use serde::{Deserialize, Serialize};
-
 /// Power-law miss-ratio model `m(C) = a * (C / 1 KiB)^-b`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLawMissRatio {
     /// Coefficient (miss ratio at 1 KiB).
     pub a: f64,

@@ -12,10 +12,8 @@
 //! MIPS = 1000 / (CPI × cycle_ns)
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// A simple machine-performance model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineModel {
     /// Cycles per instruction with a perfect (always-hit) cache.
     pub base_cpi: f64,

@@ -84,12 +84,6 @@ impl SimSessionBuilder {
         self
     }
 
-    /// Cache sizes swept.
-    pub fn sizes(mut self, sizes: Vec<usize>) -> Self {
-        self.config = self.config.sizes(sizes);
-        self
-    }
-
     /// Worker threads for the simulation grid.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config = self.config.threads(threads);

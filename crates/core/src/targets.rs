@@ -11,10 +11,8 @@
 //! instruction and data targets are "approximately equal" (§4.1) — and
 //! flagged as such here.
 
-use serde::{Deserialize, Serialize};
-
 /// Which cache organisation a target value refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheKind {
     /// One cache for instructions and data.
     Unified,

@@ -105,14 +105,6 @@ impl From<io::Error> for ClientError {
 }
 
 impl ClientError {
-    /// The server-side error body, when that is what failed.
-    pub fn server_error(&self) -> Option<&ErrorBody> {
-        match self {
-            ClientError::Server(body) => Some(body),
-            _ => None,
-        }
-    }
-
     /// Whether this failure is worth retrying: a typed `overloaded`
     /// response or a refused connection.
     pub fn is_transient(&self) -> bool {
@@ -177,13 +169,6 @@ impl ClientBuilder {
     #[must_use]
     pub fn unix(mut self, path: impl Into<PathBuf>) -> Self {
         self.endpoint = Endpoint::Unix(path.into());
-        self
-    }
-
-    /// Connect to an explicit [`Endpoint`].
-    #[must_use]
-    pub fn endpoint(mut self, endpoint: Endpoint) -> Self {
-        self.endpoint = endpoint;
         self
     }
 
@@ -299,16 +284,6 @@ impl Client {
             trace_id: None,
             timeout: None,
         }
-    }
-
-    /// Sets a read timeout for responses (None = block forever).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket option failure.
-    pub fn set_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.timeout = timeout;
-        self.reader.get_ref().set_read_timeout(timeout)
     }
 
     /// Sends one request and returns its typed outcome: deadline and

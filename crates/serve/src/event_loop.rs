@@ -33,10 +33,11 @@
 //! known-down shards are skipped.
 //!
 //! Flow control: responses are buffered per connection and written when
-//! the socket accepts them; while a connection's outbound buffer is
-//! above [`WRITE_BUF_LIMIT`], neither the loop nor a worker reads from
-//! it — TCP back-pressure propagates to the client instead of growing an
-//! unbounded buffer.
+//! the socket accepts them; while a connection's outbound buffer is at
+//! [`WRITE_BUF_LIMIT`], neither the loop nor a worker reads from it or
+//! answers the lines it already read — TCP back-pressure propagates to
+//! the client instead of growing an unbounded buffer. Once a flush makes
+//! room, the loop answers those lines without waiting for new input.
 //!
 //! Observability: the loop publishes per-connection lifecycle counters
 //! (`event_loop_conns_{accepted,closed,drained}_total`,
@@ -79,8 +80,8 @@ const US_BOUNDS: [f64; 8] = [
     500_000.0,
 ];
 
-/// Outbound-buffer level above which neither the loop nor a worker
-/// reads more requests from a connection until writes drain.
+/// Outbound-buffer level at which neither the loop nor a worker reads
+/// or answers more requests from a connection until writes drain.
 const WRITE_BUF_LIMIT: usize = 256 * 1024;
 
 /// Upper bound on the shutdown drain: past it, in-flight connections
@@ -134,9 +135,9 @@ pub(crate) struct ReplyTo {
 
 impl ReplyTo {
     /// Encodes and writes a finished job's response on the calling
-    /// worker, then reads what the socket holds (unless the outbound
-    /// buffer is over [`WRITE_BUF_LIMIT`]) and serves every complete
-    /// buffered line. A follow-up job takes the connection along;
+    /// worker, then reads what the socket holds and serves the complete
+    /// buffered lines, both while the outbound buffer is under
+    /// [`WRITE_BUF_LIMIT`]. A follow-up job takes the connection along;
     /// otherwise it goes back to the loop.
     pub(crate) fn send(self, response: Response, state: &ServerState) {
         let ReplyTo {
@@ -212,11 +213,17 @@ impl Conn {
         !self.closing && !self.eof && self.pending_write() < WRITE_BUF_LIMIT
     }
 
+    /// Whether complete request lines wait unanswered in `read_buf`,
+    /// left there while the outbound buffer was at [`WRITE_BUF_LIMIT`].
+    fn backlog(&self) -> bool {
+        !self.scrape && !self.closing && self.read_buf.contains(&b'\n')
+    }
+
     /// A closing or half-closed connection is finished once its
-    /// outbound buffer drains: every line it will be answered for has
-    /// been.
+    /// outbound buffer drains and no line waits for an answer: every
+    /// line it will be answered for has been.
     fn finished(&self) -> bool {
-        (self.closing || self.eof) && self.pending_write() == 0
+        (self.closing || (self.eof && !self.backlog())) && self.pending_write() == 0
     }
 
     /// The poll mask this connection currently cares about.
@@ -294,10 +301,13 @@ enum Serviced {
     Lent,
 }
 
-/// Answers every complete buffered line — inline, or by lending the
+/// Answers the complete buffered lines — inline, or by lending the
 /// connection to the first job line — or, on a scrape, a complete
-/// request head; then flushes. Runs on the loop for polled connections
-/// and on a worker for a connection whose job just finished.
+/// request head; then flushes. Lines stay buffered while the outbound
+/// buffer is still at [`WRITE_BUF_LIMIT`] after a flush, so on return
+/// either none is left or the socket is full and the connection waits
+/// for POLLOUT. Runs on the loop for polled connections and on a worker
+/// for a connection whose job just finished.
 fn service(
     mut conn: Conn,
     id: u64,
@@ -308,6 +318,15 @@ fn service(
         answer_scrape(&mut conn, state);
     }
     while !conn.scrape && !conn.closing {
+        if conn.pending_write() >= WRITE_BUF_LIMIT {
+            if !conn.flush() {
+                return Serviced::Kept(conn, false);
+            }
+            if conn.pending_write() >= WRITE_BUF_LIMIT {
+                // The socket is full: the rest waits for POLLOUT.
+                return Serviced::Kept(conn, true);
+            }
+        }
         let newline = conn.read_buf.iter().position(|&b| b == b'\n');
         if newline.unwrap_or(conn.read_buf.len()) > MAX_LINE_BYTES {
             state.metrics.protocol_errors.inc();
@@ -555,14 +574,15 @@ pub(crate) fn run(
             }
             if alive && pfd.ready(POLLIN) {
                 alive = conn.fill(&completions.half_closes);
-                if alive {
-                    match service(conn, id, state, &completions) {
-                        Serviced::Lent => {
-                            lent += 1;
-                            continue;
-                        }
-                        Serviced::Kept(kept, still) => (conn, alive) = (kept, still),
+            }
+            // Answer what arrived, and the lines a flush just made room for.
+            if alive && (pfd.ready(POLLIN) || conn.backlog()) {
+                match service(conn, id, state, &completions) {
+                    Serviced::Lent => {
+                        lent += 1;
+                        continue;
                     }
+                    Serviced::Kept(kept, still) => (conn, alive) = (kept, still),
                 }
             }
             if alive {

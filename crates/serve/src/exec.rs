@@ -13,7 +13,7 @@ use crate::protocol::{
     CatalogEntry, CatalogResult, ErrorBody, ErrorCode, Response, SimulateResult, SimulateSpec,
     SweepPoint, SweepResult, SweepSpec,
 };
-use smith85_cachesim::{CacheConfig, GridSpec, Mapping, Replacement, PAPER_SIZES};
+use smith85_cachesim::{CacheConfig, ConfigError, GridSpec, Mapping, Replacement, PAPER_SIZES};
 use smith85_core::experiments::{nearest_workload_name, resolve_named_workload, Workload};
 use smith85_core::session::SimSession;
 use smith85_synth::catalog;
@@ -231,13 +231,25 @@ pub fn run_sweep(session: &SimSession, spec: &SweepSpec) -> Result<SweepResult, 
             "\"line\" must be a power of two",
         ));
     }
-    let workload = resolve_workload(&spec.workload, spec.seed)?;
-    let policy = parse_policy(spec.policy.as_deref())?;
     let sizes: &[usize] = if spec.sizes.is_empty() {
         &PAPER_SIZES
     } else {
         &spec.sizes
     };
+    // Stack analysis has no answer for a cache that holds no line, so
+    // every path rejects such a size here, as the engines would.
+    if let Some(&cache) = sizes.iter().find(|&&size| size < spec.line) {
+        let e = ConfigError::CacheSmallerThanLine {
+            cache,
+            line: spec.line,
+        };
+        return Err(ErrorBody::new(
+            ErrorCode::BadRequest,
+            format!("invalid sweep grid: {e}"),
+        ));
+    }
+    let workload = resolve_workload(&spec.workload, spec.seed)?;
+    let policy = parse_policy(spec.policy.as_deref())?;
     // Validate grid specs before the store lookup so a bad request can
     // never be served from (or written to) the result cache. Shape
     // validation (sizes, ways, line) is policy-independent, so it runs
@@ -586,6 +598,30 @@ mod tests {
             0,
             "invalid grid requests must not pool traces"
         );
+    }
+
+    #[test]
+    fn size_sweep_rejects_caches_smaller_than_a_line() {
+        let session = session();
+        for size in [8, 0] {
+            let spec = SweepSpec {
+                workload: "VCCOM".to_string(),
+                len: 2_000,
+                seed: None,
+                sizes: vec![size],
+                ways: Vec::new(),
+                line: 16,
+                policy: None,
+                deadline_ms: None,
+            };
+            let err = run_sweep(&session, &spec).unwrap_err();
+            assert_eq!(err.code, ErrorCode::BadRequest, "{err:?}");
+            assert!(
+                err.message.contains(&format!("cache of {size} bytes")),
+                "{err:?}"
+            );
+        }
+        assert_eq!(session.pool().stats().entries, 0, "rejected before any trace is pooled");
     }
 
     #[test]

@@ -28,12 +28,10 @@
 //! ```no_run
 //! use smith85_serve::{Client, Request, Server, ServeOptions};
 //!
-//! let server = Server::spawn(
-//!     ServeOptions::builder()
-//!         .addr("127.0.0.1:0")
-//!         .build()
-//!         .map_err(std::io::Error::other)?,
-//! )?;
+//! let server = Server::spawn(ServeOptions {
+//!     addr: "127.0.0.1:0".to_string(),
+//!     ..ServeOptions::default()
+//! })?;
 //! let mut client = Client::builder()
 //!     .addr(server.addr().to_string())
 //!     .connect()
@@ -72,9 +70,7 @@ pub use protocol::{
     SimulateResult, SimulateSpec, StatsResult, SweepResult, SweepSpec, PROTOCOL_VERSION,
 };
 pub use router::RouterOptions;
-pub use server::{
-    ConfigError, RunningServer, ServeOptions, ServeOptionsBuilder, Server, ShutdownHandle,
-};
+pub use server::{ConfigError, RunningServer, ServeOptions, Server, ShutdownHandle};
 pub use smith85_obs::RegistrySnapshot;
 /// The wire protocol's JSON codec: the workspace's one codec, which
 /// lives in `smith85-tracelog` so the trace journal shares it.

@@ -53,11 +53,13 @@ pub struct RouterOptions {
     /// typed `overloaded` (back-pressure, deliberately not spilled onto
     /// other shards — spilling would defeat the budget).
     pub shard_inflight: usize,
-    /// Backend TCP connect timeout.
-    pub connect_timeout_ms: u64,
-    /// Upper bound waiting for a backend's reply line.
-    pub reply_timeout_ms: u64,
 }
+
+/// Backend TCP connect timeout, for forwards, probes and metrics
+/// fetches; probes and metrics fetches also wait this long for a reply.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// Upper bound waiting for a backend's reply line to a forward.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(600);
 
 impl Default for RouterOptions {
     fn default() -> Self {
@@ -66,8 +68,6 @@ impl Default for RouterOptions {
             replicas: 64,
             probe_interval_ms: 500,
             shard_inflight: 32,
-            connect_timeout_ms: 1_000,
-            reply_timeout_ms: 600_000,
         }
     }
 }
@@ -233,10 +233,7 @@ impl RouterState {
         for (index, shard) in self.shards.iter().enumerate() {
             self.health_probes.inc();
             let was_up = shard.up.load(Ordering::Relaxed);
-            let up = probe_shard(
-                &shard.addr,
-                Duration::from_millis(self.opts.connect_timeout_ms.max(1)),
-            );
+            let up = probe_shard(&shard.addr);
             if up != was_up {
                 self.mark(index, up);
                 eprintln!(
@@ -284,13 +281,7 @@ impl RouterState {
                     ),
                 ));
             }
-            let result = forward_once(
-                &shard.addr,
-                request,
-                trace_id,
-                Duration::from_millis(self.opts.connect_timeout_ms.max(1)),
-                Duration::from_millis(self.opts.reply_timeout_ms.max(1)),
-            );
+            let result = forward_once(&shard.addr, request, trace_id);
             shard.inflight.fetch_sub(1, Ordering::AcqRel);
             shard
                 .inflight_gauge
@@ -336,15 +327,10 @@ impl RouterState {
     /// dead backend (known-down shards are skipped without a connect,
     /// and live fetches are bounded by the connect timeout).
     pub(crate) fn federated_snapshot(&self) -> RegistrySnapshot {
-        let connect = Duration::from_millis(self.opts.connect_timeout_ms.max(1));
-        // A scrape must stay fast even when a shard is sick: bound the
-        // reply wait by the (short) connect timeout, not the (long)
-        // forward reply timeout.
-        let reply = connect.max(Duration::from_millis(250));
         let mut federated = self.registry.snapshot();
         for shard in &self.shards {
             let snapshot = if shard.up.load(Ordering::Relaxed) {
-                fetch_shard_metrics(&shard.addr, connect, reply).ok()
+                fetch_shard_metrics(&shard.addr).ok()
             } else {
                 None
             };
@@ -374,11 +360,12 @@ impl RouterState {
     }
 }
 
-/// TCP connect honoring a timeout (std's plain `connect` has none).
-fn connect_timed(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+/// TCP connect bounded by [`CONNECT_TIMEOUT`] (std's plain `connect`
+/// has no timeout).
+fn connect_timed(addr: &str) -> io::Result<TcpStream> {
     let mut last = None;
     for resolved in addr.to_socket_addrs()? {
-        match TcpStream::connect_timeout(&resolved, timeout) {
+        match TcpStream::connect_timeout(&resolved, CONNECT_TIMEOUT) {
             Ok(stream) => {
                 stream.set_nodelay(true).ok();
                 return Ok(stream);
@@ -391,12 +378,13 @@ fn connect_timed(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
     }))
 }
 
-/// One liveness probe: connect + `ping`, bounded by `timeout`.
-fn probe_shard(addr: &str, timeout: Duration) -> bool {
-    let Ok(stream) = connect_timed(addr, timeout) else {
+/// One liveness probe: connect + `ping`, each bounded by
+/// [`CONNECT_TIMEOUT`].
+fn probe_shard(addr: &str) -> bool {
+    let Ok(stream) = connect_timed(addr) else {
         return false;
     };
-    let _ = stream.set_read_timeout(Some(timeout.max(Duration::from_millis(250))));
+    let _ = stream.set_read_timeout(Some(CONNECT_TIMEOUT));
     let mut stream = stream;
     if stream.write_all(b"{\"type\":\"ping\"}\n").is_err() {
         return false;
@@ -409,14 +397,12 @@ fn probe_shard(addr: &str, timeout: Duration) -> bool {
 
 /// One bounded metrics fetch against one shard: connect + `metrics`,
 /// decode the snapshot. Any failure (connect, timeout, bad payload)
-/// just reports the shard stale for this scrape.
-fn fetch_shard_metrics(
-    addr: &str,
-    connect_timeout: Duration,
-    reply_timeout: Duration,
-) -> io::Result<RegistrySnapshot> {
-    let mut stream = connect_timed(addr, connect_timeout)?;
-    stream.set_read_timeout(Some(reply_timeout))?;
+/// just reports the shard stale for this scrape. A scrape must stay
+/// fast even when a shard is sick, so the reply wait is the (short)
+/// [`CONNECT_TIMEOUT`], not the (long) forward [`REPLY_TIMEOUT`].
+fn fetch_shard_metrics(addr: &str) -> io::Result<RegistrySnapshot> {
+    let mut stream = connect_timed(addr)?;
+    stream.set_read_timeout(Some(CONNECT_TIMEOUT))?;
     let mut line = Request::Metrics.encode();
     line.push('\n');
     stream.write_all(line.as_bytes())?;
@@ -443,13 +429,7 @@ fn fetch_shard_metrics(
 /// (so the shard roots its `request` span under this hop in a merged
 /// report; hedged retries each open their own hop span and therefore
 /// land as siblings), one reply line.
-fn forward_once(
-    addr: &str,
-    request: &Request,
-    trace_id: &str,
-    connect_timeout: Duration,
-    reply_timeout: Duration,
-) -> io::Result<Response> {
+fn forward_once(addr: &str, request: &Request, trace_id: &str) -> io::Result<Response> {
     let span = {
         let ctx = tracelog::current();
         ctx.enabled().then(|| {
@@ -460,8 +440,8 @@ fn forward_once(
         })
     };
     let parent_span = span.as_ref().map(|s| s.ctx().span_id()).filter(|&id| id != 0);
-    let stream = connect_timed(addr, connect_timeout)?;
-    stream.set_read_timeout(Some(reply_timeout))?;
+    let stream = connect_timed(addr)?;
+    stream.set_read_timeout(Some(REPLY_TIMEOUT))?;
     let mut writer: Box<dyn Transport> = Box::new(stream);
     let mut line = request.encode_with_envelope(&TraceEnvelope {
         trace_id: Some(trace_id.to_string()),

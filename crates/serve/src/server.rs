@@ -61,11 +61,10 @@ const UNIX_ONLY: &str = "smith85-serve runs on unix targets only: \
 
 /// Server construction parameters.
 ///
-/// Construct directly (every field is public and `Default` is sensible)
-/// or through [`ServeOptions::builder`], which validates at `build()`
-/// time. [`Server::bind`] re-validates either way, so an invalid combo
-/// — router mode plus a persistent store, zero workers — is a typed
-/// [`ConfigError`] before any socket is bound.
+/// Construct directly: every field is public and `Default` is sensible.
+/// [`Server::bind`] validates, so an invalid combo — router mode plus a
+/// persistent store, zero workers — is a typed [`ConfigError`] before
+/// any socket is bound.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// TCP bind address, e.g. `"127.0.0.1:4085"` (port 0 for ephemeral).
@@ -164,15 +163,7 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl ServeOptions {
-    /// A validating builder starting from [`ServeOptions::default`].
-    pub fn builder() -> ServeOptionsBuilder {
-        ServeOptionsBuilder {
-            opts: ServeOptions::default(),
-        }
-    }
-
-    /// Checks the option combination; [`Server::bind`] calls this, so
-    /// struct-literal construction is validated too.
+    /// Checks the option combination; [`Server::bind`] calls this.
     ///
     /// # Errors
     ///
@@ -202,87 +193,6 @@ impl ServeOptions {
             }
         }
         Ok(())
-    }
-}
-
-/// Builder for [`ServeOptions`] (see [`ServeOptions::builder`]).
-#[derive(Debug, Clone)]
-pub struct ServeOptionsBuilder {
-    opts: ServeOptions,
-}
-
-impl ServeOptionsBuilder {
-    /// TCP bind address (port 0 for ephemeral).
-    #[must_use]
-    pub fn addr(mut self, addr: impl Into<String>) -> Self {
-        self.opts.addr = addr.into();
-        self
-    }
-
-    /// Unix-domain socket path.
-    #[must_use]
-    pub fn unix_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.opts.unix_path = Some(path.into());
-        self
-    }
-
-    /// Worker threads executing (or forwarding) jobs.
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.opts.workers = workers;
-        self
-    }
-
-    /// Work-queue capacity.
-    #[must_use]
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.opts.queue_capacity = capacity;
-        self
-    }
-
-    /// Default per-job deadline for requests that carry none.
-    #[must_use]
-    pub fn default_deadline_ms(mut self, ms: u64) -> Self {
-        self.opts.default_deadline_ms = Some(ms);
-        self
-    }
-
-    /// The simulation session jobs run through.
-    #[must_use]
-    pub fn session(mut self, session: SimSession) -> Self {
-        self.opts.session = session;
-        self
-    }
-
-    /// Bind address for the Prometheus exposition endpoint.
-    #[must_use]
-    pub fn metrics_addr(mut self, addr: impl Into<String>) -> Self {
-        self.opts.metrics_addr = Some(addr.into());
-        self
-    }
-
-    /// NDJSON trace-journal path.
-    #[must_use]
-    pub fn journal(mut self, path: impl Into<PathBuf>) -> Self {
-        self.opts.journal = Some(path.into());
-        self
-    }
-
-    /// Router mode: forward jobs to these backend shards.
-    #[must_use]
-    pub fn router(mut self, router: RouterOptions) -> Self {
-        self.opts.router = Some(router);
-        self
-    }
-
-    /// Validates and returns the options.
-    ///
-    /// # Errors
-    ///
-    /// The first [`ConfigError`] in the combination.
-    pub fn build(self) -> Result<ServeOptions, ConfigError> {
-        self.opts.validate()?;
-        Ok(self.opts)
     }
 }
 
@@ -947,35 +857,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_round_trips_and_validates() {
-        let opts = ServeOptions::builder()
-            .addr("127.0.0.1:0")
-            .workers(2)
-            .queue_capacity(8)
-            .default_deadline_ms(250)
-            .build()
-            .expect("valid combination");
-        assert_eq!(opts.addr, "127.0.0.1:0");
-        assert_eq!(opts.workers, 2);
-        assert_eq!(opts.queue_capacity, 8);
-        assert_eq!(opts.default_deadline_ms, Some(250));
-    }
-
-    #[test]
     fn zero_workers_and_zero_queue_are_typed_errors() {
+        let check = |opts: ServeOptions| opts.validate().unwrap_err();
         assert_eq!(
-            ServeOptions::builder().workers(0).build().unwrap_err(),
+            check(ServeOptions {
+                workers: 0,
+                ..ServeOptions::default()
+            }),
             ConfigError::ZeroWorkers
         );
         assert_eq!(
-            ServeOptions::builder()
-                .queue_capacity(0)
-                .build()
-                .unwrap_err(),
+            check(ServeOptions {
+                queue_capacity: 0,
+                ..ServeOptions::default()
+            }),
             ConfigError::ZeroQueueCapacity
         );
         assert_eq!(
-            ServeOptions::builder().addr("  ").build().unwrap_err(),
+            check(ServeOptions {
+                addr: "  ".to_string(),
+                ..ServeOptions::default()
+            }),
             ConfigError::EmptyAddr
         );
     }
@@ -986,34 +888,34 @@ mod tests {
             backends: vec!["127.0.0.1:1".to_string()],
             ..RouterOptions::default()
         };
+        let routed = |router: RouterOptions| {
+            ServeOptions {
+                router: Some(router),
+                ..ServeOptions::default()
+            }
+            .validate()
+        };
         assert_eq!(
-            ServeOptions::builder()
-                .router(RouterOptions::default())
-                .build()
-                .unwrap_err(),
+            routed(RouterOptions::default()).unwrap_err(),
             ConfigError::RouterWithoutBackends
         );
         assert_eq!(
-            ServeOptions::builder()
-                .router(RouterOptions {
-                    shard_inflight: 0,
-                    ..backends()
-                })
-                .build()
-                .unwrap_err(),
+            routed(RouterOptions {
+                shard_inflight: 0,
+                ..backends()
+            })
+            .unwrap_err(),
             ConfigError::RouterZeroInflight
         );
         assert_eq!(
-            ServeOptions::builder()
-                .router(RouterOptions {
-                    replicas: 0,
-                    ..backends()
-                })
-                .build()
-                .unwrap_err(),
+            routed(RouterOptions {
+                replicas: 0,
+                ..backends()
+            })
+            .unwrap_err(),
             ConfigError::RouterZeroReplicas
         );
-        assert!(ServeOptions::builder().router(backends()).build().is_ok());
+        assert!(routed(backends()).is_ok());
     }
 
     #[test]
@@ -1027,14 +929,16 @@ mod tests {
             .store(dir.join("store"))
             .build()
             .expect("session with store");
-        let err = ServeOptions::builder()
-            .session(session)
-            .router(RouterOptions {
+        let err = ServeOptions {
+            session,
+            router: Some(RouterOptions {
                 backends: vec!["127.0.0.1:1".to_string()],
                 ..RouterOptions::default()
-            })
-            .build()
-            .unwrap_err();
+            }),
+            ..ServeOptions::default()
+        }
+        .validate()
+        .unwrap_err();
         assert_eq!(err, ConfigError::RouterWithStore);
         assert!(err.to_string().contains("store"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);

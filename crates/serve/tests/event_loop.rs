@@ -36,12 +36,10 @@ fn simulate_request(workload: &str, len: usize, size: usize) -> Request {
 }
 
 fn spawn() -> smith85_serve::RunningServer {
-    Server::spawn(
-        ServeOptions::builder()
-            .addr("127.0.0.1:0")
-            .build()
-            .expect("serve options"),
-    )
+    Server::spawn(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        ..ServeOptions::default()
+    })
     .expect("spawn server")
 }
 
@@ -439,4 +437,102 @@ fn pipelined_burst_wakes_the_loop_a_bounded_number_of_times() {
         after - before
     );
     server.stop().expect("clean shutdown");
+}
+
+/// The server's per-connection outbound-buffer limit
+/// (`event_loop::WRITE_BUF_LIMIT`).
+const WRITE_BUF_LIMIT: usize = 256 * 1024;
+
+/// The most one side of a TCP connection may buffer: the last (maximum)
+/// value of `/proc/sys/net/ipv4/<file>`, or 32 MiB if it is unreadable.
+fn socket_buffer_max(file: &str) -> usize {
+    std::fs::read_to_string(format!("/proc/sys/net/ipv4/{file}"))
+        .ok()
+        .and_then(|text| text.split_whitespace().last()?.parse().ok())
+        .unwrap_or(32 << 20)
+}
+
+fn read_line(reader: &mut impl BufRead) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read reply");
+    line
+}
+
+/// A client pipelines more `catalog` requests than both socket buffers
+/// can hold replies for, and reads nothing. The server answers until its
+/// outbound buffer reaches the limit and keeps the rest of the lines
+/// unanswered, so the buffer never holds more than one reply past the
+/// limit; once the client reads, every reply arrives in request order
+/// (a ping after every hundredth catalog shows the order).
+fn unread_burst_keeps_the_write_buffer_bounded(half_close: bool) {
+    let server = spawn();
+    let addr = server.addr().to_string();
+    let catalog_line = Request::Catalog.encode() + "\n";
+    let ping_line = Request::Ping.encode() + "\n";
+
+    let mut probe = BufReader::new(TcpStream::connect(&addr).expect("connect probe"));
+    probe
+        .get_mut()
+        .write_all((catalog_line.clone() + &ping_line).as_bytes())
+        .expect("probe requests");
+    let catalog_reply = read_line(&mut probe);
+    let pong_reply = read_line(&mut probe);
+    assert!(catalog_reply.contains("catalog_result"), "{catalog_reply}");
+
+    let capacity = socket_buffer_max("tcp_rmem") + socket_buffer_max("tcp_wmem");
+    let catalogs = (capacity + 2 * WRITE_BUF_LIMIT) / catalog_reply.len() + 1;
+    let mut burst = String::new();
+    let mut expected = Vec::new();
+    for i in 1..=catalogs {
+        burst.push_str(&catalog_line);
+        expected.push(&catalog_reply);
+        if i % 100 == 0 {
+            burst.push_str(&ping_line);
+            expected.push(&pong_reply);
+        }
+    }
+    let stream = TcpStream::connect(&addr).expect("connect burst");
+    let mut writer = stream.try_clone().expect("clone burst stream");
+    // Written from a thread: the server stops reading once its buffer is
+    // full, so the burst may not fit in the socket buffers either.
+    let sender = std::thread::spawn(move || {
+        writer.write_all(burst.as_bytes()).expect("write burst");
+        if half_close {
+            writer.shutdown(std::net::Shutdown::Write).expect("half close");
+        }
+    });
+
+    let mut client = Client::builder().addr(&addr).connect().expect("connect metrics");
+    let buffered = |snapshot: &RegistrySnapshot| gauge(snapshot, "event_loop_write_buf_bytes");
+    let bound = (WRITE_BUF_LIMIT + catalog_reply.len()) as f64;
+    let stalled = wait_for_metrics(&mut client, "a full outbound buffer", |snapshot| {
+        buffered(snapshot) >= WRITE_BUF_LIMIT as f64
+    });
+    assert!(buffered(&stalled) <= bound, "{} > {bound}", buffered(&stalled));
+    for _ in 0..5 {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = buffered(&metrics(&mut client));
+        assert!(now <= bound, "{now} > {bound}");
+    }
+
+    let mut reader = BufReader::new(stream);
+    for (index, want) in expected.iter().enumerate() {
+        let got = read_line(&mut reader);
+        assert!(&got == *want, "reply {index} of {}: {:.80}", expected.len(), got);
+    }
+    sender.join().expect("burst writer");
+    if half_close {
+        assert_eq!(read_line(&mut reader), "", "EOF after the last reply");
+    }
+    server.stop().expect("clean shutdown");
+}
+
+#[test]
+fn unread_burst_keeps_the_write_buffer_bounded_and_answers_in_order() {
+    unread_burst_keeps_the_write_buffer_bounded(false);
+}
+
+#[test]
+fn half_closed_unread_burst_still_gets_every_answer() {
+    unread_burst_keeps_the_write_buffer_bounded(true);
 }

@@ -14,27 +14,23 @@ use smith85_serve::{
 use std::time::{Duration, Instant};
 
 fn spawn_backend() -> smith85_serve::RunningServer {
-    Server::spawn(
-        ServeOptions::builder()
-            .addr("127.0.0.1:0")
-            .build()
-            .expect("serve options"),
-    )
+    Server::spawn(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        ..ServeOptions::default()
+    })
     .expect("spawn backend")
 }
 
 fn spawn_router(backends: Vec<String>, probe_interval_ms: u64) -> smith85_serve::RunningServer {
-    Server::spawn(
-        ServeOptions::builder()
-            .addr("127.0.0.1:0")
-            .router(RouterOptions {
-                backends,
-                probe_interval_ms,
-                ..RouterOptions::default()
-            })
-            .build()
-            .expect("serve options"),
-    )
+    Server::spawn(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        router: Some(RouterOptions {
+            backends,
+            probe_interval_ms,
+            ..RouterOptions::default()
+        }),
+        ..ServeOptions::default()
+    })
     .expect("spawn router")
 }
 
@@ -185,18 +181,16 @@ fn federated_metrics_sum_shards_exactly_and_mark_dead_shards_stale() {
     let backend_b = spawn_backend();
     let addr_a = backend_a.addr().to_string();
     let addr_b = backend_b.addr().to_string();
-    let router = Server::spawn(
-        ServeOptions::builder()
-            .addr("127.0.0.1:0")
-            .metrics_addr("127.0.0.1:0")
-            .router(RouterOptions {
-                backends: vec![addr_a.clone(), addr_b.clone()],
-                probe_interval_ms: 100,
-                ..RouterOptions::default()
-            })
-            .build()
-            .expect("serve options"),
-    )
+    let router = Server::spawn(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        router: Some(RouterOptions {
+            backends: vec![addr_a.clone(), addr_b.clone()],
+            probe_interval_ms: 100,
+            ..RouterOptions::default()
+        }),
+        ..ServeOptions::default()
+    })
     .expect("spawn router");
 
     // Spread work across both shards, then quiesce: pool counters only
@@ -374,30 +368,26 @@ fn hedged_request_renders_as_one_merged_span_tree_across_journals() {
     let mut backends: Vec<_> = shard_journals
         .iter()
         .map(|journal| {
-            Server::spawn(
-                ServeOptions::builder()
-                    .addr("127.0.0.1:0")
-                    .journal(journal.clone())
-                    .build()
-                    .expect("serve options"),
-            )
+            Server::spawn(ServeOptions {
+                addr: "127.0.0.1:0".to_string(),
+                journal: Some(journal.clone()),
+                ..ServeOptions::default()
+            })
             .expect("spawn backend")
         })
         .collect();
-    let router = Server::spawn(
-        ServeOptions::builder()
-            .addr("127.0.0.1:0")
-            .journal(router_journal.clone())
-            .router(RouterOptions {
-                backends: backends.iter().map(|b| b.addr().to_string()).collect(),
-                // Long probe period: the hedge below, not the prober,
-                // must be what discovers the killed shard.
-                probe_interval_ms: 60_000,
-                ..RouterOptions::default()
-            })
-            .build()
-            .expect("serve options"),
-    )
+    let router = Server::spawn(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        journal: Some(router_journal.clone()),
+        router: Some(RouterOptions {
+            backends: backends.iter().map(|b| b.addr().to_string()).collect(),
+            // Long probe period: the hedge below, not the prober,
+            // must be what discovers the killed shard.
+            probe_interval_ms: 60_000,
+            ..RouterOptions::default()
+        }),
+        ..ServeOptions::default()
+    })
     .expect("spawn router");
     let router_addr = router.addr().to_string();
 

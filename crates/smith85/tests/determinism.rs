@@ -75,3 +75,25 @@ fn table1_golden_values() {
         pl0.miss_ratios[0]
     );
 }
+
+#[test]
+fn profile_clone_roundtrip_preserves_behaviour() {
+    let spec = catalog::by_name("VSPICE").unwrap();
+    let profile = spec.profile().clone();
+    let copy = profile.clone();
+    assert_eq!(profile, copy);
+    assert_eq!(profile.generate(2_000), copy.generate(2_000));
+}
+
+#[test]
+fn experiment_results_compare_structurally() {
+    let config = ExperimentConfig::builder()
+        .trace_len(4_000)
+        .sizes(vec![512])
+        .threads(2)
+        .build()
+        .unwrap();
+    let a = table1::run(&config);
+    let b = table1::run(&config);
+    assert_eq!(a, b);
+}

@@ -15,7 +15,6 @@ mod vax;
 mod z8000;
 
 use crate::profile::{Locality, ProgramGenerator, ProgramProfile};
-use serde::{Deserialize, Serialize};
 use smith85_trace::{MachineArch, SourceLanguage, Trace};
 use std::fmt;
 use std::sync::OnceLock;
@@ -30,7 +29,7 @@ use std::sync::OnceLock;
 pub const CATALOG_VERSION: u32 = 2;
 
 /// The workload group a trace belongs to (the paper's §3.1 clusters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceGroup {
     /// IBM MVS operating-system traces — the locality worst case.
     Mvs,
@@ -86,7 +85,7 @@ impl fmt::Display for TraceGroup {
 
 /// One catalog entry: a calibrated profile plus its group and section
 /// count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
     profile: ProgramProfile,
     group: TraceGroup,

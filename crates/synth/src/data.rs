@@ -15,10 +15,9 @@
 use crate::dist::{derive_seed, ZipfRanks};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the data-reference model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataParams {
     /// Base address of the data region (stack, static and array segments
     /// are carved out of it in that order).

@@ -11,10 +11,9 @@
 use crate::dist::{derive_seed, Geometric, ZipfRanks};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the instruction-stream model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstrParams {
     /// Base address of the code region.
     pub code_base: u64,

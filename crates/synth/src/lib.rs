@@ -11,7 +11,8 @@
 //!   segments with phase drift);
 //! * [`dist`] — the deterministic distributions underneath;
 //! * [`profile`] — [`ProgramProfile`]: a workload description that compiles
-//!   to an infinite, deterministic access stream;
+//!   to an infinite, deterministic access stream, and [`ProfileError`], why
+//!   a hand-built one cannot;
 //! * [`catalog`] — the 49 calibrated traces, the Table 1 row expansion
 //!   (57 rows) and the Table 3 multiprogramming mixes;
 //! * [`perturb`] — the OS-interrupt and DMA perturbations real machines
@@ -34,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod builder;
 pub mod catalog;
 pub mod data;
 pub mod dist;
@@ -43,6 +43,5 @@ pub mod paper_data;
 pub mod perturb;
 pub mod profile;
 
-pub use builder::{ProfileBuilder, ProfileError};
 pub use catalog::{TraceGroup, TraceSpec};
-pub use profile::{Locality, ProgramGenerator, ProgramProfile};
+pub use profile::{Locality, ProfileError, ProgramGenerator, ProgramProfile};

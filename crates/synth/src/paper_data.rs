@@ -8,7 +8,6 @@
 //! measured value next to each of these.
 
 use crate::catalog::TraceGroup;
-use serde::{Deserialize, Serialize};
 
 /// Table 3's published "fraction data line pushes dirty", by workload row
 /// (the four mixes use their table labels).
@@ -32,7 +31,7 @@ pub const TABLE3_DIRTY: [(&str, f64); 16] = [
 ];
 
 /// Per-group statistics the paper quotes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupReference {
     /// The workload group.
     pub group: TraceGroup,

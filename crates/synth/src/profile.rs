@@ -6,15 +6,17 @@
 //! table only shows indirectly (through the miss-ratio curves). The profile
 //! compiles down to the [`InstrModel`] and
 //! [`DataModel`] parameters and yields an infinite,
-//! deterministic access stream.
+//! deterministic access stream. Custom workloads are built as struct
+//! literals and checked with [`ProgramProfile::validate`].
 
 use crate::data::{DataModel, DataParams};
 use crate::dist::derive_seed;
 use crate::instr::{InstrModel, InstrParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use smith85_trace::{Addr, MachineArch, MemoryAccess, SourceLanguage, Trace};
+use std::error::Error;
+use std::fmt;
 
 /// Base address of the synthetic code region.
 pub const CODE_BASE: u64 = 0x0010_0000;
@@ -22,7 +24,7 @@ pub const CODE_BASE: u64 = 0x0010_0000;
 pub const DATA_BASE: u64 = 0x0800_0000;
 
 /// Locality knobs of a profile (the dials Table 2 cannot show directly).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Locality {
     /// Zipf skew over procedures (instruction locality).
     pub instr_alpha: f64,
@@ -57,7 +59,7 @@ impl Default for Locality {
 }
 
 /// A complete synthetic workload description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgramProfile {
     /// Trace name (matches the paper's, e.g. `"VSPICE"`).
     pub name: String,
@@ -84,6 +86,31 @@ pub struct ProgramProfile {
     /// Trace length the paper simulated for this workload.
     pub paper_length: u64,
 }
+
+/// A profile description that cannot be realized.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProfileError {
+    message: String,
+}
+
+impl ProfileError {
+    /// An error carrying `message`: [`ProgramProfile::validate`]'s, or
+    /// one from the non-CPU families, which validate with their own knobs
+    /// but surface through the same workload error type.
+    pub fn custom(message: impl Into<String>) -> Self {
+        ProfileError {
+            message: message.into(),
+        }
+    }
+}
+
+impl fmt::Display for ProfileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+impl Error for ProfileError {}
 
 impl ProgramProfile {
     /// Target fraction of references that are data writes.
@@ -130,15 +157,49 @@ impl ProgramProfile {
     }
 
     /// Checks the profile can actually generate: fractions consistent,
-    /// footprints large enough, locality dials in range (the same
-    /// conditions [`crate::ProfileBuilder::build`] enforces).
+    /// footprints large enough, locality dials in range.
     ///
     /// # Errors
     ///
-    /// Returns a [`crate::ProfileError`] naming the first violated
-    /// constraint.
-    pub fn validate(&self) -> Result<(), crate::ProfileError> {
-        crate::builder::validate_profile(self)
+    /// Returns a [`ProfileError`] naming the first violated constraint.
+    pub fn validate(&self) -> Result<(), ProfileError> {
+        if !(0.0..=1.0).contains(&self.ifetch_fraction)
+            || !(0.0..=1.0).contains(&self.read_fraction)
+            || self.ifetch_fraction + self.read_fraction > 1.0
+        {
+            return Err(ProfileError::custom(
+                "ifetch and read fractions must be nonnegative and sum to at most 1",
+            ));
+        }
+        if !(0.0..1.0).contains(&self.branch_fraction) {
+            return Err(ProfileError::custom("branch fraction must lie in [0, 1)"));
+        }
+        if self.code_bytes < 512 {
+            return Err(ProfileError::custom("code footprint must be at least 512 bytes"));
+        }
+        if self.data_bytes < 512 {
+            return Err(ProfileError::custom("data footprint must be at least 512 bytes"));
+        }
+        let l = &self.locality;
+        if l.seq_fraction < 0.0
+            || l.stack_fraction < 0.0
+            || l.seq_fraction + l.stack_fraction > 1.0
+        {
+            return Err(ProfileError::custom(
+                "seq and stack fractions must be nonnegative and sum to at most 1",
+            ));
+        }
+        if !(0.0..=1.0).contains(&l.write_concentration) {
+            return Err(ProfileError::custom("write concentration must lie in [0, 1]"));
+        }
+        if !(0.0..=4.0).contains(&l.instr_alpha) || !(0.0..=4.0).contains(&l.data_alpha) {
+            return Err(ProfileError::custom("Zipf alphas must lie in [0, 4]"));
+        }
+        // Exercise the model constructors so any residual inconsistency
+        // surfaces here rather than on first use.
+        let _ = self.instr_params();
+        let _ = self.data_params();
+        Ok(())
     }
 
     /// An infinite, deterministic access stream for this profile, or a
@@ -149,7 +210,7 @@ impl ProgramProfile {
     /// # Errors
     ///
     /// Returns the first [`validate`](Self::validate) failure.
-    pub fn try_generator(&self) -> Result<ProgramGenerator, crate::ProfileError> {
+    pub fn try_generator(&self) -> Result<ProgramGenerator, ProfileError> {
         self.validate()?;
         Ok(ProgramGenerator {
             instr: InstrModel::new(self.instr_params(), derive_seed(self.seed, 1)),
@@ -185,15 +246,6 @@ impl ProgramProfile {
         let mut trace = Trace::with_capacity(len);
         trace.extend(self.generator().take(len));
         trace
-    }
-
-    /// Materializes the trace at the length the paper used.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`generator`](Self::generator).
-    pub fn generate_paper_length(&self) -> Trace {
-        self.generate(self.paper_length as usize)
     }
 }
 
@@ -250,17 +302,6 @@ pub fn example_profile() -> ProgramProfile {
         seed: 0x5eed,
         paper_length: 250_000,
     }
-}
-
-/// Helper: kind of a generated access stream's elements ordered as the
-/// characterizer expects (used in tests).
-#[doc(hidden)]
-pub fn kind_counts(trace: &Trace) -> [u64; 3] {
-    let mut counts = [0u64; 3];
-    for a in trace {
-        counts[a.kind.index()] += 1;
-    }
-    counts
 }
 
 #[cfg(test)]
@@ -322,6 +363,43 @@ mod tests {
         p.ifetch_fraction = 0.7;
         p.read_fraction = 0.35;
         assert_eq!(p.write_fraction(), 0.0);
+    }
+
+    #[test]
+    fn rejects_inconsistent_fractions() {
+        let mut p = example_profile();
+        p.ifetch_fraction = 0.9;
+        p.read_fraction = 0.5;
+        assert!(p.validate().is_err());
+        let mut p = example_profile();
+        p.branch_fraction = 1.0;
+        assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_tiny_footprints() {
+        let mut p = example_profile();
+        p.code_bytes = (0.1 * 1024.0) as u64;
+        assert!(p.validate().is_err());
+        let mut p = example_profile();
+        p.data_bytes = (0.1 * 1024.0) as u64;
+        assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_bad_locality() {
+        let mut p = example_profile();
+        p.locality = Locality {
+            seq_fraction: 0.8,
+            stack_fraction: 0.5,
+            ..Default::default()
+        };
+        assert!(p.validate().is_err());
+        p.locality = Locality {
+            instr_alpha: 9.0,
+            ..Default::default()
+        };
+        assert!(p.validate().is_err());
     }
 
     #[test]

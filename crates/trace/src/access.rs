@@ -1,6 +1,5 @@
 //! The memory-reference model: addresses, line addresses, and accesses.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A virtual byte address, as recorded in a program address trace.
@@ -15,9 +14,7 @@ use std::fmt;
 /// assert_eq!(a.get(), 0x1234);
 /// assert_eq!(a.line(16).get(), 0x123);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(u64);
 
 impl Addr {
@@ -98,9 +95,7 @@ impl fmt::UpperHex for Addr {
 /// A `LineAddr` is only meaningful relative to the line size it was produced
 /// with; the cache simulator guarantees it never mixes line addresses from
 /// different line sizes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineAddr(u64);
 
 impl LineAddr {
@@ -139,9 +134,7 @@ impl fmt::Display for LineAddr {
 /// The paper distinguishes instruction fetches, data reads and data writes
 /// (its M68000 traces only distinguish fetches from writes; see
 /// [`MachineArch::M68000`](crate::MachineArch::M68000)).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AccessKind {
     /// An instruction fetch.
     InstructionFetch,
@@ -216,7 +209,7 @@ impl fmt::Display for AccessKind {
 /// assert_eq!(acc.kind, AccessKind::Read);
 /// assert_eq!(acc.size, 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemoryAccess {
     /// The virtual byte address referenced.
     pub addr: Addr,

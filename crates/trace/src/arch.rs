@@ -6,7 +6,6 @@
 //! [`MachineArch`] records both aspects so the synthetic generators can
 //! emulate, per machine, the reference streams the original traces encoded.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The width and "memory" of a machine's path to main memory.
@@ -15,7 +14,7 @@ use std::fmt;
 /// 4, 2 or 1 memory references depending on whether the interface is 2, 4 or
 /// 8 bytes wide, and fewer still if the interface remembers the bytes it
 /// already holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InterfaceSpec {
     /// Width of the memory interface in bytes.
     pub width_bytes: u8,
@@ -48,7 +47,7 @@ impl fmt::Display for InterfaceSpec {
 /// One of the machine architectures the paper's 49 traces were taken from,
 /// plus the (then-unreleased) Zilog Z80000 whose projections the paper
 /// critiques.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MachineArch {
     /// IBM System/370 (Amdahl 470-class traces, incl. the MVS OS traces).
     Ibm370,

@@ -153,11 +153,6 @@ where
         self.stats
     }
 
-    /// Unwraps the adapter, returning the inner stream and the stats.
-    pub fn into_parts(self) -> (I, FaultStats) {
-        (self.inner, self.stats)
-    }
-
     fn next_u64(&mut self) -> u64 {
         splitmix64(&mut self.rng)
     }

@@ -1,13 +1,12 @@
 //! Source languages of the traced programs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The source language a traced program was written in.
 ///
 /// The paper's workload covers seven languages; the language matters because
 /// compiler maturity drives code density and reference mix (§1.2, §4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SourceLanguage {
     /// Fortran (scientific codes, Watfiv-compiled programs).
     Fortran,

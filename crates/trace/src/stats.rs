@@ -7,7 +7,6 @@
 //! data lines touched, and the derived address-space size.
 
 use crate::{AccessKind, MemoryAccess, PAPER_LINE_SIZE};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -149,7 +148,7 @@ impl Extend<MemoryAccess> for TraceCharacterizer {
 }
 
 /// One row of the paper's Table 2: aggregate characteristics of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCharacteristics {
     line_size: usize,
     counts: [u64; 3],

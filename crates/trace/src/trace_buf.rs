@@ -2,7 +2,6 @@
 
 use crate::stats::{TraceCharacteristics, TraceCharacterizer};
 use crate::MemoryAccess;
-use serde::{Deserialize, Serialize};
 
 /// An in-memory program address trace: a growable sequence of
 /// [`MemoryAccess`]es.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 ///     .collect();
 /// assert_eq!(trace.len(), 8);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     accesses: Vec<MemoryAccess>,
 }
