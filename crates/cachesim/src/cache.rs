@@ -1,5 +1,14 @@
 //! A single simulated cache: the access path tying mapping, replacement,
 //! write policy, fetch policy and purging together.
+//!
+//! The storage core is chosen from the configuration once, when the cache
+//! is built, and matched once per call of [`Cache::run`] (a whole trace
+//! slice) or [`Cache::access`] (which is `run` over one reference). Both
+//! drive the same loop, generic over the core, so the per-reference path
+//! makes no dynamic call: the core's `touch` and `insert` are static
+//! calls the compiler is free to inline. Every caller — `UnifiedCache`,
+//! `SplitCache`, the experiments and the served `simulate` — runs this
+//! one kernel.
 
 use crate::config::{CacheConfig, FetchPolicy, Mapping, Replacement, WritePolicy};
 use crate::core_ops::CoreOps;
@@ -17,13 +26,6 @@ enum CoreImpl {
 }
 
 impl CoreImpl {
-    fn as_ops(&mut self) -> &mut dyn CoreOps {
-        match self {
-            CoreImpl::FullLru(c) => c,
-            CoreImpl::SetAssoc(c) => c,
-        }
-    }
-
     fn contains(&self, line: LineAddr) -> bool {
         match self {
             CoreImpl::FullLru(c) => c.contains(line),
@@ -41,9 +43,9 @@ impl CoreImpl {
 
 /// One simulated cache.
 ///
-/// Drive it with [`access`](Cache::access); read results from
-/// [`stats`](Cache::stats). A `Cache` does not care whether it is used
-/// unified or as one half of a split organisation — see
+/// Drive it with [`access`](Cache::access) or [`run`](Cache::run); read
+/// results from [`stats`](Cache::stats). A `Cache` does not care whether
+/// it is used unified or as one half of a split organisation — see
 /// [`UnifiedCache`](crate::UnifiedCache) and
 /// [`SplitCache`](crate::SplitCache) for those wrappers.
 ///
@@ -59,8 +61,16 @@ impl CoreImpl {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    config: CacheConfig,
     core: CoreImpl,
+    ctl: Controller,
+}
+
+/// Everything of a cache but its storage: the configuration, the
+/// statistics and the purge counter, with the policy logic that drives
+/// a core.
+#[derive(Debug, Clone)]
+struct Controller {
+    config: CacheConfig,
     stats: CacheStats,
     refs_since_purge: u64,
 }
@@ -93,21 +103,23 @@ impl Cache {
             )),
         };
         Ok(Cache {
-            config,
             core,
-            stats: CacheStats::new(),
-            refs_since_purge: 0,
+            ctl: Controller {
+                config,
+                stats: CacheStats::new(),
+                refs_since_purge: 0,
+            },
         })
     }
 
     /// The configuration this cache was built from.
     pub fn config(&self) -> &CacheConfig {
-        &self.config
+        &self.ctl.config
     }
 
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &CacheStats {
-        &self.stats
+        &self.ctl.stats
     }
 
     /// Number of lines currently resident.
@@ -118,39 +130,24 @@ impl Cache {
     /// Whether the line containing `access` would hit right now (no state
     /// change, no statistics).
     pub fn would_hit(&self, access: MemoryAccess) -> bool {
-        self.core.contains(access.line(self.config.line_size()))
+        self.core.contains(access.line(self.ctl.config.line_size()))
     }
 
-    /// Processes one memory reference.
+    /// Processes one memory reference: [`run`](Cache::run) over a
+    /// one-reference slice.
     pub fn access(&mut self, access: MemoryAccess) {
-        if let Some(interval) = self.config.purge_interval() {
-            if self.refs_since_purge >= interval {
-                self.purge();
-            }
-        }
-        self.refs_since_purge += 1;
-        self.stats.record_ref(access.kind, access.size);
-
-        let line = access.line(self.config.line_size());
-        match access.kind {
-            AccessKind::InstructionFetch | AccessKind::Read => self.handle_read(line, access.kind),
-            AccessKind::Write => self.handle_write(line, access.size),
-        }
-
-        if self.config.fetch_policy() == FetchPolicy::PrefetchAlways {
-            self.prefetch(line.next());
-        }
+        self.run(std::slice::from_ref(&access));
     }
 
     /// Processes every reference of a contiguous slice.
     ///
-    /// This is the pooled-replay hot path: iterating a materialized trace
-    /// slice monomorphizes the loop, where driving
-    /// [`access`](Cache::access) from a `Box<dyn Iterator>` pays a virtual
-    /// call per reference.
+    /// This is the pooled-replay hot path: the core is matched once per
+    /// slice, and the loop over it is compiled once per core type.
     pub fn run(&mut self, trace: &[MemoryAccess]) {
-        for &access in trace {
-            self.access(access);
+        let ctl = &mut self.ctl;
+        match &mut self.core {
+            CoreImpl::FullLru(core) => trace.iter().for_each(|&a| ctl.step(core, a)),
+            CoreImpl::SetAssoc(core) => trace.iter().for_each(|&a| ctl.step(core, a)),
         }
     }
 
@@ -158,9 +155,41 @@ impl Cache {
     /// (the paper's task-switch purge). Also invoked automatically per the
     /// configured [`purge_interval`](CacheConfig::purge_interval).
     pub fn purge(&mut self) {
+        match &mut self.core {
+            CoreImpl::FullLru(core) => self.ctl.purge(core),
+            CoreImpl::SetAssoc(core) => self.ctl.purge(core),
+        }
+    }
+}
+
+impl Controller {
+    /// Processes one reference against `core`.
+    fn step<C: CoreOps>(&mut self, core: &mut C, access: MemoryAccess) {
+        if let Some(interval) = self.config.purge_interval() {
+            if self.refs_since_purge >= interval {
+                self.purge(core);
+            }
+        }
+        self.refs_since_purge += 1;
+        self.stats.record_ref(access.kind, access.size);
+
+        let line = access.line(self.config.line_size());
+        match access.kind {
+            AccessKind::InstructionFetch | AccessKind::Read => {
+                self.handle_read(core, line, access.kind)
+            }
+            AccessKind::Write => self.handle_write(core, line, access.size),
+        }
+
+        if self.config.fetch_policy() == FetchPolicy::PrefetchAlways {
+            self.prefetch(core, line.next());
+        }
+    }
+
+    fn purge<C: CoreOps>(&mut self, core: &mut C) {
         let line_size = self.config.line_size() as u64;
         let stats = &mut self.stats;
-        self.core.as_ops().purge(&mut |evicted| {
+        core.purge(|evicted| {
             stats.pushes += 1;
             if evicted.dirty {
                 stats.dirty_pushes += 1;
@@ -171,20 +200,20 @@ impl Cache {
         self.refs_since_purge = 0;
     }
 
-    fn handle_read(&mut self, line: LineAddr, kind: AccessKind) {
-        if self.core.as_ops().touch(line).is_some() {
+    fn handle_read<C: CoreOps>(&mut self, core: &mut C, line: LineAddr, kind: AccessKind) {
+        if core.touch(line).is_some() {
             return;
         }
         self.stats.record_miss(kind);
         self.fetch_line();
-        let evicted = self.core.as_ops().insert(line, false);
+        let evicted = core.insert(line, false);
         self.account_eviction(evicted);
     }
 
-    fn handle_write(&mut self, line: LineAddr, size: u8) {
+    fn handle_write<C: CoreOps>(&mut self, core: &mut C, line: LineAddr, size: u8) {
         match self.config.write_policy() {
             WritePolicy::CopyBack { fetch_on_write } => {
-                if let Some(dirty) = self.core.as_ops().touch(line) {
+                if let Some(dirty) = core.touch(line) {
                     *dirty = true;
                     return;
                 }
@@ -195,32 +224,32 @@ impl Cache {
                     // Allocate without fetching: the line is created dirty
                     // and memory is only updated at push time.
                 }
-                let evicted = self.core.as_ops().insert(line, true);
+                let evicted = core.insert(line, true);
                 self.account_eviction(evicted);
             }
             WritePolicy::WriteThrough { allocate } => {
                 self.stats.bytes_written_through += size as u64;
-                if self.core.as_ops().touch(line).is_some() {
+                if core.touch(line).is_some() {
                     return;
                 }
                 self.stats.record_miss(AccessKind::Write);
                 if allocate {
                     self.fetch_line();
-                    let evicted = self.core.as_ops().insert(line, false);
+                    let evicted = core.insert(line, false);
                     self.account_eviction(evicted);
                 }
             }
         }
     }
 
-    fn prefetch(&mut self, next: LineAddr) {
-        if self.core.contains(next) {
+    fn prefetch<C: CoreOps>(&mut self, core: &mut C, next: LineAddr) {
+        if core.contains(next) {
             self.stats.prefetch_hits += 1;
             return;
         }
         self.stats.prefetch_fetches += 1;
         self.stats.bytes_fetched += self.config.line_size() as u64;
-        let evicted = self.core.as_ops().insert(next, false);
+        let evicted = core.insert(next, false);
         self.account_eviction(evicted);
     }
 

@@ -6,9 +6,13 @@ use smith85_trace::LineAddr;
 /// Storage operations a cache core must provide.
 ///
 /// This trait is crate-internal plumbing: the public [`Cache`](crate::Cache)
-/// dispatches to a core chosen from the configuration (an O(1)
+/// holds one of two cores chosen from the configuration (an O(1)
 /// linked-list/hash core for fully-associative LRU, a scanning
-/// set-associative core otherwise).
+/// set-associative core otherwise). It matches on which one once per
+/// call of [`access`](crate::Cache::access) or [`run`](crate::Cache::run)
+/// and drives a loop generic over this trait, so every method below is
+/// a static call the compiler can inline into the reference loop; no
+/// trait object is ever made.
 pub(crate) trait CoreOps {
     /// Looks up `line`. On a hit, updates recency (for recency-based
     /// policies) and returns a mutable reference to the dirty flag.
@@ -24,7 +28,7 @@ pub(crate) trait CoreOps {
 
     /// Removes every line, invoking `on_push` for each (a task-switch
     /// purge; the paper counts these as pushes too).
-    fn purge(&mut self, on_push: &mut dyn FnMut(Evicted));
+    fn purge(&mut self, on_push: impl FnMut(Evicted));
 
     /// Number of lines currently resident.
     fn len(&self) -> usize;

@@ -153,7 +153,7 @@ impl CoreOps for FullLruCore {
         evicted
     }
 
-    fn purge(&mut self, on_push: &mut dyn FnMut(Evicted)) {
+    fn purge(&mut self, mut on_push: impl FnMut(Evicted)) {
         // Push in LRU-to-MRU order; the order is unobservable to stats but
         // deterministic for tests.
         while self.tail != NIL {
@@ -226,7 +226,7 @@ mod tests {
             c.insert(l(i), i % 2 == 0);
         }
         let mut pushed = Vec::new();
-        c.purge(&mut |e| pushed.push(e));
+        c.purge(|e| pushed.push(e));
         assert_eq!(pushed.len(), 4);
         assert_eq!(c.len(), 0);
         assert_eq!(pushed.iter().filter(|e| e.dirty).count(), 2);

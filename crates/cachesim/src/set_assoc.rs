@@ -5,6 +5,12 @@
 //! the O(1) core in [`full_lru`](crate::full_lru)). Ways are scanned
 //! linearly, which is the right trade-off for the small associativities
 //! these configurations use.
+//!
+//! Storage is flat: the `sets × ways` slots live in one array, set `s`
+//! owning slots `s * ways ..` of which the first `fill[s]` hold lines in
+//! fill order, and the tree-PLRU bits of every set live in one more
+//! array. Building a cache is two or three allocations whatever its set
+//! count, and no set allocates when it first fills.
 
 use crate::config::Replacement;
 use crate::core_ops::CoreOps;
@@ -19,70 +25,61 @@ struct Way {
     stamp: u64,
 }
 
-#[derive(Debug, Clone, Default)]
-struct Set {
-    ways: Vec<Way>,
-    /// Internal-node bits of the tree-PLRU heap (ways - 1 bits, heap
-    /// order, allocated lazily); bit = 1 means "the PLRU side is the
-    /// right child".
-    plru: Vec<bool>,
+const EMPTY: Way = Way {
+    line: LineAddr::new(0),
+    dirty: false,
+    stamp: 0,
+};
+
+/// Points every node on the path to `way` away from it. `bits` is one
+/// set's tree (`capacity - 1` internal nodes in heap order); bit = 1
+/// means "the PLRU side is the right child".
+fn plru_touch(bits: &mut [bool], capacity: usize, way: usize) {
+    let mut node = 1usize;
+    let mut lo = 0usize;
+    let mut hi = capacity;
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        let went_right = way >= mid;
+        // Point the node at the *other* half.
+        bits[node - 1] = !went_right;
+        if went_right {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+        node = 2 * node + usize::from(went_right);
+    }
 }
 
-impl Set {
-    /// Points every node on the path to `way` away from it.
-    fn plru_touch(&mut self, capacity: usize, way: usize) {
-        if capacity < 2 {
-            return;
+/// Follows one set's PLRU bits from the root to the victim way.
+fn plru_victim(bits: &[bool], capacity: usize) -> usize {
+    let mut node = 1usize;
+    let mut lo = 0usize;
+    let mut hi = capacity;
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        let go_right = bits[node - 1];
+        if go_right {
+            lo = mid;
+        } else {
+            hi = mid;
         }
-        if self.plru.is_empty() {
-            self.plru = vec![false; capacity - 1];
-        }
-        let mut node = 1usize;
-        let mut lo = 0usize;
-        let mut hi = capacity;
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            let went_right = way >= mid;
-            // Point the node at the *other* half.
-            self.plru[node - 1] = !went_right;
-            if went_right {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-            node = 2 * node + usize::from(went_right);
-        }
+        node = 2 * node + usize::from(go_right);
     }
-
-    /// Follows the PLRU bits from the root to the victim way.
-    fn plru_victim(&mut self, capacity: usize) -> usize {
-        if capacity < 2 {
-            return 0;
-        }
-        if self.plru.is_empty() {
-            self.plru = vec![false; capacity - 1];
-        }
-        let mut node = 1usize;
-        let mut lo = 0usize;
-        let mut hi = capacity;
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            let go_right = self.plru[node - 1];
-            if go_right {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-            node = 2 * node + usize::from(go_right);
-        }
-        lo
-    }
+    lo
 }
 
 /// Set-associative storage.
 #[derive(Debug, Clone)]
 pub(crate) struct SetAssocCore {
-    sets: Vec<Set>,
+    /// `sets × ways` slots, set-major.
+    slots: Vec<Way>,
+    /// Lines held by each set: its first `fill[s]` slots.
+    fill: Vec<u32>,
+    /// `sets × (ways - 1)` tree-PLRU bits, set-major (empty for the
+    /// other policies).
+    plru: Vec<bool>,
     ways: usize,
     set_mask: u64,
     replacement: Replacement,
@@ -94,7 +91,10 @@ pub(crate) struct SetAssocCore {
 impl SetAssocCore {
     pub(crate) fn new(sets: usize, ways: usize, replacement: Replacement) -> Self {
         assert!(sets.is_power_of_two() && sets > 0);
-        assert!(ways > 0);
+        assert!(
+            ways > 0 && u32::try_from(ways).is_ok(),
+            "bad way count {ways}"
+        );
         assert!(
             !matches!(replacement, Replacement::TreePlru) || ways.is_power_of_two(),
             "tree PLRU needs a power-of-two way count, got {ways}"
@@ -103,8 +103,14 @@ impl SetAssocCore {
             Replacement::Random { seed } => seed | 1,
             _ => 1,
         };
+        let plru_bits = match replacement {
+            Replacement::TreePlru => sets * (ways - 1),
+            _ => 0,
+        };
         SetAssocCore {
-            sets: vec![Set::default(); sets],
+            slots: vec![EMPTY; sets * ways],
+            fill: vec![0; sets],
+            plru: vec![false; plru_bits],
             ways,
             set_mask: sets as u64 - 1,
             replacement,
@@ -118,6 +124,18 @@ impl SetAssocCore {
         (line.get() & self.set_mask) as usize
     }
 
+    /// The filled slots of set `idx`.
+    fn resident(&self, idx: usize) -> &[Way] {
+        let base = idx * self.ways;
+        &self.slots[base..base + self.fill[idx] as usize]
+    }
+
+    /// Set `idx`'s PLRU tree.
+    fn plru_bits(&mut self, idx: usize) -> &mut [bool] {
+        let nodes = self.ways - 1;
+        &mut self.plru[idx * nodes..(idx + 1) * nodes]
+    }
+
     fn next_random(&mut self) -> u64 {
         // xorshift64*: deterministic, cheap, good enough for victim choice.
         let mut x = self.rng_state;
@@ -128,28 +146,26 @@ impl SetAssocCore {
         x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
+    /// The way to evict from the full set `set_idx`.
     fn victim_index(&mut self, set_idx: usize) -> usize {
         match self.replacement {
             Replacement::TreePlru => {
                 let ways = self.ways;
-                self.sets[set_idx].plru_victim(ways)
+                plru_victim(self.plru_bits(set_idx), ways)
             }
             // LRU and FIFO both evict the minimal stamp; they differ in
             // whether `touch` refreshes the stamp.
             Replacement::Lru | Replacement::Fifo => {
-                let set = &self.sets[set_idx];
+                let set = self.resident(set_idx);
                 let mut min = 0;
-                for (i, way) in set.ways.iter().enumerate() {
-                    if way.stamp < set.ways[min].stamp {
+                for (i, way) in set.iter().enumerate() {
+                    if way.stamp < set[min].stamp {
                         min = i;
                     }
                 }
                 min
             }
-            Replacement::Random { .. } => {
-                let n = self.sets[set_idx].ways.len() as u64;
-                (self.next_random() % n) as usize
-            }
+            Replacement::Random { .. } => (self.next_random() % self.ways as u64) as usize,
         }
     }
 }
@@ -157,25 +173,24 @@ impl SetAssocCore {
 impl CoreOps for SetAssocCore {
     fn touch(&mut self, line: LineAddr) -> Option<&mut bool> {
         self.clock += 1;
-        let clock = self.clock;
-        let refresh = matches!(self.replacement, Replacement::Lru);
-        let plru = matches!(self.replacement, Replacement::TreePlru);
-        let capacity = self.ways;
         let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        let hit = set.ways.iter().position(|w| w.line == line)?;
-        if refresh {
-            set.ways[hit].stamp = clock;
+        let hit = self.resident(idx).iter().position(|w| w.line == line)?;
+        let slot = idx * self.ways + hit;
+        match self.replacement {
+            Replacement::Lru => self.slots[slot].stamp = self.clock,
+            Replacement::TreePlru => {
+                let ways = self.ways;
+                plru_touch(self.plru_bits(idx), ways, hit);
+            }
+            Replacement::Fifo | Replacement::Random { .. } => {}
         }
-        if plru {
-            set.plru_touch(capacity, hit);
-        }
-        Some(&mut set.ways[hit].dirty)
+        Some(&mut self.slots[slot].dirty)
     }
 
     fn contains(&self, line: LineAddr) -> bool {
-        let set = &self.sets[self.set_index(line)];
-        set.ways.iter().any(|w| w.line == line)
+        self.resident(self.set_index(line))
+            .iter()
+            .any(|w| w.line == line)
     }
 
     fn insert(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
@@ -183,40 +198,39 @@ impl CoreOps for SetAssocCore {
         self.clock += 1;
         let stamp = self.clock;
         let set_idx = self.set_index(line);
-        let plru = matches!(self.replacement, Replacement::TreePlru);
-        let capacity = self.ways;
-        if self.sets[set_idx].ways.len() < capacity {
-            self.sets[set_idx].ways.push(Way { line, dirty, stamp });
+        let filled = self.fill[set_idx] as usize;
+        let (way, evicted) = if filled < self.ways {
+            self.fill[set_idx] += 1;
             self.len += 1;
-            if plru {
-                let filled = self.sets[set_idx].ways.len() - 1;
-                self.sets[set_idx].plru_touch(capacity, filled);
-            }
-            return None;
-        }
-        let victim = self.victim_index(set_idx);
-        let way = &mut self.sets[set_idx].ways[victim];
-        let evicted = Evicted {
-            line: way.line,
-            dirty: way.dirty,
+            (filled, None)
+        } else {
+            let victim = self.victim_index(set_idx);
+            let old = self.slots[set_idx * self.ways + victim];
+            let evicted = Evicted {
+                line: old.line,
+                dirty: old.dirty,
+            };
+            (victim, Some(evicted))
         };
-        *way = Way { line, dirty, stamp };
-        if plru {
-            self.sets[set_idx].plru_touch(capacity, victim);
+        self.slots[set_idx * self.ways + way] = Way { line, dirty, stamp };
+        if matches!(self.replacement, Replacement::TreePlru) {
+            let ways = self.ways;
+            plru_touch(self.plru_bits(set_idx), ways, way);
         }
-        Some(evicted)
+        evicted
     }
 
-    fn purge(&mut self, on_push: &mut dyn FnMut(Evicted)) {
-        for set in &mut self.sets {
-            for way in set.ways.drain(..) {
+    fn purge(&mut self, mut on_push: impl FnMut(Evicted)) {
+        for set_idx in 0..self.fill.len() {
+            for way in self.resident(set_idx) {
                 on_push(Evicted {
                     line: way.line,
                     dirty: way.dirty,
                 });
             }
-            set.plru.clear();
         }
+        self.fill.fill(0);
+        self.plru.fill(false);
         self.len = 0;
     }
 
@@ -299,7 +313,7 @@ mod tests {
             c.insert(l(i), true);
         }
         let mut n = 0;
-        c.purge(&mut |e| {
+        c.purge(|e| {
             assert!(e.dirty);
             n += 1;
         });

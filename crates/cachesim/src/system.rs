@@ -91,6 +91,10 @@ impl Simulator for UnifiedCache {
     fn total_stats(&self) -> CacheStats {
         *self.cache.stats()
     }
+
+    fn run_slice(&mut self, trace: &[MemoryAccess]) {
+        self.cache.run(trace);
+    }
 }
 
 /// A split organisation: separate instruction and data caches, purged

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use smith85_cachesim::{
     AssocAnalyzer, Cache, CacheConfig, FetchPolicy, Mapping, Replacement, SectorCache,
-    SectorCacheConfig, WriteBuffer,
+    SectorCacheConfig, Simulator, UnifiedCache, WriteBuffer, WritePolicy,
 };
 use smith85_trace::{AccessKind, Addr, MemoryAccess};
 
@@ -24,6 +24,52 @@ fn arb_stream(max: usize) -> impl Strategy<Value = Vec<MemoryAccess>> {
     prop::collection::vec(arb_access(), 1..max)
 }
 
+/// Any configuration of every core, policy and purge setting (a purge
+/// interval of 0 means none; the others purge every few hundred
+/// references, so short streams cross them).
+fn arb_config() -> impl Strategy<Value = CacheConfig> {
+    (
+        prop_oneof![Just(128usize), Just(512), Just(2_048)],
+        prop_oneof![
+            Just(Mapping::Direct),
+            Just(Mapping::SetAssociative(2)),
+            Just(Mapping::SetAssociative(4)),
+            Just(Mapping::SetAssociative(8)),
+            Just(Mapping::FullyAssociative),
+        ],
+        prop_oneof![
+            Just(Replacement::Lru),
+            Just(Replacement::Fifo),
+            Just(Replacement::Random { seed: 85 }),
+            Just(Replacement::TreePlru),
+        ],
+        prop_oneof![
+            Just(WritePolicy::CopyBack {
+                fetch_on_write: true
+            }),
+            Just(WritePolicy::CopyBack {
+                fetch_on_write: false
+            }),
+            Just(WritePolicy::WriteThrough { allocate: true }),
+            Just(WritePolicy::WriteThrough { allocate: false }),
+        ],
+        prop_oneof![Just(FetchPolicy::Demand), Just(FetchPolicy::PrefetchAlways)],
+        0u64..300,
+    )
+        .prop_map(
+            |(size, mapping, replacement, write_policy, fetch_policy, purge)| {
+                CacheConfig::builder(size)
+                    .mapping(mapping)
+                    .replacement(replacement)
+                    .write_policy(write_policy)
+                    .fetch_policy(fetch_policy)
+                    .purge_interval((purge > 0).then_some(purge))
+                    .build()
+                    .expect("every generated config is valid")
+            },
+        )
+}
+
 fn run_cache(config: CacheConfig, stream: &[MemoryAccess]) -> u64 {
     let mut cache = Cache::new(config).expect("valid config");
     for a in stream {
@@ -34,6 +80,49 @@ fn run_cache(config: CacheConfig, stream: &[MemoryAccess]) -> u64 {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The slice loop and the per-reference entry point are one kernel:
+    /// `Cache::run` over a stream, even cut into two slices at any
+    /// point, leaves exactly the state and statistics of calling
+    /// `Cache::access` once per reference.
+    #[test]
+    fn run_slice_equals_per_reference_access(
+        config in arb_config(),
+        stream in arb_stream(600),
+        cut in 0usize..600,
+    ) {
+        let mut one = Cache::new(config).unwrap();
+        for a in &stream {
+            one.access(*a);
+        }
+        let mut sliced = Cache::new(config).unwrap();
+        let (head, tail) = stream.split_at(cut.min(stream.len()));
+        sliced.run(head);
+        sliced.run(tail);
+        prop_assert_eq!(one.stats(), sliced.stats());
+        prop_assert_eq!(one.resident_lines(), sliced.resident_lines());
+        for a in &stream {
+            prop_assert_eq!(one.would_hit(*a), sliced.would_hit(*a));
+        }
+    }
+
+    /// `UnifiedCache::run_slice` (the pooled-replay path) and
+    /// `Simulator::run` over an iterator give the same statistics.
+    #[test]
+    fn unified_run_slice_equals_simulator_run(
+        config in arb_config(),
+        stream in arb_stream(600),
+    ) {
+        let mut sliced = UnifiedCache::new(config).unwrap();
+        sliced.run_slice(&stream);
+        let mut iterated = UnifiedCache::new(config).unwrap();
+        iterated.run(stream.iter().copied());
+        prop_assert_eq!(sliced.total_stats(), iterated.total_stats());
+        prop_assert_eq!(
+            sliced.cache().resident_lines(),
+            iterated.cache().resident_lines()
+        );
+    }
 
     /// The O(1) fully-associative LRU core and the scanning set-
     /// associative core (as one giant set) agree exactly. The scanning

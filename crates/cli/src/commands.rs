@@ -409,14 +409,10 @@ fn parse_usize_list(list: &str, flag: &str) -> Result<Vec<usize>, CliError> {
         .collect()
 }
 
-pub(crate) fn sweep(opts: &Opts) -> Result<String, CliError> {
-    opts.expect_only(&["trace", "file", "len", "sizes", "ways", "line", "policy"])?;
-    let sizes: Vec<usize> = match opts.get("sizes") {
-        None => PAPER_SIZES.to_vec(),
-        Some(list) => parse_usize_list(list, "sizes")?,
-    };
-    let line = opts.get_parse("line", 16usize)?;
-    // Stack analysis has no answer for a cache that holds no line.
+/// Rejects a line size the stack analyzers would panic on: they split
+/// addresses into lines by shifting, so it must be a positive power of
+/// two.
+fn check_line(line: usize) -> Result<(), CliError> {
     if line == 0 || !line.is_power_of_two() {
         return Err(ConfigError::NotPowerOfTwo {
             what: "line size",
@@ -424,6 +420,17 @@ pub(crate) fn sweep(opts: &Opts) -> Result<String, CliError> {
         }
         .into());
     }
+    Ok(())
+}
+
+pub(crate) fn sweep(opts: &Opts) -> Result<String, CliError> {
+    opts.expect_only(&["trace", "file", "len", "sizes", "ways", "line", "policy"])?;
+    let sizes: Vec<usize> = match opts.get("sizes") {
+        None => PAPER_SIZES.to_vec(),
+        Some(list) => parse_usize_list(list, "sizes")?,
+    };
+    let line = opts.get_parse("line", 16usize)?;
+    check_line(line)?;
     if let Some(&cache) = sizes.iter().find(|&&size| size < line) {
         return Err(ConfigError::CacheSmallerThanLine { cache, line }.into());
     }
@@ -502,12 +509,13 @@ pub(crate) fn sweep(opts: &Opts) -> Result<String, CliError> {
 
 pub(crate) fn assoc(opts: &Opts) -> Result<String, CliError> {
     opts.expect_only(&["trace", "file", "len", "sets", "line"])?;
-    let trace = load_workload(opts)?;
     let sets = opts.get_parse("sets", 64usize)?;
     let line = opts.get_parse("line", 16usize)?;
     if !sets.is_power_of_two() || sets == 0 {
         return Err(CliError::usage("--sets must be a positive power of two"));
     }
+    check_line(line)?;
+    let trace = load_workload(opts)?;
     let mut analyzer = smith85_cachesim::AssocAnalyzer::with_line_size(sets, line);
     for access in &trace {
         analyzer.observe(*access);

@@ -64,6 +64,20 @@ fn sweep_rejects_sizes_smaller_than_a_line() {
 }
 
 #[test]
+fn assoc_rejects_line_sizes_that_are_not_powers_of_two() {
+    for line in ["24", "0"] {
+        let out = smith85(&["assoc", "--trace", "VCCOM", "--len", "2000", "--line", line]);
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("line size must be a positive power of two, got {line}")),
+            "{err}"
+        );
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}
+
+#[test]
 fn simulate_pipeline_end_to_end() {
     let out = smith85(&[
         "simulate", "--trace", "ZGREP", "--len", "4000", "--size", "1024",

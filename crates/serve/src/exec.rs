@@ -23,6 +23,18 @@ use smith85_synth::catalog;
 /// pool.
 pub const MAX_REQUEST_LEN: usize = 2_000_000;
 
+/// Lines a cache named by a single request may hold (`size / line`):
+/// 2^18, which is 4 MiB of 16-byte lines, 32 times the largest cache any
+/// client in this repository asks for (128 KiB). Building a cache
+/// allocates up front, and a failed allocation aborts the whole server
+/// rather than one worker, so every size is checked before anything is
+/// built. At the cap, one `simulate` cache allocates at most about
+/// 23 MiB (the fully-associative LRU core: a hash map of 2^20 16-byte
+/// buckets and 2^18 24-byte slab nodes; a set-associative core, about
+/// 7 MiB), and each level of a grid `sweep` (one per set count) at most
+/// about 22 MiB.
+pub const MAX_CACHE_LINES: usize = 1 << 18;
+
 /// A reserved diagnostic workload name that panics inside the worker's
 /// `catch_unwind`. It exists so operators (and the loopback tests) can
 /// exercise the panic path end to end — the `internal` response, the
@@ -141,6 +153,21 @@ fn check_len(len: usize) -> Result<(), ErrorBody> {
     Ok(())
 }
 
+/// Rejects a cache of more than [`MAX_CACHE_LINES`] lines. A zero line
+/// size is left to the line checks, which name it.
+fn check_lines(size: usize, line: usize) -> Result<(), ErrorBody> {
+    match size.checked_div(line) {
+        Some(lines) if lines > MAX_CACHE_LINES => Err(ErrorBody::new(
+            ErrorCode::BadRequest,
+            format!(
+                "cache of {size} bytes in {line}-byte lines holds {lines} lines, \
+                 over the per-request cap of {MAX_CACHE_LINES}"
+            ),
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Runs one `simulate` job. Timing fields are left zero; the worker
 /// fills them in.
 ///
@@ -153,6 +180,7 @@ pub fn run_simulate(
     spec: &SimulateSpec,
 ) -> Result<SimulateResult, ErrorBody> {
     check_len(spec.len)?;
+    check_lines(spec.cache.size, spec.cache.line)?;
     if spec.workload == PANIC_WORKLOAD {
         panic!("diagnostic {PANIC_WORKLOAD} workload: injected worker panic");
     }
@@ -247,6 +275,9 @@ pub fn run_sweep(session: &SimSession, spec: &SweepSpec) -> Result<SweepResult, 
             ErrorCode::BadRequest,
             format!("invalid sweep grid: {e}"),
         ));
+    }
+    for &size in sizes {
+        check_lines(size, spec.line)?;
     }
     let workload = resolve_workload(&spec.workload, spec.seed)?;
     let policy = parse_policy(spec.policy.as_deref())?;
@@ -622,6 +653,38 @@ mod tests {
             );
         }
         assert_eq!(session.pool().stats().entries, 0, "rejected before any trace is pooled");
+    }
+
+    #[test]
+    fn caches_over_the_line_cap_are_rejected_before_anything_is_built() {
+        let session = session();
+        let huge = 1usize << 40;
+        let mut simulate = simulate_spec("VCCOM", 2_000, huge);
+        simulate.cache.ways = Some(1);
+        let sweep = SweepSpec {
+            workload: "VCCOM".to_string(),
+            len: 2_000,
+            seed: None,
+            sizes: vec![1_024, huge],
+            ways: vec![1],
+            line: 16,
+            policy: None,
+            deadline_ms: None,
+        };
+        let errors = [
+            run_simulate(&session, &simulate).unwrap_err(),
+            run_sweep(&session, &sweep).unwrap_err(),
+        ];
+        for err in errors {
+            assert_eq!(err.code, ErrorCode::BadRequest, "{err:?}");
+            for part in [huge.to_string(), "16-byte".to_string(), MAX_CACHE_LINES.to_string()] {
+                assert!(err.message.contains(&part), "{part} missing: {err:?}");
+            }
+        }
+        assert_eq!(session.pool().stats().entries, 0, "rejected before any trace is pooled");
+        assert!(check_lines(MAX_CACHE_LINES * 16, 16).is_ok());
+        assert!(check_lines(MAX_CACHE_LINES * 16 + 16, 16).is_err());
+        assert!(check_lines(huge, 0).is_ok(), "a zero line is the line checks' to name");
     }
 
     #[test]

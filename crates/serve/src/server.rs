@@ -558,6 +558,7 @@ fn run_job(state: &ServerState, job: Job) -> (ReplyTo, Response) {
     metrics
         .queue_wait_ms
         .observe(queue_wait.as_secs_f64() * 1_000.0);
+    metrics.queue_us.observe(queue_wait.as_secs_f64() * 1e6);
     let kind_name = match &job.kind {
         JobKind::Simulate(_) => "simulate",
         JobKind::Sweep(_) => "sweep",
@@ -744,7 +745,13 @@ pub(crate) struct JobRequest {
 /// Parses and routes one request line: cheap requests are answered
 /// inline, `simulate`/`sweep` become a [`JobRequest`].
 pub(crate) fn dispatch_request(line: &str, state: &ServerState) -> Handled {
-    let (request, envelope) = match Request::decode_with_envelope(line) {
+    let started = Instant::now();
+    let decoded = Request::decode_with_envelope(line);
+    state
+        .metrics
+        .decode_us
+        .observe(started.elapsed().as_secs_f64() * 1e6);
+    let (request, envelope) = match decoded {
         Ok(decoded) => decoded,
         Err(error) => {
             state.metrics.protocol_errors.inc();

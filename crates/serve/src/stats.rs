@@ -37,8 +37,9 @@ impl KindCounter {
 }
 
 /// Bucket bounds (microseconds) for the `serve_stage_us` waterfall:
-/// single-microsecond steps where encoding and writing a reply sit
-/// (3–10 µs), widening up to a second for slower stages.
+/// single-microsecond steps where decoding a request and encoding and
+/// writing a reply sit (1–10 µs), widening up to a second for slower
+/// stages such as a job's wait in the queue.
 const STAGE_US_BOUNDS: &[f64] = &[
     1.0,
     2.0,
@@ -80,6 +81,12 @@ pub(crate) struct ServeMetrics {
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) queue_wait_ms: Arc<Histogram>,
     pub(crate) exec_ms: Arc<Histogram>,
+    /// `serve_stage_us{stage="decode"}`: decoding one request line
+    /// (every line, answered inline or not).
+    pub(crate) decode_us: Arc<Histogram>,
+    /// `serve_stage_us{stage="queue"}`: a job's wait from admission to
+    /// a worker's pickup, in the resolution `queue_wait_ms` lacks.
+    pub(crate) queue_us: Arc<Histogram>,
     /// `serve_stage_us{stage="encode"}`: a job reply's encoding.
     pub(crate) encode_us: Arc<Histogram>,
     /// `serve_stage_us{stage="write"}`: a job reply's socket write.
@@ -106,6 +113,8 @@ impl ServeMetrics {
             queue_depth: registry.gauge("serve_queue_depth"),
             queue_wait_ms: registry.histogram("serve_queue_wait_ms", MS_BOUNDS),
             exec_ms: registry.histogram("serve_exec_ms", MS_BOUNDS),
+            decode_us: stage_us("decode"),
+            queue_us: stage_us("queue"),
             encode_us: stage_us("encode"),
             write_us: stage_us("write"),
         }

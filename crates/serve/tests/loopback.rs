@@ -10,7 +10,7 @@ use smith85_cachesim::{CacheConfig, Simulator, UnifiedCache};
 use smith85_core::session::SimSession;
 use smith85_serve::{
     CacheSpec, Client, ClientError, ErrorCode, Request, Response, ServeOptions, Server,
-    SimulateSpec,
+    SimulateSpec, SweepSpec,
 };
 use smith85_synth::catalog;
 use std::time::{Duration, Instant};
@@ -234,6 +234,43 @@ fn malformed_input_gets_typed_errors_and_workers_survive() {
     let stats = server.stop().expect("clean shutdown");
     assert!(stats.protocol_errors >= 5, "{stats:?}");
     assert_eq!(stats.completed, 1);
+}
+
+/// A cache too large to allocate used to abort the whole server (an
+/// allocation failure is not a panic, so no worker could catch it);
+/// both requests now get `bad_request`, and the server keeps answering.
+#[test]
+fn caches_over_the_line_cap_get_bad_request_and_the_server_lives() {
+    let server = spawn_default();
+    let addr = server.addr().to_string();
+    let huge = 1usize << 40;
+    let mut simulate = simulate_request("VCCOM", 2_000, huge);
+    if let Request::Simulate(spec) = &mut simulate {
+        spec.cache.ways = Some(1);
+    }
+    let sweep = Request::Sweep(SweepSpec {
+        workload: "VCCOM".to_string(),
+        len: 2_000,
+        seed: None,
+        sizes: vec![huge],
+        ways: vec![1],
+        line: 16,
+        policy: None,
+        deadline_ms: None,
+    });
+    let mut client = Client::builder().addr(&addr).connect().expect("connect");
+    for request in [simulate, sweep] {
+        match client.call(&request) {
+            Err(ClientError::Server(e)) => {
+                assert_eq!(e.code, ErrorCode::BadRequest, "{e:?}");
+                assert!(e.message.contains(&huge.to_string()), "{e:?}");
+            }
+            other => panic!("expected bad_request, got {other:?}"),
+        }
+    }
+    let mut fresh = Client::builder().addr(&addr).connect().expect("reconnect");
+    assert!(matches!(fresh.call(&Request::Ping).expect("ping"), Response::Pong));
+    server.stop().expect("clean shutdown");
 }
 
 #[test]
@@ -841,6 +878,9 @@ fn stats_rows_equal_their_registry_series() {
 /// The worker that runs a job encodes and writes its reply, and times
 /// both stages: after N simulates each stage histogram counts N.
 /// Inline answers (the `metrics` reply itself) are not job replies.
+/// The queue stage (admission to pickup) counts every job too, and the
+/// decode stage every request line, so it also holds the `metrics`
+/// request whose reply carries the snapshot.
 #[test]
 fn job_replies_record_encode_and_write_stages() {
     const N: u64 = 5;
@@ -863,7 +903,7 @@ fn job_replies_record_encode_and_write_stages() {
         Response::Metrics(s) => s,
         other => panic!("expected metrics, got {other:?}"),
     };
-    for stage in ["encode", "write"] {
+    for (stage, count) in [("decode", N + 1), ("queue", N), ("encode", N), ("write", N)] {
         let histogram = snapshot
             .histograms
             .iter()
@@ -871,7 +911,7 @@ fn job_replies_record_encode_and_write_stages() {
                 h.name == "serve_stage_us" && h.labels == [("stage".to_string(), stage.to_string())]
             })
             .unwrap_or_else(|| panic!("serve_stage_us{{stage={stage}}} missing: {snapshot:?}"));
-        assert_eq!(histogram.count, N, "stage {stage}: {histogram:?}");
+        assert_eq!(histogram.count, count, "stage {stage}: {histogram:?}");
         assert!(
             histogram.sum > 0.0,
             "stage {stage} must take measurable time: {histogram:?}"
