@@ -2,8 +2,9 @@
 //!
 //! Times each kernel over the same VCCOM trace (the one-pass engine also
 //! over one storage and one network trace; `resolve_workload` over the
-//! catalog's names) and reports the best of several repeats, so the
-//! numbers are comparable across commits:
+//! catalog's names) five times and reports the median with the fastest
+//! and slowest repeat, so the numbers are comparable across commits and
+//! carry their spread:
 //!
 //! * `generation` — synthesizing the trace itself;
 //! * `stack_analysis` — one-pass LRU stack distances ([`StackAnalyzer`]);
@@ -43,7 +44,9 @@
 //! the tracing layer, so for them the cost is zero by construction.
 //!
 //! Results land in `OUT.json` (default `BENCH_sim.json`), documented in
-//! `EXPERIMENTS.md`.
+//! `EXPERIMENTS.md`, with the host and build they were measured on:
+//! logical CPUs, the `rustc` version, the build profile and the git
+//! revision.
 
 use smith85_cachesim::{
     AssocAnalyzer, CacheConfig, GridSpec, OnePassEngine, OnePassGrid, Simulator, StackAnalyzer,
@@ -52,7 +55,9 @@ use smith85_cachesim::{
 use smith85_core::experiments::{resolve_named_workload, workload_names};
 use smith85_synth::catalog;
 use smith85_trace::MemoryAccess;
+use smith85_tracelog::json;
 use std::hint::black_box;
+use std::process::Command;
 use std::time::Instant;
 
 /// The workload every kernel is timed on.
@@ -63,15 +68,34 @@ const ONE_PASS_KERNELS: [(&str, &str); 3] = [
     ("one_pass_sweep_storage", "S-OLTP"),
     ("one_pass_sweep_network", "N-GATEWAY"),
 ];
-/// Timed repeats per kernel; the best (least interfered-with) one counts.
-const REPEATS: usize = 3;
+/// Timed repeats per kernel; the median one counts.
+const REPEATS: usize = 5;
 
 struct KernelResult {
     name: &'static str,
     refs: usize,
-    best_secs: f64,
-    refs_per_sec: f64,
+    /// Every repeat's time, fastest first.
+    secs: Vec<f64>,
     grid: Option<GridInfo>,
+}
+
+impl KernelResult {
+    fn median_secs(&self) -> f64 {
+        self.secs[self.secs.len() / 2]
+    }
+
+    fn min_secs(&self) -> f64 {
+        self.secs[0]
+    }
+
+    fn max_secs(&self) -> f64 {
+        self.secs[self.secs.len() - 1]
+    }
+
+    /// `count` items per median repeat.
+    fn per_sec(&self, count: usize) -> f64 {
+        count as f64 / self.median_secs().max(1e-12)
+    }
 }
 
 /// Grid dimensions for a one-pass kernel, plus the raw
@@ -203,20 +227,41 @@ fn time_once(f: impl FnOnce()) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-fn time_best<F: FnMut()>(mut f: F) -> f64 {
-    (0..REPEATS)
-        .map(|_| time_once(&mut f))
-        .fold(f64::INFINITY, f64::min)
-}
-
-fn kernel(name: &'static str, refs: usize, f: impl FnMut()) -> KernelResult {
-    let best_secs = time_best(f);
+fn kernel(name: &'static str, refs: usize, mut f: impl FnMut()) -> KernelResult {
+    let mut secs: Vec<f64> = (0..REPEATS).map(|_| time_once(&mut f)).collect();
+    secs.sort_by(f64::total_cmp);
     KernelResult {
         name,
         refs,
-        best_secs,
-        refs_per_sec: refs as f64 / best_secs.max(1e-12),
+        secs,
         grid: None,
+    }
+}
+
+/// The first line a command prints, or `"unknown"`.
+fn command_line(program: &str, args: &[&str]) -> String {
+    Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .and_then(|text| text.lines().next().map(str::to_string))
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The commit checked out in the working directory, or `"unknown"` when
+/// the directory is not the top of a git work tree.
+fn git_rev() -> String {
+    let top = command_line("git", &["rev-parse", "--show-toplevel"]);
+    let here = std::env::current_dir()
+        .ok()
+        .and_then(|d| d.canonicalize().ok());
+    let top = std::path::Path::new(&top).canonicalize().ok();
+    if top.is_some() && top == here {
+        command_line("git", &["rev-parse", "HEAD"])
+    } else {
+        "unknown".to_string()
     }
 }
 
@@ -325,12 +370,30 @@ fn run_kernels(len: usize, journal: Option<&str>) -> Vec<KernelResult> {
 }
 
 fn render_json(mode: &str, len: usize, journaled: bool, results: &[KernelResult]) -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
     let mut s = String::new();
     s.push_str("{\n");
-    // v6 adds the `resolve_workload` kernel; every v5 field is kept.
-    s.push_str("  \"schema\": \"smith85-throughput-v6\",\n");
+    // v7 times every kernel `repeats` times and adds each kernel's
+    // `median_secs`, `min_secs` and `max_secs`; `refs_per_sec` and
+    // `trace_refs_per_sec` come from the median (in v6 they came from
+    // the best of three), and `best_secs` equals `min_secs`. It also
+    // records the host and build: `logical_cpus`, `rustc`, `profile`
+    // and `git_rev`. Every v6 field is kept.
+    s.push_str("  \"schema\": \"smith85-throughput-v7\",\n");
     s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     s.push_str(&format!("  \"journaled\": {journaled},\n"));
+    s.push_str(&format!("  \"logical_cpus\": {cpus},\n"));
+    s.push_str(&format!(
+        "  \"rustc\": {},\n",
+        json::s(command_line("rustc", &["--version"]))
+    ));
+    s.push_str(&format!("  \"profile\": \"{profile}\",\n"));
+    s.push_str(&format!("  \"git_rev\": {},\n", json::s(git_rev())));
     s.push_str(&format!("  \"trace\": \"{TRACE}\",\n"));
     s.push_str(&format!("  \"trace_len\": {len},\n"));
     s.push_str(&format!("  \"repeats\": {REPEATS},\n"));
@@ -348,7 +411,7 @@ fn render_json(mode: &str, len: usize, journaled: bool, results: &[KernelResult]
                 g.ways,
                 g.cells,
                 g.trace_refs,
-                g.trace_refs as f64 / r.best_secs.max(1e-12),
+                r.per_sec(g.trace_refs),
                 p.base,
                 p.walk,
                 p.single_set,
@@ -356,11 +419,16 @@ fn render_json(mode: &str, len: usize, journaled: bool, results: &[KernelResult]
             )
         });
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"refs\": {}, \"best_secs\": {:.6}, \"refs_per_sec\": {:.0}{}}}{}\n",
+            "    {{\"name\": \"{}\", \"refs\": {}, \"best_secs\": {:.6}, \
+             \"median_secs\": {:.6}, \"min_secs\": {:.6}, \"max_secs\": {:.6}, \
+             \"refs_per_sec\": {:.0}{}}}{}\n",
             r.name,
             r.refs,
-            r.best_secs,
-            r.refs_per_sec,
+            r.min_secs(),
+            r.median_secs(),
+            r.min_secs(),
+            r.max_secs(),
+            r.per_sec(r.refs),
             grid,
             if i + 1 < results.len() { "," } else { "" },
         ));
@@ -387,11 +455,13 @@ fn main() {
     let results = run_kernels(len, journal.as_deref());
     for r in &results {
         println!(
-            "{:<22} {:>9} refs  {:>9.1} ms  {:>12.0} refs/sec",
+            "{:<22} {:>9} refs  {:>9.1} ms ({:.1}-{:.1})  {:>12.0} refs/sec",
             r.name,
             r.refs,
-            r.best_secs * 1e3,
-            r.refs_per_sec
+            r.median_secs() * 1e3,
+            r.min_secs() * 1e3,
+            r.max_secs() * 1e3,
+            r.per_sec(r.refs)
         );
     }
     let json = render_json(&mode, len, journal.is_some(), &results);

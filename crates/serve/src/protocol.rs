@@ -1291,6 +1291,222 @@ mod tests {
         assert_eq!(Response::decode(&line).unwrap(), response, "{line}");
     }
 
+    // Field values the generated messages below walk through: 0, 1 and
+    // the type's maximum, absent and present options, every policy
+    // spelling, and strings that need escaping.
+    const USIZES: [usize; 3] = [0, 1, usize::MAX];
+    const U64S: [u64; 3] = [0, 1, u64::MAX];
+    const OPT_USIZES: [Option<usize>; 4] = [None, Some(0), Some(1), Some(usize::MAX)];
+    const OPT_U64S: [Option<u64>; 4] = [None, Some(0), Some(1), Some(u64::MAX)];
+    const SIZE_LISTS: [&[usize]; 5] = [&[], &[0], &[1], &[usize::MAX], &[1, 1024, usize::MAX]];
+    const POLICIES: [Option<&str>; 6] = [
+        None,
+        Some("lru"),
+        Some("fifo"),
+        Some("random"),
+        Some("random:85"),
+        Some("plru"),
+    ];
+    const RATIOS: [f64; 6] = [0.0, 1.0, 1.0 / 3.0, 2.5e-7, f64::MIN_POSITIVE, 5e-324];
+    const TEXTS: [&str; 4] = [
+        "",
+        "VCCOM",
+        "Z8000 - Assorted",
+        "quote \" slash \\ tab \t newline \n nul \u{0} é 🚀",
+    ];
+
+    /// The `i`-th value of `values`, cyclically.
+    fn pick<T: Copy>(values: &[T], i: usize) -> T {
+        values[i % values.len()]
+    }
+
+    /// Every request variant, with fields cycling through the values
+    /// above at different offsets.
+    fn generated_requests() -> Vec<Request> {
+        let mut requests = vec![
+            Request::Catalog,
+            Request::Stats,
+            Request::Metrics,
+            Request::Ping,
+            Request::Shutdown,
+        ];
+        for i in 0..12 {
+            requests.push(Request::Simulate(SimulateSpec {
+                workload: pick(&TEXTS, i).into(),
+                len: pick(&USIZES, i),
+                seed: pick(&OPT_U64S, i),
+                cache: CacheSpec {
+                    // A zero size decodes as a missing one.
+                    size: pick(&[1, 1024, usize::MAX], i),
+                    line: pick(&USIZES, i + 1),
+                    ways: pick(&OPT_USIZES, i + 2),
+                    purge: pick(&OPT_U64S, i + 3),
+                },
+                policy: pick(&POLICIES, i).map(str::to_string),
+                deadline_ms: pick(&OPT_U64S, i + 1),
+            }));
+            requests.push(Request::Sweep(SweepSpec {
+                workload: pick(&TEXTS, i + 1).into(),
+                len: pick(&USIZES, i + 2),
+                seed: pick(&OPT_U64S, i + 1),
+                sizes: pick(&SIZE_LISTS, i).to_vec(),
+                ways: pick(&SIZE_LISTS, i + 2).to_vec(),
+                line: pick(&USIZES, i),
+                policy: pick(&POLICIES, i + 3).map(str::to_string),
+                deadline_ms: pick(&OPT_U64S, i + 2),
+            }));
+        }
+        requests
+    }
+
+    /// Every response variant, generated the same way.
+    fn generated_responses() -> Vec<Response> {
+        let mut responses = vec![Response::Pong, Response::Ok];
+        for (i, code) in [
+            ErrorCode::Overloaded,
+            ErrorCode::BadRequest,
+            ErrorCode::UnknownType,
+            ErrorCode::UnknownWorkload,
+            ErrorCode::DeadlineExceeded,
+            ErrorCode::Oversized,
+            ErrorCode::ShuttingDown,
+            ErrorCode::Internal,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            responses.push(Response::Error(ErrorBody::new(code, pick(&TEXTS, i))));
+        }
+        for i in 0..12 {
+            responses.push(Response::Simulate(SimulateResult {
+                workload: pick(&TEXTS, i).into(),
+                len: pick(&USIZES, i),
+                cache_bytes: pick(&USIZES, i + 1),
+                refs: pick(&U64S, i),
+                misses: pick(&U64S, i + 1),
+                miss_ratio: pick(&RATIOS, i),
+                instruction_miss_ratio: pick(&RATIOS, i + 1),
+                data_miss_ratio: pick(&RATIOS, i + 2),
+                traffic_bytes: pick(&U64S, i + 2),
+                queue_ms: pick(&U64S, i),
+                exec_ms: pick(&U64S, i + 1),
+                trace_id: pick(&["", "4f3a2b1c9d8e7f60"], i).into(),
+            }));
+            responses.push(Response::Sweep(SweepResult {
+                workload: pick(&TEXTS, i + 1).into(),
+                len: pick(&USIZES, i + 2),
+                points: (0..i % 4)
+                    .map(|j| SweepPoint {
+                        size: pick(&USIZES, i + j),
+                        miss_ratio: pick(&RATIOS, i + j),
+                        ways: pick(&OPT_USIZES, i + j),
+                        traffic_ratio: ((i + j) % 2 == 1).then(|| pick(&RATIOS, j)),
+                        dirty_push_fraction: ((i + j) % 3 == 1).then(|| pick(&RATIOS, i)),
+                    })
+                    .collect(),
+                queue_ms: pick(&U64S, i + 2),
+                exec_ms: pick(&U64S, i),
+                trace_id: pick(&["4f3a2b1c9d8e7f60", ""], i).into(),
+            }));
+        }
+        for i in 0..3 {
+            responses.push(Response::Catalog(CatalogResult {
+                profiles: (0..i)
+                    .map(|j| CatalogEntry {
+                        name: pick(&TEXTS, i + j).into(),
+                        group: pick(&TEXTS, i + j + 1).into(),
+                        arch: pick(&TEXTS, j).into(),
+                        language: pick(&TEXTS, j + 2).into(),
+                        family: pick(&["cpu", "storage", "network"], i + j).into(),
+                    })
+                    .collect(),
+                mixes: (0..i).map(|j| pick(&TEXTS, j + 3).into()).collect(),
+            }));
+        }
+        for i in 0..6 {
+            let n = |k: usize| pick(&U64S, i + k);
+            responses.push(Response::Stats(StatsResult {
+                simulate_requests: n(0),
+                sweep_requests: n(1),
+                catalog_requests: n(2),
+                stats_requests: n(0),
+                completed: n(1),
+                rejected_overload: n(2),
+                protocol_errors: n(0),
+                deadline_misses: n(1),
+                queue_depth: pick(&USIZES, i),
+                queue_high_water: pick(&USIZES, i + 1),
+                workers: pick(&USIZES, i + 2),
+                busy_ms_simulate: n(2),
+                busy_ms_sweep: n(0),
+                pool: PoolCounters {
+                    entries: pick(&USIZES, i + 1),
+                    hits: n(1),
+                    misses: n(2),
+                    materialized_bytes: n(0),
+                    resident_bytes: n(1),
+                },
+                store: (i % 2 == 1).then(|| StoreCounters {
+                    entries: n(0),
+                    bytes: n(1),
+                    hits: n(2),
+                    misses: n(0),
+                    writes: n(1),
+                    corrupt_quarantined: n(2),
+                    gc_evictions: n(0),
+                }),
+                one_pass: (i % 3 != 0).then(|| OnePassCounters {
+                    refs: n(1),
+                    grid_cells: n(2),
+                }),
+                router: (i >= 3).then(|| RouterCounters {
+                    shards: n(0),
+                    healthy: n(1),
+                    forwarded: n(2),
+                    hedged: n(0),
+                    shard_overloads: n(1),
+                    health_probes: n(2),
+                    federated_shards: n(0),
+                    stale_shards: n(1),
+                }),
+            }));
+        }
+        for i in 0..3 {
+            let labels: Vec<(String, String)> = (0..i)
+                .map(|j| (format!("label{j}"), pick(&TEXTS, i + j).to_string()))
+                .collect();
+            responses.push(Response::Metrics(RegistrySnapshot {
+                counters: vec![CounterSnapshot {
+                    name: pick(&TEXTS, i + 1).into(),
+                    labels: labels.clone(),
+                    value: pick(&U64S, i),
+                }],
+                gauges: vec![GaugeSnapshot {
+                    name: "g".into(),
+                    labels: labels.clone(),
+                    value: pick(&RATIOS, i),
+                }],
+                histograms: vec![HistogramSnapshot {
+                    name: "h".into(),
+                    labels,
+                    count: pick(&U64S, i + 1),
+                    sum: pick(&RATIOS, i + 1),
+                    overflow: pick(&U64S, i + 2),
+                    p50: pick(&RATIOS, i + 2),
+                    p95: pick(&RATIOS, i + 3),
+                    p99: pick(&RATIOS, i + 4),
+                    buckets: (0..i)
+                        .map(|j| BucketSnapshot {
+                            le: pick(&RATIOS, j + 1),
+                            count: pick(&U64S, i + j),
+                        })
+                        .collect(),
+                }],
+            }));
+        }
+        responses
+    }
+
     #[test]
     fn every_request_variant_round_trips() {
         request_round_trip(Request::Catalog);
@@ -1355,6 +1571,21 @@ mod tests {
             policy: Some("random:85".into()),
             deadline_ms: None,
         }));
+        for request in generated_requests() {
+            // "full" is the decode-only spelling of a fully associative
+            // cache: the line carrying it reads as `ways: None`.
+            if let Request::Simulate(spec) = &request {
+                if spec.cache.ways.is_none() {
+                    let line = request.encode().replacen(
+                        "\"type\":\"simulate\",",
+                        "\"type\":\"simulate\",\"ways\":\"full\",",
+                        1,
+                    );
+                    assert_eq!(Request::decode(&line).unwrap(), request, "{line}");
+                }
+            }
+            request_round_trip(request);
+        }
     }
 
     #[test]
@@ -1510,6 +1741,9 @@ mod tests {
                 code,
                 format!("detail for {code}"),
             )));
+        }
+        for response in generated_responses() {
+            response_round_trip(response);
         }
     }
 
@@ -1809,5 +2043,74 @@ mod tests {
             Request::Simulate(spec) => assert_eq!(spec.cache.ways, None),
             other => panic!("wrong variant: {other:?}"),
         }
+    }
+
+    /// splitmix64: the seeded stream behind the byte mutations.
+    fn next_u64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// `line` with one seeded edit: a byte replaced, deleted or
+    /// inserted, or a span repeated. Bytes that stop being UTF-8 become
+    /// U+FFFD, since the decoders take `&str`.
+    fn mutated(line: &str, state: &mut u64) -> String {
+        const BYTES: &[u8] = b"\"\\{}[]:,-+.0123456789eEtfnu \x00\x7f\xff";
+        let mut bytes = line.as_bytes().to_vec();
+        let at = next_u64(state) as usize % (bytes.len() + 1);
+        let byte = match next_u64(state) % 2 {
+            0 => BYTES[next_u64(state) as usize % BYTES.len()],
+            _ => next_u64(state) as u8,
+        };
+        match next_u64(state) % 4 {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            2 => {
+                let end = (at + 1 + next_u64(state) as usize % 16).min(bytes.len());
+                let span = bytes[at..end].to_vec();
+                bytes.splice(at..at, span);
+            }
+            _ => bytes.insert(at, byte),
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// Garbage-input pin for both decoders: every char-boundary prefix
+    /// of every generated message's line, and 64 seeded edits of each,
+    /// decode to a value or a typed error without panicking.
+    #[test]
+    fn decoders_never_panic_on_prefixes_or_mutated_lines() {
+        const MUTATIONS_PER_LINE: usize = 64;
+        let envelope = TraceEnvelope {
+            trace_id: Some("4f3a2b1c9d8e7f60".into()),
+            parent_span: Some(u64::MAX),
+        };
+        let mut lines: Vec<String> = generated_requests()
+            .iter()
+            .flat_map(|r| [r.encode(), r.encode_with_envelope(&envelope)])
+            .collect();
+        lines.extend(generated_responses().iter().map(Response::encode));
+        let mut inputs = 0;
+        let mut decode = |input: &str| {
+            let _ = Request::decode_with_envelope(input);
+            let _ = Response::decode(input);
+            inputs += 1;
+        };
+        let mut state = 0x5eed_u64;
+        for line in &lines {
+            for (at, _) in line.char_indices() {
+                decode(&line[..at]);
+            }
+            decode(line);
+            for _ in 0..MUTATIONS_PER_LINE {
+                decode(&mutated(line, &mut state));
+            }
+        }
+        assert!(inputs > 10_000, "only {inputs} inputs");
     }
 }

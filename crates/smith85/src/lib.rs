@@ -14,7 +14,7 @@
 //!
 //! The `smith85-cli` crate provides the `smith85` tool, whose
 //! `experiment` command regenerates each reproduced table/figure, and
-//! `smith85-bench` the `throughput` and `serve_load` benchmarks.
+//! `smith85-bench` the `throughput` benchmark of the simulator kernels.
 //!
 //! # Quickstart
 //!
