@@ -7,8 +7,9 @@
 //! carry their spread:
 //!
 //! * `generation` — synthesizing the trace itself;
-//! * `stack_analysis` — one-pass LRU stack distances ([`StackAnalyzer`]);
-//! * `assoc_analysis` — one-pass per-set stack distances ([`AssocAnalyzer`]);
+//! * `size_sweep` — the fully-associative LRU miss ratio at the paper's
+//!   twelve sizes, from one pass of the one-pass engine
+//!   ([`GridSpec::fully_associative`]); its `refs` are trace references;
 //! * `set_assoc_sim` — an 8-way 16 KiB cache driven by the slice path;
 //! * `unified_sim` — the fully associative paper cache, purges on;
 //! * `session_unified` — the same cache through the instrumented
@@ -49,8 +50,8 @@
 //! revision.
 
 use smith85_cachesim::{
-    AssocAnalyzer, CacheConfig, GridSpec, OnePassEngine, OnePassGrid, Simulator, StackAnalyzer,
-    UnifiedCache, WritePolicy,
+    CacheConfig, GridSpec, OnePassEngine, OnePassGrid, Simulator, UnifiedCache, WritePolicy,
+    PAPER_SIZES,
 };
 use smith85_core::experiments::{resolve_named_workload, workload_names};
 use smith85_synth::catalog;
@@ -276,21 +277,10 @@ fn run_kernels(len: usize, journal: Option<&str>) -> Vec<KernelResult> {
         let t = profile.generate(len);
         assert_eq!(t.len(), len);
     }));
-    results.push(kernel("stack_analysis", len, || {
-        let mut a = StackAnalyzer::with_line_size_and_capacity(
-            smith85_trace::PAPER_LINE_SIZE,
-            len,
-        );
-        a.observe_slice(replay);
-        let p = a.finish();
-        assert!(p.miss_ratio(1024) > 0.0);
-    }));
-    results.push(kernel("assoc_analysis", len, || {
-        let mut a =
-            AssocAnalyzer::with_line_size_and_capacity(64, smith85_trace::PAPER_LINE_SIZE, len);
-        a.observe_slice(replay);
-        let p = a.finish();
-        assert!(p.cache_bytes(1) > 0);
+    let sizes = GridSpec::fully_associative(PAPER_SIZES.to_vec(), smith85_trace::PAPER_LINE_SIZE);
+    results.push(kernel("size_sweep", len, || {
+        let grid = sweep(&sizes, replay);
+        assert!(grid.fully_associative(1024).expect("swept size").miss_ratio() > 0.0);
     }));
     results.push(kernel("set_assoc_sim", len, || {
         let cfg = CacheConfig::builder(16 * 1024)

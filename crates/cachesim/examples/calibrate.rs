@@ -1,7 +1,7 @@
 //! Calibration scratchpad: prints Table 1-style miss ratios per catalog
 //! trace so profile parameters can be tuned against the paper's values.
 
-use smith85_cachesim::StackAnalyzer;
+use smith85_cachesim::{one_pass_grid, CacheStats, GridSpec};
 use smith85_synth::catalog;
 
 fn main() {
@@ -21,29 +21,24 @@ fn main() {
             .join(" ")
     );
     let mut groups: std::collections::BTreeMap<String, (Vec<f64>, u32)> = Default::default();
+    let grid_spec = GridSpec::fully_associative(sizes.to_vec(), 16);
     for spec in catalog::all() {
-        let mut a = StackAnalyzer::new();
-        for acc in spec.stream().take(len) {
-            a.observe(acc);
-        }
-        let p = a.finish();
-        let curve: Vec<f64> = sizes.iter().map(|&s| p.miss_ratio(s)).collect();
+        let grid = one_pass_grid(spec.generate(len).as_slice(), &grid_spec).expect("valid sizes");
+        let stats: Vec<&CacheStats> = sizes
+            .iter()
+            .map(|&s| grid.fully_associative(s).expect("swept size"))
+            .collect();
+        let curve: Vec<f64> = stats.iter().map(|s| s.miss_ratio()).collect();
         if std::env::var("SPLIT").is_ok() {
-            use smith85_trace::AccessKind;
-            let i: Vec<String> = sizes
-                .iter()
-                .map(|&s| format!("{:>7.4}", p.miss_ratio_of(s, AccessKind::InstructionFetch)))
-                .collect();
-            let d: Vec<String> = sizes
-                .iter()
-                .map(|&s| {
-                    let misses = p.misses_of(s, AccessKind::Read) + p.misses_of(s, AccessKind::Write);
-                    let refs = p.refs_of(AccessKind::Read) + p.refs_of(AccessKind::Write);
-                    format!("{:>7.4}", misses as f64 / refs as f64)
-                })
-                .collect();
-            println!("  I: {}", i.join(" "));
-            println!("  D: {}", d.join(" "));
+            let column = |ratio: fn(&CacheStats) -> f64| {
+                stats
+                    .iter()
+                    .map(|&s| format!("{:>7.4}", ratio(s)))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            };
+            println!("  I: {}", column(CacheStats::instruction_miss_ratio));
+            println!("  D: {}", column(CacheStats::data_miss_ratio));
         }
         println!(
             "{:<10} {:>9} | {}",

@@ -1,6 +1,6 @@
 //! A small multiply-based hasher for the simulator's hot hash maps.
 //!
-//! The per-reference maps in the stack analyzer and the fully-associative
+//! The per-reference maps in the one-pass engine and the fully-associative
 //! LRU core are keyed by line addresses — small, already well-mixed
 //! integers — yet `std`'s default SipHash pays for DoS resistance on every
 //! lookup. This module provides an FxHash-style hasher (rotate, xor,

@@ -15,15 +15,12 @@
 //!   ([`CacheConfig::purge_interval`]);
 //! * **Sector caches** — the Z80000's block/subblock design
 //!   ([`SectorCache`]);
-//! * **Stack analysis** — Mattson's one-pass all-sizes algorithm for
-//!   fully-associative LRU ([`StackAnalyzer`]) and its per-set
-//!   generalisation giving all associativities at once
-//!   ([`AssocAnalyzer`]), used for the paper's Table 1 size sweeps and
-//!   the associativity ablation;
-//! * **One-pass design-space grids** — the multi-configuration engine
-//!   producing the full sizes × associativities miss-ratio and traffic
-//!   grid, write-back stats included, in a single trace traversal
-//!   ([`OnePassEngine`], [`one_pass_grid`]);
+//! * **One-pass LRU sweeps** — Mattson's stack algorithm generalised to
+//!   set-associative caches: every size × associativity cell of a grid,
+//!   miss ratios and write-back traffic included, in a single trace
+//!   traversal ([`OnePassEngine`], [`one_pass_grid`]). A fully
+//!   associative grid ([`GridSpec::fully_associative`]) is the paper's
+//!   Table 1 size sweep;
 //! * **Write combining** — §3.3's adjacent-short-write merging for
 //!   write-through systems ([`WriteBuffer`]).
 //!
@@ -45,24 +42,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod assoc_stack;
 mod cache;
 mod config;
 mod core_ops;
 mod error;
 pub mod fast_hash;
-mod fenwick;
 mod full_lru;
 mod line;
 mod one_pass;
 mod sector;
 mod set_assoc;
-mod stack;
 mod stats;
 mod system;
 mod write_buffer;
 
-pub use assoc_stack::{analyze_geometries, AssocAnalyzer, AssocProfile};
 pub use cache::Cache;
 pub use config::{CacheConfig, CacheConfigBuilder, FetchPolicy, Mapping, Replacement, WritePolicy};
 pub use error::ConfigError;
@@ -70,7 +63,6 @@ pub use fast_hash::{FastBuildHasher, FastHashMap, FastHashSet, FxHasher};
 pub use line::Evicted;
 pub use one_pass::{one_pass_grid, GridCell, GridSpec, OnePassEngine, OnePassGrid};
 pub use sector::{SectorCache, SectorCacheConfig};
-pub use stack::{StackAnalyzer, StackProfile};
 pub use stats::CacheStats;
 pub use system::{Simulator, SplitCache, UnifiedCache};
 pub use write_buffer::{WriteBuffer, WriteBufferStats};

@@ -70,9 +70,10 @@
 //! # Cost
 //!
 //! Time per 250,000-reference sweep of the 54-cell paper grid with the
-//! single-set level as a Fenwick tree over reference timestamps (before:
-//! a prefix sum and two point updates per warm reference, `O(log n)` in
-//! the trace length) and as the bounded list (after): median of five
+//! single-set level as a binary indexed tree over reference timestamps
+//! (before: a prefix sum and two point updates per warm reference,
+//! `O(log n)` in the trace length) and as the bounded list (after):
+//! median of five
 //! interleaved `throughput` runs, each best of three, on a
 //! 2-logical-CPU Intel Xeon host:
 //!
@@ -129,7 +130,9 @@ use crate::fast_hash::FastHashMap;
 use crate::stats::CacheStats;
 use smith85_trace::{AccessKind, MemoryAccess, PAPER_LINE_SIZE};
 
-/// The grid of cache configurations a [`OnePassEngine`] evaluates.
+/// The grid of cache configurations a sweep evaluates: the
+/// [`OnePassEngine`] for LRU, one [`crate::Cache`] run per cell
+/// otherwise.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridSpec {
     /// Cache sizes in bytes (each a power of two, at least one line).
@@ -143,9 +146,9 @@ pub struct GridSpec {
     /// Write policy applied to every cell.
     pub write_policy: WritePolicy,
     /// Replacement policy applied to every cell. The engine's Mattson
-    /// inclusion argument only holds for [`Replacement::Lru`]; any other
-    /// policy is rejected with [`ConfigError::OnePassUnsupported`] —
-    /// run those grids through the per-configuration simulators.
+    /// inclusion argument only holds for [`Replacement::Lru`]; it
+    /// rejects any other policy with [`ConfigError::OnePassUnsupported`],
+    /// so those grids run through the per-configuration simulators.
     pub replacement: Replacement,
     /// Also evaluate the fully-associative point (`ways == lines`) of
     /// every size, deduplicated against the explicit way list.
@@ -172,13 +175,97 @@ impl GridSpec {
     /// fully-associative point of each size.
     pub fn paper_grid() -> Self {
         GridSpec {
-            sizes: crate::PAPER_SIZES.to_vec(),
-            ways: vec![1, 2, 4, 8],
-            line_size: PAPER_LINE_SIZE,
-            write_policy: WritePolicy::PAPER,
-            replacement: Replacement::Lru,
             include_fully_associative: true,
+            ..GridSpec::new(crate::PAPER_SIZES.to_vec(), vec![1, 2, 4, 8])
         }
+    }
+
+    /// A size sweep: the fully-associative LRU cache of every size in
+    /// `sizes` at `line_size`-byte lines, copy-back with fetch-on-write
+    /// (the configuration of the paper's Table 1).
+    pub fn fully_associative(sizes: Vec<usize>, line_size: usize) -> Self {
+        GridSpec {
+            line_size,
+            include_fully_associative: true,
+            ..GridSpec::new(sizes, Vec::new())
+        }
+    }
+
+    /// The cells a sweep of this grid answers, in result order
+    /// (ascending size, then ascending ways): every size crossed with
+    /// every way count it has lines for, plus its fully-associative
+    /// point if asked, without duplicates.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a line size, size or way count that is not a positive
+    /// power of two, a size smaller than one line, a grid with no
+    /// realizable cell, and an LRU grid outside the one-pass envelope
+    /// (write-through without allocate: a write miss does not insert,
+    /// so LRU stack inclusion does not hold). Only the policy-free
+    /// checks apply to other replacement policies, which run one cache
+    /// per cell.
+    pub fn cells(&self) -> Result<Vec<GridCell>, ConfigError> {
+        let line = self.line_size;
+        if line == 0 || !line.is_power_of_two() {
+            return Err(ConfigError::NotPowerOfTwo {
+                what: "line size",
+                value: line,
+            });
+        }
+        if self.replacement == Replacement::Lru
+            && matches!(self.write_policy, WritePolicy::WriteThrough { allocate: false })
+        {
+            return Err(ConfigError::OnePassUnsupported {
+                what: "write-through without allocate (write misses do not \
+                       insert, so LRU stack inclusion does not hold)",
+            });
+        }
+        for &w in &self.ways {
+            if w == 0 || !w.is_power_of_two() {
+                return Err(ConfigError::NotPowerOfTwo {
+                    what: "associativity",
+                    value: w,
+                });
+            }
+        }
+        let mut cells: Vec<GridCell> = Vec::new();
+        for &size in &self.sizes {
+            if size == 0 || !size.is_power_of_two() {
+                return Err(ConfigError::NotPowerOfTwo {
+                    what: "cache size",
+                    value: size,
+                });
+            }
+            if size < line {
+                return Err(ConfigError::CacheSmallerThanLine { cache: size, line });
+            }
+            let lines = size / line;
+            let mut push = |ways: usize| {
+                if !cells.iter().any(|c| c.size_bytes == size && c.ways == ways) {
+                    cells.push(GridCell {
+                        size_bytes: size,
+                        ways,
+                        sets: lines / ways,
+                    });
+                }
+            };
+            for &w in &self.ways {
+                if w <= lines {
+                    push(w);
+                }
+            }
+            if self.include_fully_associative {
+                push(lines);
+            }
+        }
+        if cells.is_empty() {
+            return Err(ConfigError::OnePassUnsupported {
+                what: "an empty grid (no size admits any requested associativity)",
+            });
+        }
+        cells.sort_by_key(|c| (c.size_bytes, c.ways));
+        Ok(cells)
     }
 }
 
@@ -194,8 +281,8 @@ pub struct GridCell {
     pub sets: usize,
 }
 
-/// The per-cell results of a one-pass sweep, in the engine's
-/// deterministic cell order (ascending size, then ascending ways).
+/// The per-cell results of a grid sweep, in [`GridSpec::cells`] order
+/// (ascending size, then ascending ways).
 #[derive(Debug, Clone)]
 pub struct OnePassGrid {
     line_size: usize,
@@ -205,6 +292,22 @@ pub struct OnePassGrid {
 }
 
 impl OnePassGrid {
+    /// The grid of `spec` whose cell `cells[i]` has statistics
+    /// `stats[i]`: how a sweep that runs one cache per cell reports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cells` and `stats` differ in length.
+    pub fn new(spec: &GridSpec, cells: Vec<GridCell>, stats: Vec<CacheStats>) -> Self {
+        assert_eq!(cells.len(), stats.len(), "one statistics record per cell");
+        OnePassGrid {
+            line_size: spec.line_size,
+            write_policy: spec.write_policy,
+            cells,
+            stats,
+        }
+    }
+
     /// The realized grid cells, parallel to [`stats`](Self::stats).
     pub fn cells(&self) -> &[GridCell] {
         &self.cells
@@ -231,6 +334,12 @@ impl OnePassGrid {
     /// The miss ratio of one `(size, ways)` cell, if it was in the grid.
     pub fn miss_ratio(&self, size_bytes: usize, ways: usize) -> Option<f64> {
         self.cell_stats(size_bytes, ways).map(CacheStats::miss_ratio)
+    }
+
+    /// The statistics of the fully-associative cache of `size_bytes`,
+    /// if it was in the grid.
+    pub fn fully_associative(&self, size_bytes: usize) -> Option<&CacheStats> {
+        self.cell_stats(size_bytes, size_bytes / self.line_size)
     }
 
     /// Line size the grid was evaluated with.
@@ -576,23 +685,9 @@ impl OnePassEngine {
     ///
     /// # Errors
     ///
-    /// Rejects non-power-of-two sizes/ways/line, sizes smaller than one
-    /// line, and requests outside the one-pass envelope (write-through
-    /// without allocate, or a grid with no realizable cell).
+    /// Rejects a non-LRU replacement policy, and every grid that
+    /// [`GridSpec::cells`] rejects.
     pub fn new(spec: &GridSpec) -> Result<Self, ConfigError> {
-        let line = spec.line_size;
-        if line == 0 || !line.is_power_of_two() {
-            return Err(ConfigError::NotPowerOfTwo {
-                what: "line size",
-                value: line,
-            });
-        }
-        if let WritePolicy::WriteThrough { allocate: false } = spec.write_policy {
-            return Err(ConfigError::OnePassUnsupported {
-                what: "write-through without allocate (write misses do not \
-                       insert, so LRU stack inclusion does not hold)",
-            });
-        }
         if spec.replacement != Replacement::Lru {
             return Err(ConfigError::OnePassUnsupported {
                 what: "a non-LRU replacement policy (Mattson stack inclusion \
@@ -600,50 +695,8 @@ impl OnePassEngine {
                        simulators for FIFO/random/PLRU grids)",
             });
         }
-        for &w in &spec.ways {
-            if w == 0 || !w.is_power_of_two() {
-                return Err(ConfigError::NotPowerOfTwo {
-                    what: "associativity",
-                    value: w,
-                });
-            }
-        }
-        let mut cells: Vec<GridCell> = Vec::new();
-        for &size in &spec.sizes {
-            if size == 0 || !size.is_power_of_two() {
-                return Err(ConfigError::NotPowerOfTwo {
-                    what: "cache size",
-                    value: size,
-                });
-            }
-            if size < line {
-                return Err(ConfigError::CacheSmallerThanLine { cache: size, line });
-            }
-            let lines = size / line;
-            let mut push = |ways: usize| {
-                if !cells.iter().any(|c| c.size_bytes == size && c.ways == ways) {
-                    cells.push(GridCell {
-                        size_bytes: size,
-                        ways,
-                        sets: lines / ways,
-                    });
-                }
-            };
-            for &w in &spec.ways {
-                if w <= lines {
-                    push(w);
-                }
-            }
-            if spec.include_fully_associative {
-                push(lines);
-            }
-        }
-        if cells.is_empty() {
-            return Err(ConfigError::OnePassUnsupported {
-                what: "an empty grid (no size admits any requested associativity)",
-            });
-        }
-        cells.sort_by_key(|c| (c.size_bytes, c.ways));
+        let cells = spec.cells()?;
+        let line = spec.line_size;
         let words_per_line = cells.len().div_ceil(64);
 
         // Group cells by set count into levels.
@@ -974,11 +1027,11 @@ mod tests {
 
     #[test]
     fn paper_grid_realizes_54_cells() {
-        let engine = OnePassEngine::new(&GridSpec::paper_grid()).unwrap();
+        let cells = GridSpec::paper_grid().cells().unwrap();
         // 32B: {1,2}; 64B: {1,2,4}; 128B: {1,2,4,8}; nine larger sizes:
         // {1,2,4,8} + one distinct fully-associative point each.
-        assert_eq!(engine.cells().len(), 54);
-        let cells = engine.cells();
+        assert_eq!(cells.len(), 54);
+        assert_eq!(OnePassEngine::new(&GridSpec::paper_grid()).unwrap().cells(), cells);
         assert!(cells.windows(2).all(|w| (w[0].size_bytes, w[0].ways)
             < (w[1].size_bytes, w[1].ways)));
         for c in cells {
@@ -999,17 +1052,26 @@ mod tests {
     #[test]
     fn rejects_empty_grid_and_bad_shapes() {
         assert!(matches!(
-            OnePassEngine::new(&GridSpec::new(vec![32], vec![4])),
+            GridSpec::new(vec![32], vec![4]).cells(),
             Err(ConfigError::OnePassUnsupported { .. })
         ));
         assert!(matches!(
-            OnePassEngine::new(&GridSpec::new(vec![96], vec![1])),
+            GridSpec::fully_associative(vec![96], 16).cells(),
             Err(ConfigError::NotPowerOfTwo { .. })
         ));
         assert!(matches!(
-            OnePassEngine::new(&GridSpec::new(vec![256], vec![3])),
+            GridSpec::new(vec![256], vec![3]).cells(),
             Err(ConfigError::NotPowerOfTwo { .. })
         ));
+        assert!(matches!(
+            GridSpec::fully_associative(vec![8], 16).cells(),
+            Err(ConfigError::CacheSmallerThanLine { .. })
+        ));
+        assert!(matches!(
+            GridSpec::fully_associative(vec![256], 24).cells(),
+            Err(ConfigError::NotPowerOfTwo { .. })
+        ));
+        // The engine rejects what the cells reject.
         assert!(matches!(
             OnePassEngine::new(&GridSpec::new(vec![8], vec![1])),
             Err(ConfigError::CacheSmallerThanLine { .. })
@@ -1018,9 +1080,23 @@ mod tests {
 
     #[test]
     fn oversized_ways_are_skipped_not_fatal() {
-        let engine = OnePassEngine::new(&GridSpec::new(vec![32, 256], vec![1, 8])).unwrap();
-        let cells: Vec<_> = engine.cells().iter().map(|c| (c.size_bytes, c.ways)).collect();
+        let cells = GridSpec::new(vec![32, 256], vec![1, 8]).cells().unwrap();
+        let cells: Vec<_> = cells.iter().map(|c| (c.size_bytes, c.ways)).collect();
         assert_eq!(cells, vec![(32, 1), (256, 1), (256, 8)]);
+    }
+
+    #[test]
+    fn size_sweep_cells_are_fully_associative_and_deduplicated() {
+        let spec = GridSpec::fully_associative(vec![4096, 1024, 1024], 64);
+        let cells = spec.cells().unwrap();
+        let shapes: Vec<_> = cells.iter().map(|c| (c.size_bytes, c.ways, c.sets)).collect();
+        assert_eq!(shapes, vec![(1024, 16, 1), (4096, 64, 1)]);
+        let trace: Vec<MemoryAccess> = (0..400u64).map(|i| read((i % 40) * 64)).collect();
+        let grid = one_pass_grid(&trace, &spec).unwrap();
+        // 40 lines fit in 4 KiB but not in 1 KiB.
+        assert_eq!(grid.fully_associative(4096).unwrap().total_misses(), 40);
+        assert_eq!(grid.fully_associative(1024).unwrap().total_misses(), 400);
+        assert!(grid.fully_associative(2048).is_none());
     }
 
     #[test]

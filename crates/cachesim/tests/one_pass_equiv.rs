@@ -2,9 +2,8 @@
 //! the per-configuration simulators it replaces: every `CacheStats`
 //! field of every grid cell equals a fresh [`Cache`] run of that one
 //! configuration, across mappings (direct / set-associative /
-//! fully-associative) and write policies, and the miss counts also
-//! agree with the [`StackAnalyzer`] / [`AssocAnalyzer`] stack
-//! algorithms on their shared design points.
+//! fully-associative) and write policies, on size sweeps (every cell
+//! fully associative) and fixed-set columns as well as full grids.
 //!
 //! The engine skips work where set refinement fixes the answer (repeats
 //! of the previous line, and levels finer than one at depth 1), so the
@@ -15,17 +14,16 @@
 
 use proptest::prelude::*;
 use smith85_cachesim::{
-    one_pass_grid, AssocAnalyzer, Cache, CacheConfig, CacheStats, ConfigError, GridSpec, Mapping,
-    OnePassEngine, StackAnalyzer, WritePolicy,
+    one_pass_grid, Cache, CacheConfig, CacheStats, ConfigError, GridSpec, Mapping, OnePassEngine,
+    WritePolicy,
 };
 use smith85_synth::catalog;
-use smith85_trace::{AccessKind, Addr, MemoryAccess};
+use smith85_trace::{Addr, MemoryAccess};
 
 /// Runs one plain `Cache` per grid cell — the N-traversal reference.
 fn per_config_reference(trace: &[MemoryAccess], spec: &GridSpec) -> Vec<CacheStats> {
-    let engine = smith85_cachesim::OnePassEngine::new(spec).expect("valid spec");
-    engine
-        .cells()
+    spec.cells()
+        .expect("valid spec")
         .iter()
         .map(|cell| {
             let lines = cell.size_bytes / spec.line_size;
@@ -227,56 +225,34 @@ fn every_write_policy_matches_on_seeded_streams() {
 }
 
 #[test]
-fn full_assoc_cells_match_the_stack_analyzer() {
+fn full_assoc_cells_match_per_config_caches() {
     let trace = seeded_stream(42, 10_000);
-    let mut spec = GridSpec::new(vec![64, 256, 1024, 4096], vec![]);
-    spec.include_fully_associative = true;
-    let grid = one_pass_grid(&trace, &spec).expect("valid spec");
-
-    let mut stack = StackAnalyzer::with_line_size(16);
-    stack.observe_slice(&trace);
-    let profile = stack.finish();
-
-    for (cell, stats) in grid.iter() {
-        assert_eq!(stats.total_misses(), profile.misses(cell.size_bytes));
-        for kind in AccessKind::ALL {
-            assert_eq!(stats.misses(kind), profile.misses_of(cell.size_bytes, kind));
-        }
-    }
+    let spec = GridSpec::fully_associative(vec![64, 256, 1024, 4096], 16);
+    assert_grid_identical(&trace, &spec);
 }
 
 #[test]
-fn single_set_level_matches_the_stack_analyzer_at_every_bound() {
+fn single_set_level_matches_per_config_caches_at_every_bound() {
     // Every size from one line to 4,096 lines, fully associative only:
     // one single-set level with bounds 1, 2, 4, …, 4096. S-SCAN touches
     // far more lines than the list keeps, so lines fall off its end and
     // come back.
     let sizes: Vec<usize> = (4..=16).map(|shift| 1usize << shift).collect();
-    let mut spec = GridSpec::new(sizes.clone(), vec![]);
-    spec.include_fully_associative = true;
+    let spec = GridSpec::fully_associative(sizes.clone(), 16);
     let trace = family_trace("S-SCAN", 20_000);
     let grid = one_pass_grid(&trace, &spec).expect("valid spec");
-
-    let mut stack = StackAnalyzer::with_line_size(16);
-    stack.observe_slice(&trace);
-    let profile = stack.finish();
+    assert_eq!(grid.cells().len(), sizes.len());
+    assert!(grid.cells().iter().all(|cell| cell.sets == 1));
     // Misses beyond the cold ones at 64 KiB: lines left the list and
     // were referenced again.
-    assert!(profile.distinct_lines() > 4096);
-    assert!(profile.misses(1 << 16) > profile.distinct_lines());
-
-    assert_eq!(grid.cells().len(), sizes.len());
-    for (cell, stats) in grid.iter() {
-        assert_eq!(cell.sets, 1);
-        for kind in AccessKind::ALL {
-            assert_eq!(
-                stats.misses(kind),
-                profile.misses_of(cell.size_bytes, kind),
-                "{} B, {kind:?}",
-                cell.size_bytes
-            );
-        }
-    }
+    let distinct = trace
+        .iter()
+        .map(|a| a.line(16).get())
+        .collect::<std::collections::HashSet<_>>()
+        .len() as u64;
+    assert!(distinct > 4096);
+    assert!(grid.fully_associative(1 << 16).expect("cell").total_misses() > distinct);
+    assert_grid_identical(&trace, &spec);
 }
 
 #[test]
@@ -293,34 +269,17 @@ fn gapped_single_set_bounds_match_per_config_caches() {
 }
 
 #[test]
-fn fixed_set_column_matches_the_assoc_analyzer() {
+fn fixed_set_column_matches_per_config_caches() {
+    // The column at a fixed set count sweeps ways: sets = 16 holds
+    // (size, ways) = (256·w, w).
     let trace = seeded_stream(7, 10_000);
-    // AssocAnalyzer fixes the set count and sweeps ways; the equivalent
-    // grid column holds sets = 16 fixed: (size, ways) = (256·w, w).
-    let sets = 16;
-    let spec = GridSpec {
-        sizes: vec![256, 512, 1024, 2048],
-        ways: vec![1, 2, 4, 8],
-        line_size: 16,
-        write_policy: WritePolicy::PAPER,
-        replacement: smith85_cachesim::Replacement::Lru,
-        include_fully_associative: false,
-    };
+    let spec = GridSpec::new(vec![256, 512, 1024, 2048], vec![1, 2, 4, 8]);
     let grid = one_pass_grid(&trace, &spec).expect("valid spec");
-
-    let mut assoc = AssocAnalyzer::with_line_size(sets, 16);
-    assoc.observe_slice(&trace);
-    let profile = assoc.finish();
-
     for ways in [1usize, 2, 4, 8] {
-        let size = sets * ways * 16;
-        let stats = grid.cell_stats(size, ways).expect("cell in grid");
-        assert_eq!(
-            stats.total_misses(),
-            profile.misses(ways),
-            "sets=16 ways={ways}"
-        );
+        let cell = grid.cells().iter().find(|c| c.sets == 16 && c.ways == ways);
+        assert_eq!(cell.expect("cell in grid").size_bytes, 16 * ways * 16);
     }
+    assert_grid_identical(&trace, &spec);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use smith85_cachesim::{
-    AssocAnalyzer, Cache, CacheConfig, FetchPolicy, Mapping, Replacement, SectorCache,
+    one_pass_grid, Cache, CacheConfig, FetchPolicy, GridSpec, Mapping, Replacement, SectorCache,
     SectorCacheConfig, Simulator, UnifiedCache, WriteBuffer, WritePolicy,
 };
 use smith85_trace::{AccessKind, Addr, MemoryAccess};
@@ -164,16 +164,13 @@ proptest! {
         );
     }
 
-    /// The all-associativity analyzer agrees with direct simulation at
-    /// every power-of-two way count.
+    /// The one-pass grid's column at a fixed set count agrees with
+    /// direct simulation at every power-of-two way count.
     #[test]
-    fn assoc_analyzer_matches_direct(stream in arb_stream(400)) {
+    fn one_pass_fixed_set_column_matches_direct(stream in arb_stream(400)) {
         let sets = 8usize;
-        let mut analyzer = AssocAnalyzer::new(sets);
-        for a in &stream {
-            analyzer.observe(*a);
-        }
-        let profile = analyzer.finish();
+        let sizes = [1usize, 2, 4].map(|ways| sets * ways * 16);
+        let grid = one_pass_grid(&stream, &GridSpec::new(sizes.to_vec(), vec![1, 2, 4])).unwrap();
         for ways in [1usize, 2, 4] {
             let mapping = if ways == 1 {
                 Mapping::Direct
@@ -184,7 +181,8 @@ proptest! {
                 .mapping(mapping)
                 .build()
                 .unwrap();
-            prop_assert_eq!(profile.misses(ways), run_cache(cfg, &stream), "{} ways", ways);
+            let misses = grid.cell_stats(sets * ways * 16, ways).unwrap().total_misses();
+            prop_assert_eq!(misses, run_cache(cfg, &stream), "{} ways", ways);
         }
     }
 
@@ -256,9 +254,9 @@ proptest! {
     }
 }
 
-/// Naive LRU stack-distance reference built on `std` collections (SipHash
-/// maps, linear recency scan): the ground truth the fast-hash
-/// [`StackAnalyzer`] must reproduce bit-for-bit.
+/// Naive LRU stack-distance reference built on `std` collections (a
+/// linear recency scan): the ground truth the fast-hash one-pass
+/// engine's fully-associative cells must reproduce bit-for-bit.
 fn reference_lru_misses(stream: &[MemoryAccess], line_size: usize, cache_bytes: usize) -> u64 {
     let lines = cache_bytes / line_size;
     let mut stack: Vec<u64> = Vec::new(); // most recent first
@@ -285,22 +283,19 @@ fn reference_lru_misses(stream: &[MemoryAccess], line_size: usize, cache_bytes: 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The fast-hash `StackAnalyzer` (FxHash maps, Fenwick distances)
-    /// produces exactly the histogram a SipHash/linear-scan reference
-    /// does: identical miss counts at every size, for random streams.
-    /// Hash choice must never leak into results.
+    /// The one-pass engine's size sweep (FxHash interning, bounded LRU
+    /// list) gives exactly the miss counts a linear-scan reference
+    /// does at every size, for random streams. Hash choice must never
+    /// leak into results.
     #[test]
-    fn fast_hash_stack_analyzer_matches_siphash_reference(stream in arb_stream(400)) {
+    fn fast_hash_one_pass_matches_linear_scan_reference(stream in arb_stream(400)) {
         let line_size = 16;
-        let mut a = smith85_cachesim::StackAnalyzer::with_line_size_and_capacity(
-            line_size,
-            stream.len(),
-        );
-        a.observe_slice(&stream);
-        let p = a.finish();
-        for cache_bytes in [16, 64, 256, 1024, 4096] {
+        let sizes = vec![16, 64, 256, 1024, 4096];
+        let grid = one_pass_grid(&stream, &GridSpec::fully_associative(sizes.clone(), line_size))
+            .unwrap();
+        for cache_bytes in sizes {
             prop_assert_eq!(
-                p.misses(cache_bytes),
+                grid.fully_associative(cache_bytes).unwrap().total_misses(),
                 reference_lru_misses(&stream, line_size, cache_bytes),
                 "divergence at {} bytes",
                 cache_bytes

@@ -2,13 +2,14 @@
 
 use crate::{CliError, Opts};
 use smith85_cachesim::{
-    CacheConfig, ConfigError, FetchPolicy, Mapping, Replacement, StackAnalyzer, WritePolicy,
+    CacheConfig, ConfigError, FetchPolicy, GridSpec, Mapping, Replacement, WritePolicy,
     PAPER_SIZES,
 };
 use smith85_core::experiments::resolve_named_workload;
 use smith85_core::runner;
 use smith85_core::session::SimSession;
 use smith85_core::targets::{design_target, traffic_factor, CacheKind};
+use smith85_serve::exec;
 use smith85_synth::catalog;
 use smith85_trace::{io as trace_io, Trace};
 use std::fmt::Write as _;
@@ -43,12 +44,12 @@ USAGE:
       simulation (robustness experiments).
   smith85 sweep (--trace NAME [--len N] | --file FILE) [--sizes a,b,c]
           [--ways a,b,c] [--line BYTES] [--policy lru|fifo|random[:seed]|plru]
-      Miss ratio at every cache size in one stack-analysis pass.
-      --ways runs the one-pass grid engine instead: every requested
-      size x associativity cell — miss ratio, traffic ratio and
-      dirty-push fraction — from a single trace traversal. A non-LRU
-      --policy is outside the one-pass envelope, so those sweeps run
-      each configuration individually instead.
+      Fully-associative miss ratio at every cache size in one pass.
+      --ways sweeps the grid instead: every requested size x
+      associativity cell — miss ratio, traffic ratio and dirty-push
+      fraction — from a single trace traversal. A non-LRU --policy is
+      outside the one-pass envelope, so those sweeps run each
+      configuration individually instead.
   smith85 assoc (--trace NAME [--len N] | --file FILE) [--sets N] [--line BYTES]
       Miss ratio at every associativity for a fixed set count, one pass.
   smith85 target --size BYTES [--kind unified|instruction|data]
@@ -364,6 +365,7 @@ pub(crate) fn simulate(opts: &Opts) -> Result<String, CliError> {
         "trace", "file", "len", "size", "line", "ways", "policy", "write", "fetch", "purge", "org",
         "fault-drop", "fault-dup", "fault-flip", "fault-seed",
     ])?;
+    check_cache_lines(opts.get_parse("size", 0usize)?, opts.get_parse("line", 16usize)?)?;
     let mut trace = load_workload(opts)?;
     let faults = smith85_trace::fault::FaultConfig {
         drop_rate: opts.get_parse("fault-drop", 0.0f64)?,
@@ -409,9 +411,8 @@ fn parse_usize_list(list: &str, flag: &str) -> Result<Vec<usize>, CliError> {
         .collect()
 }
 
-/// Rejects a line size the stack analyzers would panic on: they split
-/// addresses into lines by shifting, so it must be a positive power of
-/// two.
+/// Rejects a line size the sweeps cannot use: they split addresses into
+/// lines by shifting, so it must be a positive power of two.
 fn check_line(line: usize) -> Result<(), CliError> {
     if line == 0 || !line.is_power_of_two() {
         return Err(ConfigError::NotPowerOfTwo {
@@ -421,6 +422,12 @@ fn check_line(line: usize) -> Result<(), CliError> {
         .into());
     }
     Ok(())
+}
+
+/// Rejects a cache of more than [`exec::MAX_CACHE_LINES`] lines with the
+/// server's message, before a trace is loaded or a cache is built.
+fn check_cache_lines(size: usize, line: usize) -> Result<(), CliError> {
+    exec::check_lines(size, line).map_err(|e| CliError::usage(e.message))
 }
 
 pub(crate) fn sweep(opts: &Opts) -> Result<String, CliError> {
@@ -434,35 +441,38 @@ pub(crate) fn sweep(opts: &Opts) -> Result<String, CliError> {
     if let Some(&cache) = sizes.iter().find(|&&size| size < line) {
         return Err(ConfigError::CacheSmallerThanLine { cache, line }.into());
     }
+    for &size in &sizes {
+        check_cache_lines(size, line)?;
+    }
     let trace = load_workload(opts)?;
     let policy = parse_policy(opts)?;
-    // --ways switches to the one-pass grid engine: every requested
-    // (size, ways) cell from a single trace traversal. The one-pass
-    // engine is LRU-only (it returns `OnePassUnsupported` otherwise);
-    // non-LRU policies simulate each cell individually instead.
+    // Without --ways, a size sweep: the fully-associative cache of every
+    // size. With it, the grid of every realizable (size, ways) cell. The
+    // session picks the engine: one pass for LRU, one cache per cell
+    // for the other policies.
+    let mut spec = GridSpec::fully_associative(sizes.clone(), line);
+    spec.replacement = policy;
+    let per_config = policy != Replacement::Lru;
+    let label = if per_config {
+        policy.key_label()
+    } else {
+        "LRU".to_string()
+    };
+    let session = SimSession::default();
+    let mut out = String::new();
     if let Some(list) = opts.get("ways") {
-        let ways = parse_usize_list(list, "ways")?;
-        let mut spec = smith85_cachesim::GridSpec::new(sizes, ways);
-        spec.line_size = line;
-        spec.replacement = policy;
-        let session = SimSession::default();
-        let (grid, label, how) = if policy == Replacement::Lru {
-            let grid = session
-                .sweep_grid(trace.as_slice(), &spec)
-                .map(|grid| grid.iter().map(|(cell, stats)| (*cell, *stats)).collect());
-            (grid, "LRU".to_string(), "one pass")
-        } else {
-            let grid = session.sweep_policy(trace.as_slice(), &spec);
-            (grid, policy.key_label(), "per config")
-        };
-        let grid: Vec<_> = grid.map_err(|e| CliError::usage(format!("bad sweep grid: {e}")))?;
-        let mut out = String::new();
+        spec.ways = parse_usize_list(list, "ways")?;
+        spec.include_fully_associative = false;
+        let grid = session
+            .sweep_grid(trace.as_slice(), &spec)
+            .map_err(|e| CliError::usage(format!("bad sweep grid: {e}")))?;
+        let how = if per_config { "per config" } else { "one pass" };
         let _ = writeln!(
             out,
             "{:>10} {:>6} {:>6} {:>9} {:>9} {:>7}  ({label}, copy-back, {line}-byte lines; {how})",
             "size", "ways", "sets", "miss", "traffic", "dirty"
         );
-        for (cell, stats) in grid {
+        for (cell, stats) in grid.iter() {
             let _ = writeln!(
                 out,
                 "{:>10} {:>6} {:>6} {:>9.4} {:>9.4} {:>7.4}",
@@ -476,36 +486,22 @@ pub(crate) fn sweep(opts: &Opts) -> Result<String, CliError> {
         }
         return Ok(out);
     }
-    if policy != Replacement::Lru {
-        // Stack analysis is itself an LRU algorithm; non-LRU size sweeps
-        // simulate a fully-associative cache per size.
-        let session = SimSession::default();
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:>10}  {:>9}  (fully associative {}, {line}-byte lines; per config)",
-            "size",
-            "miss",
-            policy.key_label()
-        );
-        for size in sizes {
-            let config = CacheConfig::builder(size)
-                .line_size(line)
-                .replacement(policy)
-                .build()?;
-            let stats = session.simulate_unified(trace.as_slice(), config)?;
-            let _ = writeln!(out, "{:>10}  {:>9.4}", size, stats.miss_ratio());
-        }
-        return Ok(out);
-    }
-    let profile = SimSession::default().sweep_stack(trace.as_slice(), line);
-    let mut out = String::new();
-    let _ = writeln!(out, "{:>10}  {:>9}  (fully associative LRU, {line}-byte lines)", "size", "miss");
+    let grid = session.sweep_grid(trace.as_slice(), &spec)?;
+    let how = if per_config { "; per config" } else { "" };
+    let _ = writeln!(
+        out,
+        "{:>10}  {:>9}  (fully associative {label}, {line}-byte lines{how})",
+        "size", "miss"
+    );
     for size in sizes {
-        let _ = writeln!(out, "{:>10}  {:>9.4}", size, profile.miss_ratio(size));
+        let stats = grid.fully_associative(size).expect("every size is swept");
+        let _ = writeln!(out, "{:>10}  {:>9.4}", size, stats.miss_ratio());
     }
     Ok(out)
 }
+
+/// The way counts `assoc` sweeps at its fixed set count.
+const ASSOC_WAYS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 pub(crate) fn assoc(opts: &Opts) -> Result<String, CliError> {
     opts.expect_only(&["trace", "file", "len", "sets", "line"])?;
@@ -515,20 +511,33 @@ pub(crate) fn assoc(opts: &Opts) -> Result<String, CliError> {
         return Err(CliError::usage("--sets must be a positive power of two"));
     }
     check_line(line)?;
+    // The 64-way row is the largest cache.
+    let widest = sets
+        .checked_mul(64)
+        .and_then(|lines| lines.checked_mul(line))
+        .ok_or_else(|| CliError::usage(format!("{sets} sets of 64 {line}-byte lines overflow")))?;
+    check_cache_lines(widest, line)?;
     let trace = load_workload(opts)?;
-    let mut analyzer = smith85_cachesim::AssocAnalyzer::with_line_size(sets, line);
-    for access in &trace {
-        analyzer.observe(*access);
-    }
-    let profile = analyzer.finish();
+    // The column of a size × ways grid at `sets` sets: sizes sets·w·line
+    // crossed with every way count w, read at the cells with `sets` sets.
+    let sizes = ASSOC_WAYS.iter().map(|w| sets * w * line).collect();
+    let mut spec = GridSpec::new(sizes, ASSOC_WAYS.to_vec());
+    spec.line_size = line;
+    let grid = SimSession::default().sweep_grid(trace.as_slice(), &spec)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{:>6} {:>10} {:>9}  (LRU, {sets} sets, {line}-byte lines; one pass)",
         "ways", "size", "miss"
     );
-    for (ways, miss) in profile.curve(64) {
-        let _ = writeln!(out, "{:>6} {:>10} {:>9.4}", ways, profile.cache_bytes(ways), miss);
+    for (cell, stats) in grid.iter().filter(|(cell, _)| cell.sets == sets) {
+        let _ = writeln!(
+            out,
+            "{:>6} {:>10} {:>9.4}",
+            cell.ways,
+            cell.size_bytes,
+            stats.miss_ratio()
+        );
     }
     Ok(out)
 }
@@ -602,15 +611,12 @@ pub(crate) fn custom(opts: &Opts) -> Result<String, CliError> {
     let len = opts.get_parse("len", 100_000usize)?;
     let trace = profile.generate(len);
     let stats = trace.characteristics();
-    let mut analyzer = StackAnalyzer::new();
-    for access in &trace {
-        analyzer.observe(*access);
-    }
-    let p = analyzer.finish();
+    let spec = GridSpec::fully_associative(PAPER_SIZES.to_vec(), smith85_trace::PAPER_LINE_SIZE);
+    let grid = SimSession::default().sweep_grid(trace.as_slice(), &spec)?;
     let mut out = format!("custom profile on {}\ncharacteristics: {stats}\n\n", arch);
     let _ = writeln!(out, "{:>10}  {:>9}", "size", "miss");
-    for size in PAPER_SIZES {
-        let _ = writeln!(out, "{:>10}  {:>9.4}", size, p.miss_ratio(size));
+    for (cell, swept) in grid.iter() {
+        let _ = writeln!(out, "{:>10}  {:>9.4}", cell.size_bytes, swept.miss_ratio());
     }
     Ok(out)
 }

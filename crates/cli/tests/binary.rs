@@ -77,6 +77,72 @@ fn assoc_rejects_line_sizes_that_are_not_powers_of_two() {
     }
 }
 
+/// FNV-1a digests of `sweep` without `--ways` and of `assoc`, computed
+/// while the stack analyzer and the all-associativity analyzer answered
+/// them: the one-pass engine must print the same bytes.
+#[test]
+fn size_sweep_and_assoc_output_is_pinned() {
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    let pins = [
+        ("sweep", "VCCOM", 0x907f_86ef_2a52_5dbf_u64),
+        ("sweep", "S-OLTP", 0xdfa7_6b10_a479_6c7a),
+        ("assoc", "VCCOM", 0xb457_3fd7_6a1c_4cf7),
+        ("assoc", "S-OLTP", 0xb018_bb1b_4b02_4558),
+    ];
+    for (command, trace, pin) in pins {
+        let out = smith85(&[command, "--trace", trace, "--len", "20000"]);
+        assert!(out.status.success(), "{out:?}");
+        assert_eq!(
+            fnv1a(&out.stdout),
+            pin,
+            "{command} {trace} moved:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
+
+/// Every cache-shape flag of `simulate`, `sweep` and `assoc` at 0, 1, 3,
+/// 24, 2^40 and 2^60 exits 0, 1 or 2: never a panic (101) or an aborted
+/// allocation (134). A cache of more than 2^18 lines is refused with the
+/// server's message before the trace loads, and `assoc` refuses a row
+/// size that overflows.
+#[test]
+fn cache_shape_flags_never_panic_or_abort() {
+    let huge = (1u64 << 40).to_string();
+    let overflowing = (1u64 << 60).to_string();
+    let commands = [
+        ("simulate", ["size", "ways", "line"].as_slice()),
+        ("sweep", &["sizes", "ways", "line"]),
+        ("assoc", &["sets", "line"]),
+    ];
+    for (command, flags) in commands {
+        for &flag in flags {
+            for value in ["0", "1", "3", "24", huge.as_str(), overflowing.as_str()] {
+                let long = format!("--{flag}");
+                let mut args = vec![command, "--trace", "VCCOM", "--len", "2000"];
+                // `simulate` needs a size; its other flags vary around 1 KiB.
+                if command == "simulate" && flag != "size" {
+                    args.extend(["--size", "1024"]);
+                }
+                args.extend([long.as_str(), value]);
+                let out = smith85(&args);
+                let code = out.status.code();
+                assert!(matches!(code, Some(0..=2)), "{args:?} exited {code:?}: {out:?}");
+                let capped = value == huge && matches!(flag, "size" | "sizes" | "sets");
+                if capped {
+                    let err = String::from_utf8_lossy(&out.stderr);
+                    assert_eq!(code, Some(1), "{args:?}: {err}");
+                    assert!(err.contains("over the per-request cap of 262144"), "{args:?}: {err}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn simulate_pipeline_end_to_end() {
     let out = smith85(&[

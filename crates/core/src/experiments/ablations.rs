@@ -10,11 +10,11 @@
 //! * purge-interval sensitivity (§3.3: the dirty-push results "are
 //!   definitely sensitive to that figure", 20,000).
 
-use crate::experiments::{table3_workloads, ExperimentConfig, Workload};
+use crate::experiments::{lru_miss_ratios, table3_workloads, ExperimentConfig, Workload};
 use crate::report::{fmt_ratio, TextTable};
 use crate::sweep::parallel_map;
 use smith85_cachesim::{
-    Cache, CacheConfig, Mapping, Replacement, Simulator, SplitCache, StackAnalyzer, UnifiedCache,
+    Cache, CacheConfig, Mapping, Replacement, Simulator, SplitCache, UnifiedCache,
     WriteBuffer, WritePolicy,
 };
 use smith85_synth::catalog;
@@ -142,10 +142,7 @@ pub fn run(config: &ExperimentConfig) -> Ablations {
         let mut miss_ratios = Vec::new();
         let mut traffic = Vec::new();
         for &ls in &LINE_SIZES {
-            let mut a = StackAnalyzer::with_line_size_and_capacity(ls, len);
-            a.observe_slice(replay);
-            let prof = a.finish();
-            let m = prof.miss_ratio(ABLATION_CACHE);
+            let m = lru_miss_ratios(replay, &[ABLATION_CACHE], ls)[0];
             miss_ratios.push(m);
             traffic.push(m * ls as f64);
         }

@@ -7,11 +7,10 @@
 //! [`paper_data`] module), each with the
 //! measured value and the relative error.
 
-use crate::experiments::{table3, table3_workloads, ExperimentConfig};
+use crate::experiments::{lru_miss_ratios, table3, table3_workloads, ExperimentConfig};
 use crate::report::TextTable;
 use crate::stat_util::mean;
 use crate::sweep::parallel_map;
-use smith85_cachesim::StackAnalyzer;
 use smith85_synth::{catalog, paper_data, TraceGroup};
 use smith85_trace::stats::TraceCharacterizer;
 
@@ -69,18 +68,17 @@ pub fn run(config: &ExperimentConfig) -> CalibrationReport {
         }
     }
 
-    // Group side: characterize and stack-analyze every trace once.
+    // Group side: characterize every trace and sweep it at 1 KiB once.
     let len = config.trace_len;
     let per_trace = parallel_map(config, catalog::all(), |spec| {
         let trace = config.profile_trace(spec.profile());
+        let replay = &trace.as_slice()[..len];
         let mut c = TraceCharacterizer::new();
-        let mut a =
-            StackAnalyzer::with_line_size_and_capacity(smith85_trace::PAPER_LINE_SIZE, len);
-        for &access in &trace.as_slice()[..len] {
+        for &access in replay {
             c.observe(access);
-            a.observe(access);
         }
-        (spec.group(), spec.profile().language, c.finish(), a.finish())
+        let miss_1k = lru_miss_ratios(replay, &[1024], smith85_trace::PAPER_LINE_SIZE)[0];
+        (spec.group(), spec.profile().language, c.finish(), miss_1k)
     });
     let mut groups = Vec::new();
     for g in TraceGroup::ALL {
@@ -133,7 +131,7 @@ pub fn run(config: &ExperimentConfig) -> CalibrationReport {
             groups.push(Comparison {
                 label: label("miss ratio @ 1K"),
                 paper: p,
-                measured: mean(&rows.iter().map(|(_, _, _, s)| s.miss_ratio(1024)).collect::<Vec<_>>()),
+                measured: mean(&rows.iter().map(|(_, _, _, m)| *m).collect::<Vec<_>>()),
             });
         }
     }

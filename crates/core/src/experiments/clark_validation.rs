@@ -7,12 +7,11 @@
 //! ratios — then do the same with our own simulated VAX workload.
 
 use crate::clark83;
-use crate::experiments::ExperimentConfig;
+use crate::experiments::{lru_miss_ratios, ExperimentConfig};
 use crate::report::{fmt_ratio, TextTable};
 use crate::stat_util::mean;
 use crate::sweep::parallel_map;
 use crate::targets::{design_target, CacheKind};
-use smith85_cachesim::StackAnalyzer;
 use smith85_synth::{catalog, TraceGroup};
 
 /// One comparison row.
@@ -46,22 +45,17 @@ pub fn run(config: &ExperimentConfig) -> ClarkValidation {
         .filter(|s| s.group() == TraceGroup::VaxUnix)
         .collect();
     let len = config.trace_len;
-    let profiles = parallel_map(config, vax, |spec| {
+    let caches = [clark83::FULL_CACHE, clark83::HALF_CACHE];
+    let sizes = caches.map(|c| c.cache_bytes);
+    let curves = parallel_map(config, vax, |spec| {
         let trace = config.profile_trace(spec.profile());
-        let mut a =
-            StackAnalyzer::with_line_size_and_capacity(smith85_trace::PAPER_LINE_SIZE, len);
-        a.observe_slice(&trace.as_slice()[..len]);
-        a.finish()
+        lru_miss_ratios(&trace.as_slice()[..len], &sizes, smith85_trace::PAPER_LINE_SIZE)
     });
-    let rows = [clark83::FULL_CACHE, clark83::HALF_CACHE]
+    let rows = caches
         .iter()
-        .map(|c| {
-            let sim16 = mean(
-                &profiles
-                    .iter()
-                    .map(|p| p.miss_ratio(c.cache_bytes))
-                    .collect::<Vec<_>>(),
-            );
+        .enumerate()
+        .map(|(i, c)| {
+            let sim16 = mean(&curves.iter().map(|curve| curve[i]).collect::<Vec<_>>());
             ClarkRow {
                 size: c.cache_bytes,
                 clark_overall: c.overall_miss,

@@ -6,12 +6,11 @@
 //! [`miss_ratio_fudge`](crate::fudge::miss_ratio_fudge) factor, then
 //! compare against the simulation of the target group itself.
 
-use crate::experiments::ExperimentConfig;
+use crate::experiments::{lru_miss_ratios, ExperimentConfig};
 use crate::fudge;
 use crate::report::{fmt_ratio, TextTable};
 use crate::stat_util::mean;
 use crate::sweep::parallel_map;
-use smith85_cachesim::StackAnalyzer;
 use smith85_synth::{catalog, TraceGroup};
 use smith85_trace::MachineArch;
 
@@ -75,12 +74,8 @@ pub fn run(config: &ExperimentConfig) -> FudgeValidation {
                 .iter()
                 .map(|s| {
                     let trace = config.profile_trace(s.profile());
-                    let mut a = StackAnalyzer::with_line_size_and_capacity(
-                        smith85_trace::PAPER_LINE_SIZE,
-                        len,
-                    );
-                    a.observe_slice(&trace.as_slice()[..len]);
-                    a.finish().miss_ratio(EVAL_SIZE)
+                    let replay = &trace.as_slice()[..len];
+                    lru_miss_ratios(replay, &[EVAL_SIZE], smith85_trace::PAPER_LINE_SIZE)[0]
                 })
                 .collect();
             (group, mean(&misses))

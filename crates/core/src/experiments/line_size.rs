@@ -9,10 +9,9 @@
 //! 1987 paper established shows up clearly: the miss-optimal line grows
 //! with cache size, while the traffic-optimal line is much shorter.
 
-use crate::experiments::{table3_workloads, ExperimentConfig, Workload};
+use crate::experiments::{lru_miss_ratios, table3_workloads, ExperimentConfig, Workload};
 use crate::report::{fmt_ratio, TextTable};
 use crate::sweep::parallel_map;
-use smith85_cachesim::StackAnalyzer;
 
 /// Line sizes swept.
 pub const LINE_SIZES: [usize; 6] = [4, 8, 16, 32, 64, 128];
@@ -60,27 +59,26 @@ fn argmin(xs: &[f64]) -> usize {
 
 /// Runs the study. Fetch traffic is approximated as `miss × line_size`
 /// per reference (demand fetch, no write-back term), which is the
-/// standard line-size trade; the stack analyzer gives all cache sizes per
+/// standard line-size trade; one size sweep gives all cache sizes per
 /// (workload, line size) pass.
 pub fn run(config: &ExperimentConfig) -> LineSizeStudy {
     let len = config.trace_len;
     let rows = parallel_map(config, table3_workloads(), move |w: Workload| {
-        // One analyzer pass per line size covers every cache size, all
+        // One size sweep per line size covers every cache size, all
         // replaying the same pooled trace.
         let trace = config.workload_trace(&w);
         let replay = &trace.as_slice()[..len];
         let demanded_bytes: u64 = replay.iter().map(|a| a.size as u64).sum();
-        let mut profiles = Vec::new();
-        for &ls in LINE_SIZES.iter() {
-            let mut a = StackAnalyzer::with_line_size_and_capacity(ls, len);
-            a.observe_slice(replay);
-            profiles.push(a.finish());
-        }
+        let curves: Vec<Vec<f64>> = LINE_SIZES
+            .iter()
+            .map(|&ls| lru_miss_ratios(replay, &CACHE_SIZES, ls))
+            .collect();
         let per_ref_demand = demanded_bytes as f64 / len as f64;
         let cells = CACHE_SIZES
             .iter()
-            .map(|&cache| {
-                let miss: Vec<f64> = profiles.iter().map(|p| p.miss_ratio(cache)).collect();
+            .enumerate()
+            .map(|(i, &cache)| {
+                let miss: Vec<f64> = curves.iter().map(|curve| curve[i]).collect();
                 let traffic_ratio: Vec<f64> = miss
                     .iter()
                     .zip(&LINE_SIZES)

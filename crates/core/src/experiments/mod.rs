@@ -32,7 +32,7 @@ pub mod z80000;
 
 use crate::sweep;
 use crate::trace_pool::TracePool;
-use smith85_cachesim::PAPER_SIZES;
+use smith85_cachesim::{one_pass_grid, GridSpec, PAPER_SIZES};
 use smith85_families::FamilySpec;
 use smith85_obs::{Counter, Histogram, Registry, MS_BOUNDS, REFS_PER_SEC_BOUNDS};
 use smith85_synth::{catalog, ProfileError, ProgramProfile};
@@ -371,6 +371,27 @@ impl Workload {
         self.try_stream()
             .unwrap_or_else(|e| panic!("workload {}: {e}", self.name()))
     }
+}
+
+/// The miss ratio of a fully-associative LRU cache of each size in
+/// `sizes` (the paper's Table 1 configuration at `line_size`-byte
+/// lines), from one pass of the one-pass engine over `replay`.
+///
+/// # Panics
+///
+/// Panics if a size or the line size is not a positive power of two,
+/// or a size holds no line.
+pub(crate) fn lru_miss_ratios(
+    replay: &[MemoryAccess],
+    sizes: &[usize],
+    line_size: usize,
+) -> Vec<f64> {
+    let grid = one_pass_grid(replay, &GridSpec::fully_associative(sizes.to_vec(), line_size))
+        .unwrap_or_else(|e| panic!("size sweep at {line_size}-byte lines: {e}"));
+    sizes
+        .iter()
+        .map(|&size| grid.fully_associative(size).expect("swept size").miss_ratio())
+        .collect()
 }
 
 /// The sixteen workloads of Table 3 and Figures 3-10: twelve single traces

@@ -2,14 +2,13 @@
 //!
 //! Configuration (§3.1): fully associative, LRU replacement, demand fetch,
 //! no task-switch purges, copy back with fetch on write, 16-byte lines.
-//! One Mattson stack-analysis pass per trace yields the whole
-//! miss-ratio-versus-size curve.
+//! One pass of the one-pass engine per trace yields the whole
+//! miss-ratio-versus-size curve (Mattson's stack algorithm).
 
-use crate::experiments::ExperimentConfig;
+use crate::experiments::{lru_miss_ratios, ExperimentConfig};
 use crate::report::{fmt_ratio, TextTable};
 use crate::stat_util;
 use crate::sweep::parallel_map;
-use smith85_cachesim::StackAnalyzer;
 use smith85_synth::catalog;
 
 /// One row: a trace (or trace section) and its miss-ratio curve.
@@ -56,14 +55,14 @@ fn compute(config: &ExperimentConfig) -> Table1 {
     let len = config.trace_len;
     let rows = parallel_map(config, jobs, |(name, group, profile)| {
         let trace = config.profile_trace(&profile);
-        let mut analyzer =
-            StackAnalyzer::with_line_size_and_capacity(smith85_trace::PAPER_LINE_SIZE, len);
-        analyzer.observe_slice(&trace.as_slice()[..len]);
-        let p = analyzer.finish();
         Table1Row {
             name,
             group,
-            miss_ratios: p.miss_ratio_curve(&sizes),
+            miss_ratios: lru_miss_ratios(
+                &trace.as_slice()[..len],
+                &sizes,
+                smith85_trace::PAPER_LINE_SIZE,
+            ),
         }
     });
 

@@ -10,10 +10,9 @@
 //! grows, because the cold-start transient dominates — exactly why the
 //! paper refuses to trust its own ≥32 KiB numbers.
 
-use crate::experiments::ExperimentConfig;
+use crate::experiments::{lru_miss_ratios, ExperimentConfig};
 use crate::report::{fmt_ratio, TextTable};
 use crate::sweep::parallel_map;
-use smith85_cachesim::StackAnalyzer;
 use smith85_synth::catalog;
 
 /// The prefix lengths swept, as fractions of the configured trace length.
@@ -53,20 +52,18 @@ pub fn run(config: &ExperimentConfig) -> TraceLengthStudy {
     let lens = lengths.clone();
     let rows = parallel_map(config, specs, move |spec| {
         // One pass at the longest prefix would not give prefix curves (the
-        // histogram is cumulative), so run one analyzer per prefix — every
-        // prefix is a slice of the same pooled trace.
+        // histogram is cumulative), so sweep each prefix — every prefix is
+        // a slice of the same pooled trace.
         let longest = lens.last().copied().unwrap_or(0);
         let trace = config.pool.profile(spec.profile(), longest);
         let miss = lens
             .iter()
             .map(|&len| {
-                let mut a = StackAnalyzer::with_line_size_and_capacity(
+                lru_miss_ratios(
+                    &trace.as_slice()[..len],
+                    &WATCH_SIZES,
                     smith85_trace::PAPER_LINE_SIZE,
-                    len,
-                );
-                a.observe_slice(&trace.as_slice()[..len]);
-                let p = a.finish();
-                WATCH_SIZES.iter().map(|&s| p.miss_ratio(s)).collect()
+                )
             })
             .collect();
         TraceLengthRow {

@@ -42,14 +42,14 @@
 //!
 //! If you know your program's reference mix and footprint (the Table 2
 //! columns), describe it as a profile, check it, and get its whole
-//! miss-ratio curve in one stack-analysis pass:
+//! miss-ratio curve in one pass of the one-pass engine:
 //!
 //! ```
-//! use smith85_cachesim::StackAnalyzer;
+//! use smith85_cachesim::{one_pass_grid, GridSpec, PAPER_SIZES};
 //! use smith85_synth::{Locality, ProgramProfile};
 //! use smith85_trace::{MachineArch, SourceLanguage};
 //!
-//! # fn main() -> Result<(), smith85_synth::ProfileError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let profile = ProgramProfile {
 //!     name: "MYDB".to_string(),
 //!     arch: MachineArch::Vax,
@@ -66,13 +66,11 @@
 //! };
 //! profile.validate()?;
 //!
-//! let mut analyzer = StackAnalyzer::new();
-//! for access in profile.generator().take(60_000) {
-//!     analyzer.observe(access);
-//! }
-//! let curve = analyzer.finish();
+//! let trace: Vec<_> = profile.generator().take(60_000).collect();
+//! let curve = one_pass_grid(&trace, &GridSpec::fully_associative(PAPER_SIZES.to_vec(), 16))?;
+//! let miss = |size| curve.fully_associative(size).map_or(1.0, |s| s.miss_ratio());
 //! // The knee of the curve is where your money goes.
-//! assert!(curve.miss_ratio(16 * 1024) < curve.miss_ratio(1024));
+//! assert!(miss(16 * 1024) < miss(1024));
 //! # Ok(())
 //! # }
 //! ```

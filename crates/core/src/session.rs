@@ -9,9 +9,11 @@
 //! cachesim batch loop) at one metrics [`Registry`], and the session
 //! then exposes the simulation kernels all three callers share.
 //! Because the kernels are the same code paths as before — `UnifiedCache
-//! ::run_slice`, `StackAnalyzer::observe_slice` — results are
+//! ::run_slice`, `OnePassEngine::observe_slice` — results are
 //! bit-identical to direct library calls; the serve loopback tests pin
-//! that.
+//! that. One sweep method, [`SimSession::sweep_grid`], answers every
+//! multi-configuration request: the one-pass engine for LRU grids and
+//! size sweeps, one cache per cell for the other replacement policies.
 //!
 //! Instrumentation is *structural*, not optional bolted-on logging: the
 //! registry rides inside [`ExperimentConfig`], so anything run under a
@@ -39,9 +41,8 @@
 use crate::experiments::{ConfigError, ExperimentConfig, Workload};
 use crate::trace_pool::TracePool;
 use smith85_cachesim::{
-    CacheConfig, CacheStats, ConfigError as CacheConfigError, GridCell, GridSpec, Mapping,
-    OnePassEngine, OnePassGrid, Replacement, Simulator, SplitCache, StackAnalyzer, StackProfile,
-    UnifiedCache,
+    CacheConfig, CacheStats, ConfigError as CacheConfigError, GridSpec, Mapping, OnePassEngine,
+    OnePassGrid, Replacement, Simulator, SplitCache, UnifiedCache,
 };
 use smith85_obs::{Counter, Gauge, Registry};
 use smith85_store::Store;
@@ -353,53 +354,29 @@ impl SimSession {
         )
     }
 
-    /// One stack-analysis pass over `replay`: the miss ratio at every
-    /// cache size at once (bit-identical to a direct [`StackAnalyzer`]
-    /// run).
-    pub fn sweep_stack(&self, replay: &[MemoryAccess], line_size: usize) -> StackProfile {
-        self.traced(
-            "sweep_stack",
-            || vec![("refs".to_string(), FieldValue::U64(replay.len() as u64))],
-            || {
-                let mut analyzer =
-                    StackAnalyzer::with_line_size_and_capacity(line_size, replay.len());
-                self.timed_batch(replay.len(), || analyzer.observe_slice(replay));
-                analyzer.finish()
-            },
-        )
-    }
-
-    /// One stack-analysis pass over a pooled workload prefix (the serve
-    /// `sweep` kernel).
-    pub fn sweep_workload(&self, workload: &Workload, len: usize, line_size: usize) -> StackProfile {
-        self.traced(
-            "sweep_workload",
-            || workload_fields(workload, len),
-            || {
-                let trace = self.config.pool.workload(workload, len);
-                self.count_family_refs(workload, len);
-                self.sweep_stack(&trace.as_slice()[..len], line_size)
-            },
-        )
-    }
-
-    /// One pass of the multi-configuration engine over `replay`: the
-    /// complete miss-ratio / traffic grid for every size ×
-    /// associativity in `spec`, in a single trace traversal
-    /// (bit-identical to running one [`UnifiedCache`] per cell).
+    /// Sweeps every cell of `spec` over `replay`, picking the engine by
+    /// replacement policy: one pass of the multi-configuration engine
+    /// for LRU, where Mattson stack inclusion holds, and one
+    /// [`UnifiedCache`] run per cell for every other policy. Either way
+    /// each cell is bit-identical to its own [`UnifiedCache`] run.
     ///
-    /// Emits a `one_pass_sweep` span and bumps the
-    /// `one_pass_refs_total` / `one_pass_grid_cells` counters.
+    /// An LRU sweep emits a `one_pass_sweep` span and bumps the
+    /// `one_pass_refs_total` / `one_pass_grid_cells` counters; any other
+    /// policy bumps `policy_grid_cells` and runs each cell through
+    /// [`simulate_unified`](Self::simulate_unified).
     ///
     /// # Errors
     ///
-    /// Returns the engine's [`CacheConfigError`] for a grid outside the
-    /// one-pass envelope (see `smith85_cachesim::one_pass`).
+    /// Returns the [`GridSpec::cells`] error for a grid no sweep
+    /// answers.
     pub fn sweep_grid(
         &self,
         replay: &[MemoryAccess],
         spec: &GridSpec,
     ) -> Result<OnePassGrid, CacheConfigError> {
+        if spec.replacement != Replacement::Lru {
+            return self.sweep_per_config(replay, spec);
+        }
         self.traced(
             "one_pass_sweep",
             || {
@@ -423,76 +400,17 @@ impl SimSession {
         )
     }
 
-    /// One-pass grid sweep over a pooled workload prefix (the serve
-    /// grid-`sweep` kernel), memoized per (workload identity, length,
-    /// grid spec): repeated identical sweeps replay the whole grid from
-    /// the pool without touching the trace again.
-    ///
-    /// # Errors
-    ///
-    /// Returns the engine's [`CacheConfigError`] for a grid outside the
-    /// one-pass envelope.
-    pub fn sweep_grid_workload(
-        &self,
-        workload: &Workload,
-        len: usize,
-        spec: &GridSpec,
-    ) -> Result<OnePassGrid, CacheConfigError> {
-        // Validate eagerly so errors are never memoized.
-        OnePassEngine::new(spec)?;
-        let key = format!(
-            "one_pass_grid/{}/{}/sizes={:?}/ways={:?}/line={}/policy={:?}/full={}",
-            crate::trace_pool::workload_key(workload),
-            len,
-            spec.sizes,
-            spec.ways,
-            spec.line_size,
-            spec.write_policy,
-            spec.include_fully_associative,
-        );
-        let grid = self.config.pool.result(&key, || {
-            self.traced(
-                "sweep_grid_workload",
-                || workload_fields(workload, len),
-                || {
-                    let trace = self.config.pool.workload(workload, len);
-                    self.count_family_refs(workload, len);
-                    self.sweep_grid(&trace.as_slice()[..len], spec)
-                        .expect("grid spec validated above")
-                },
-            )
-        });
-        Ok((*grid).clone())
-    }
-
-    /// Per-configuration replacement-policy sweep over `replay`: one
-    /// full [`UnifiedCache`] run per realizable `(size, ways)` cell of
-    /// `spec`, under `spec.replacement`.
-    ///
-    /// This is the fallback path for the grids the one-pass engine
-    /// rejects with `OnePassUnsupported`: Mattson stack inclusion only
-    /// holds for LRU, so FIFO / random / tree-PLRU grids cost one trace
-    /// traversal per cell here instead of one total. Cell enumeration is
-    /// borrowed from the engine itself (ways clamped to the line count,
-    /// duplicate fully-associative cells dropped), so the LRU column of
-    /// a policy matrix lines up cell-for-cell with
-    /// [`sweep_grid`](Self::sweep_grid).
-    ///
-    /// Bumps the `policy_grid_cells` counter.
-    ///
-    /// # Errors
-    ///
-    /// Returns the engine's [`CacheConfigError`] for a malformed grid
-    /// (sizes/ways not powers of two, cache smaller than a line, empty
-    /// grid) — every *policy* is in-envelope here.
-    pub fn sweep_policy(
+    /// One full [`UnifiedCache`] run per cell of `spec` under
+    /// `spec.replacement`: one trace traversal per cell instead of one
+    /// in total, for the policies stack inclusion does not cover.
+    fn sweep_per_config(
         &self,
         replay: &[MemoryAccess],
         spec: &GridSpec,
-    ) -> Result<Vec<(GridCell, CacheStats)>, CacheConfigError> {
-        let cells = policy_cells(spec)?;
+    ) -> Result<OnePassGrid, CacheConfigError> {
+        let cells = spec.cells()?;
         self.config.metrics.policy_cells.add(cells.len() as u64);
-        Ok(cells
+        let stats = cells
             .iter()
             .map(|cell| {
                 let lines = cell.size_bytes / spec.line_size;
@@ -509,58 +427,58 @@ impl SimSession {
                     .write_policy(spec.write_policy)
                     .replacement(spec.replacement)
                     .build()
-                    .expect("cell shapes validated by the engine");
-                let stats = self
-                    .simulate_unified(replay, config)
-                    .expect("cell configs are valid");
-                (*cell, stats)
+                    .expect("cell shapes validated by the grid");
+                self.simulate_unified(replay, config)
+                    .expect("cell configs are valid")
             })
-            .collect())
+            .collect();
+        Ok(OnePassGrid::new(spec, cells, stats))
     }
 
-    /// [`sweep_policy`](Self::sweep_policy) over a pooled workload
-    /// prefix (the serve kernel for non-LRU grids), memoized per
-    /// (workload identity, length, spec) like the one-pass sweep.
+    /// [`sweep_grid`](Self::sweep_grid) over a pooled workload prefix
+    /// (the serve `sweep` kernel), memoized per (workload identity,
+    /// length, grid spec): repeated identical sweeps replay the whole
+    /// grid from the pool without touching the trace again.
     ///
-    /// Emits a `policy_sweep_workload` span.
+    /// Emits a `sweep_grid_workload` span.
     ///
     /// # Errors
     ///
-    /// See [`sweep_policy`](Self::sweep_policy).
-    pub fn sweep_policy_workload(
+    /// See [`sweep_grid`](Self::sweep_grid).
+    pub fn sweep_grid_workload(
         &self,
         workload: &Workload,
         len: usize,
         spec: &GridSpec,
-    ) -> Result<Vec<(GridCell, CacheStats)>, CacheConfigError> {
+    ) -> Result<OnePassGrid, CacheConfigError> {
         // Validate eagerly so errors are never memoized.
-        policy_cells(spec)?;
+        spec.cells()?;
         let key = format!(
-            "policy_grid/{}/{}/sizes={:?}/ways={:?}/line={}/policy={:?}/replacement={:?}/full={}",
+            "grid/{}/{}/sizes={:?}/ways={:?}/line={}/write={:?}/replacement={}/full={}",
             crate::trace_pool::workload_key(workload),
             len,
             spec.sizes,
             spec.ways,
             spec.line_size,
             spec.write_policy,
-            spec.replacement,
+            spec.replacement.key_label(),
             spec.include_fully_associative,
         );
         let grid = self.config.pool.result(&key, || {
             self.traced(
-                "policy_sweep_workload",
+                "sweep_grid_workload",
                 || {
                     let mut fields = workload_fields(workload, len);
                     fields.push((
                         "replacement".to_string(),
-                        FieldValue::Str(format!("{:?}", spec.replacement)),
+                        FieldValue::Str(spec.replacement.key_label()),
                     ));
                     fields
                 },
                 || {
                     let trace = self.config.pool.workload(workload, len);
                     self.count_family_refs(workload, len);
-                    self.sweep_policy(&trace.as_slice()[..len], spec)
+                    self.sweep_grid(&trace.as_slice()[..len], spec)
                         .expect("grid spec validated above")
                 },
             )
@@ -589,16 +507,6 @@ impl SimSession {
             metrics.cachesim_refs_per_sec.observe(refs as f64 / elapsed);
         }
     }
-}
-
-/// The cells of a per-configuration policy grid. The engine's
-/// constructor is the single source of truth for cell enumeration and
-/// grid validation; borrow it with the policy swapped to LRU so only
-/// genuine shape errors surface.
-fn policy_cells(spec: &GridSpec) -> Result<Vec<GridCell>, CacheConfigError> {
-    let mut lru_spec = spec.clone();
-    lru_spec.replacement = Replacement::Lru;
-    Ok(OnePassEngine::new(&lru_spec)?.cells().to_vec())
 }
 
 /// Span fields identifying a workload-level kernel run.
@@ -647,22 +555,30 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_direct_stack_analysis() {
+    fn size_sweep_matches_per_config_caches() {
         let session = SimSession::builder().quick().build().unwrap();
         const LEN: usize = 2_000;
-        let profile = session.sweep_workload(&vccom(), LEN, 16);
-
         let trace = catalog::by_name("VCCOM").unwrap().profile().generate(LEN);
-        let mut analyzer = StackAnalyzer::with_line_size_and_capacity(16, LEN);
-        analyzer.observe_slice(trace.as_slice());
-        let direct = analyzer.finish();
-        for size in [256, 1024, 4096] {
-            assert_eq!(
-                profile.miss_ratio(size).to_bits(),
-                direct.miss_ratio(size).to_bits(),
-                "size {size}"
-            );
+        for replacement in [Replacement::Lru, Replacement::Fifo] {
+            let mut spec = GridSpec::fully_associative(vec![256, 1024, 4096], 16);
+            spec.replacement = replacement;
+            let grid = session.sweep_grid_workload(&vccom(), LEN, &spec).unwrap();
+            for &size in &spec.sizes {
+                let config = CacheConfig::builder(size)
+                    .replacement(replacement)
+                    .build()
+                    .unwrap();
+                let mut direct = UnifiedCache::new(config).unwrap();
+                direct.run_slice(trace.as_slice());
+                let swept = grid.fully_associative(size).unwrap();
+                assert_eq!(swept, direct.stats(), "{size} B {replacement:?}");
+            }
         }
+        // Only the LRU sweep ran the one-pass engine.
+        let counter = |name: &str| session.registry().snapshot().counter_value(name, &[]);
+        assert_eq!(counter("one_pass_refs_total"), LEN as u64);
+        assert_eq!(counter("one_pass_grid_cells"), 3);
+        assert_eq!(counter("policy_grid_cells"), 3);
     }
 
     #[test]

@@ -154,8 +154,13 @@ fn check_len(len: usize) -> Result<(), ErrorBody> {
 }
 
 /// Rejects a cache of more than [`MAX_CACHE_LINES`] lines. A zero line
-/// size is left to the line checks, which name it.
-fn check_lines(size: usize, line: usize) -> Result<(), ErrorBody> {
+/// size is left to the line checks, which name it. The CLI applies the
+/// same cap before it loads a trace.
+///
+/// # Errors
+///
+/// Returns a `bad_request` error naming the size, the line and the cap.
+pub fn check_lines(size: usize, line: usize) -> Result<(), ErrorBody> {
     match size.checked_div(line) {
         Some(lines) if lines > MAX_CACHE_LINES => Err(ErrorBody::new(
             ErrorCode::BadRequest,
@@ -240,17 +245,19 @@ pub fn run_simulate(
     Ok(result)
 }
 
-/// Runs one `sweep` job. An empty `ways` list is the legacy sweep: one
-/// stack-analysis pass, fully-associative miss ratio at every size. A
-/// non-empty `ways` list runs the one-pass multi-configuration engine —
-/// every realizable (size, ways) cell from a single trace traversal,
+/// Runs one `sweep` job through [`SimSession::sweep_grid_workload`],
+/// which picks the engine by policy. An empty `ways` list is a size
+/// sweep: the fully-associative cache of every requested size, one
+/// point per size in request order (duplicates included), with no ways,
+/// traffic ratio or dirty-push fraction. A non-empty `ways` list is a
+/// grid: one point per realizable (size, ways) cell, in cell order,
 /// with traffic ratio and dirty-push fraction on every point. Timing
 /// fields are left zero; the worker fills them in.
 ///
 /// # Errors
 ///
 /// Returns a typed error for unknown workloads, a bad line size, or a
-/// grid the one-pass engine rejects.
+/// grid no sweep answers.
 pub fn run_sweep(session: &SimSession, spec: &SweepSpec) -> Result<SweepResult, ErrorBody> {
     check_len(spec.len)?;
     if spec.line == 0 || !spec.line.is_power_of_two() {
@@ -264,40 +271,31 @@ pub fn run_sweep(session: &SimSession, spec: &SweepSpec) -> Result<SweepResult, 
     } else {
         &spec.sizes
     };
-    // Stack analysis has no answer for a cache that holds no line, so
-    // every path rejects such a size here, as the engines would.
+    let bad_grid = |e: ConfigError| {
+        ErrorBody::new(ErrorCode::BadRequest, format!("invalid sweep grid: {e}"))
+    };
+    // Named as a size that holds no line (zero included), before the
+    // workload is resolved.
     if let Some(&cache) = sizes.iter().find(|&&size| size < spec.line) {
-        let e = ConfigError::CacheSmallerThanLine {
+        return Err(bad_grid(ConfigError::CacheSmallerThanLine {
             cache,
             line: spec.line,
-        };
-        return Err(ErrorBody::new(
-            ErrorCode::BadRequest,
-            format!("invalid sweep grid: {e}"),
-        ));
+        }));
     }
     for &size in sizes {
         check_lines(size, spec.line)?;
     }
     let workload = resolve_workload(&spec.workload, spec.seed)?;
     let policy = parse_policy(spec.policy.as_deref())?;
-    // Validate grid specs before the store lookup so a bad request can
-    // never be served from (or written to) the result cache. Shape
-    // validation (sizes, ways, line) is policy-independent, so it runs
-    // against an LRU copy; the requested policy then decides the
-    // execution path below.
-    let grid_spec = if spec.ways.is_empty() {
-        None
-    } else {
-        let mut grid = GridSpec::new(sizes.to_vec(), spec.ways.clone());
-        grid.line_size = spec.line;
-        grid.replacement = policy;
-        let mut shape_check = grid.clone();
-        shape_check.replacement = Replacement::Lru;
-        smith85_cachesim::OnePassEngine::new(&shape_check)
-            .map_err(|e| ErrorBody::new(ErrorCode::BadRequest, format!("invalid sweep grid: {e}")))?;
-        Some(grid)
+    let grid = GridSpec {
+        ways: spec.ways.clone(),
+        include_fully_associative: spec.ways.is_empty(),
+        replacement: policy,
+        ..GridSpec::fully_associative(sizes.to_vec(), spec.line)
     };
+    // Validate before the store lookup so a bad request can never be
+    // served from (or written to) the result cache.
+    grid.cells().map_err(bad_grid)?;
     let cache_key = session
         .store()
         .map(|_| sweep_result_key(spec, sizes, workload.family_name(), policy));
@@ -308,80 +306,34 @@ pub fn run_sweep(session: &SimSession, spec: &SweepSpec) -> Result<SweepResult, 
             }
         }
     }
-    let points = match &grid_spec {
-        None if policy == Replacement::Lru => {
-            let profile = session.sweep_workload(&workload, spec.len, spec.line);
-            sizes
-                .iter()
-                .map(|&size| SweepPoint {
-                    size,
-                    miss_ratio: profile.miss_ratio(size),
-                    ways: None,
-                    traffic_ratio: None,
-                    dirty_push_fraction: None,
-                })
-                .collect()
-        }
-        None => {
-            // Stack analysis is an LRU algorithm; non-LRU size sweeps
-            // run the per-configuration fallback over the same
-            // fully-associative design points.
-            let mut grid = GridSpec::new(sizes.to_vec(), Vec::new());
-            grid.line_size = spec.line;
-            grid.replacement = policy;
-            grid.include_fully_associative = true;
-            let cells = session
-                .sweep_policy_workload(&workload, spec.len, &grid)
-                .map_err(|e| {
-                    ErrorBody::new(ErrorCode::BadRequest, format!("invalid sweep grid: {e}"))
-                })?;
-            cells
-                .iter()
-                .map(|(cell, stats)| SweepPoint {
-                    size: cell.size_bytes,
-                    miss_ratio: stats.miss_ratio(),
-                    ways: None,
-                    traffic_ratio: None,
-                    dirty_push_fraction: None,
-                })
-                .collect()
-        }
-        Some(grid_spec) if policy == Replacement::Lru => {
-            let grid = session
-                .sweep_grid_workload(&workload, spec.len, grid_spec)
-                .map_err(|e| {
-                    ErrorBody::new(ErrorCode::BadRequest, format!("invalid sweep grid: {e}"))
-                })?;
-            grid.iter()
-                .map(|(cell, stats)| SweepPoint {
-                    size: cell.size_bytes,
-                    miss_ratio: stats.miss_ratio(),
-                    ways: Some(cell.ways),
-                    traffic_ratio: Some(stats.traffic_ratio()),
-                    dirty_push_fraction: Some(stats.dirty_push_fraction()),
-                })
-                .collect()
-        }
-        Some(grid_spec) => {
-            // Non-LRU grids are outside the one-pass engine's envelope
-            // (it returns `OnePassUnsupported`); the per-configuration
-            // fallback simulates each realizable cell directly.
-            let cells = session
-                .sweep_policy_workload(&workload, spec.len, grid_spec)
-                .map_err(|e| {
-                    ErrorBody::new(ErrorCode::BadRequest, format!("invalid sweep grid: {e}"))
-                })?;
-            cells
-                .iter()
-                .map(|(cell, stats)| SweepPoint {
-                    size: cell.size_bytes,
-                    miss_ratio: stats.miss_ratio(),
-                    ways: Some(cell.ways),
-                    traffic_ratio: Some(stats.traffic_ratio()),
-                    dirty_push_fraction: Some(stats.dirty_push_fraction()),
-                })
-                .collect()
-        }
+    let swept = session
+        .sweep_grid_workload(&workload, spec.len, &grid)
+        .map_err(bad_grid)?;
+    let points = if spec.ways.is_empty() {
+        sizes
+            .iter()
+            .map(|&size| SweepPoint {
+                size,
+                miss_ratio: swept
+                    .fully_associative(size)
+                    .expect("every requested size is swept")
+                    .miss_ratio(),
+                ways: None,
+                traffic_ratio: None,
+                dirty_push_fraction: None,
+            })
+            .collect()
+    } else {
+        swept
+            .iter()
+            .map(|(cell, stats)| SweepPoint {
+                size: cell.size_bytes,
+                miss_ratio: stats.miss_ratio(),
+                ways: Some(cell.ways),
+                traffic_ratio: Some(stats.traffic_ratio()),
+                dirty_push_fraction: Some(stats.dirty_push_fraction()),
+            })
+            .collect()
     };
     let result = SweepResult {
         workload: spec.workload.clone(),
@@ -439,7 +391,7 @@ pub fn catalog_result() -> CatalogResult {
 mod tests {
     use super::*;
     use crate::protocol::CacheSpec;
-    use smith85_cachesim::{Simulator, StackAnalyzer, UnifiedCache};
+    use smith85_cachesim::{Simulator, UnifiedCache};
 
     fn session() -> SimSession {
         SimSession::builder().quick().build().unwrap()
@@ -526,7 +478,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_the_analyzer_and_defaults_to_paper_sizes() {
+    fn size_sweep_matches_per_config_caches_and_defaults_to_paper_sizes() {
         let session = session();
         let spec = SweepSpec {
             workload: "ZGREP".to_string(),
@@ -543,19 +495,73 @@ mod tests {
 
         let profile = catalog::by_name("ZGREP").unwrap().profile().clone();
         let trace = profile.generate(5_000);
-        let mut analyzer = StackAnalyzer::with_line_size(16);
-        for a in &trace {
-            analyzer.observe(*a);
-        }
-        let direct = analyzer.finish();
-        for point in &served.points {
+        for (point, size) in served.points.iter().zip(PAPER_SIZES) {
+            assert_eq!(point.size, size);
+            let mut cache = UnifiedCache::new(CacheConfig::paper_table1(size).unwrap()).unwrap();
+            cache.run_slice(trace.as_slice());
             assert_eq!(
                 point.miss_ratio.to_bits(),
-                direct.miss_ratio(point.size).to_bits(),
-                "size {}",
-                point.size
+                cache.stats().miss_ratio().to_bits(),
+                "size {size}"
             );
         }
+    }
+
+    /// FNV-1a digests of encoded size-sweep replies, computed before
+    /// size sweeps moved from the stack analyzer (LRU) and the
+    /// fully-associative per-configuration fallback (other policies) to
+    /// the one sweep method. Timing fields and the trace id are zero in
+    /// `run_sweep`'s replies. The one reply that changed is the LRU
+    /// sweep of a size that is not a power of two: it answered, and now
+    /// gets the error every other sweep path gives.
+    #[test]
+    fn size_sweep_replies_are_pinned() {
+        fn fnv1a(text: &str) -> u64 {
+            text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        let sweep = |workload: &str, len, sizes: &[usize], line, policy: Option<&str>| SweepSpec {
+            workload: workload.to_string(),
+            len,
+            seed: None,
+            sizes: sizes.to_vec(),
+            ways: Vec::new(),
+            line,
+            policy: policy.map(str::to_string),
+            deadline_ms: None,
+        };
+        let large_lines = [64, 256, 1_024, 4_096, 16_384, 65_536];
+        let pins = [
+            (sweep("VCCOM", 20_000, &[], 16, None), 0xaff8_2702_3769_7fec_u64),
+            (sweep("S-OLTP", 20_000, &[], 16, None), 0x8963_ad51_38e7_3c7d),
+            (sweep("N-GATEWAY", 20_000, &[], 16, None), 0x216e_017c_2b66_d711),
+            (sweep("VCCOM", 20_000, &[4_096, 1_024, 1_024], 16, None), 0x14de_f167_4069_5d57),
+            (sweep("VCCOM", 20_000, &[], 32, None), 0x2b48_1bb3_a6d5_0676),
+            (sweep("VCCOM", 20_000, &[], 64, None), 0x6f9c_2f92_620b_fa21),
+            (sweep("VCCOM", 20_000, &large_lines, 64, None), 0xba5a_e6a8_fadb_cebc),
+            (sweep("VCCOM", 5_000, &[], 16, Some("fifo")), 0x4f2c_8962_76ac_2a42),
+            (sweep("VCCOM", 5_000, &[1_000], 16, Some("fifo")), 0x6297_b448_2ff3_96bf),
+            (sweep("VCCOM", 5_000, &[1_000], 16, None), 0x6297_b448_2ff3_96bf),
+        ];
+        let session = session();
+        let mut moved = Vec::new();
+        for (spec, pin) in &pins {
+            let reply = match run_sweep(&session, spec) {
+                Ok(result) => Response::Sweep(result),
+                Err(error) => Response::Error(error),
+            };
+            let text = reply.encode();
+            if fnv1a(&text) != *pin {
+                moved.push(format!("{:#018x} {text}", fnv1a(&text)));
+            }
+        }
+        assert!(moved.is_empty(), "moved pins:\n{}", moved.join("\n"));
+        let lru_1000 = run_sweep(&session, &pins[9].0).unwrap_err();
+        assert_eq!(
+            lru_1000.message,
+            "invalid sweep grid: cache size must be a positive power of two, got 1000"
+        );
     }
 
     #[test]

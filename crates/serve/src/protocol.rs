@@ -44,7 +44,7 @@ pub const DEFAULT_LINE_BYTES: usize = 16;
 pub enum Request {
     /// Run one cache configuration over one workload.
     Simulate(SimulateSpec),
-    /// Miss ratio at several cache sizes in one stack-analysis pass.
+    /// Miss ratio at several cache sizes, or over a size × ways grid.
     Sweep(SweepSpec),
     /// List the workload catalog (49 profiles + the 4 mixes).
     Catalog,
@@ -104,16 +104,16 @@ pub struct SweepSpec {
     pub seed: Option<u64>,
     /// Cache sizes evaluated; empty means the paper's size grid.
     pub sizes: Vec<usize>,
-    /// Associativities crossed with every size. Empty keeps the
-    /// legacy fully-associative stack-analysis sweep; non-empty runs
-    /// the one-pass multi-configuration engine and the result carries
-    /// one point per realizable (size, ways) cell.
+    /// Associativities crossed with every size. Empty is a size sweep:
+    /// one fully-associative point per requested size. Non-empty is a
+    /// grid, and the result carries one point per realizable (size,
+    /// ways) cell.
     pub ways: Vec<usize>,
     /// Line size in bytes.
     pub line: usize,
-    /// Replacement policy (same spellings as `simulate`). Non-LRU
-    /// grids fall back from the one-pass engine to per-configuration
-    /// simulation server-side. Optional in both directions.
+    /// Replacement policy (same spellings as `simulate`). LRU sweeps
+    /// run the one-pass engine; the other policies run one cache per
+    /// point server-side. Optional in both directions.
     pub policy: Option<String>,
     /// Per-request deadline, measured from admission.
     pub deadline_ms: Option<u64>,

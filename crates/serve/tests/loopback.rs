@@ -766,10 +766,12 @@ fn panicking_job_gets_typed_error_and_gauge_returns_to_zero() {
 type Labels<'a> = &'a [(&'a str, &'a str)];
 
 /// `stats` is a view over the registry `metrics` exports. On one server
-/// with a store, a simulate (repeated: the store answers) and a grid
-/// sweep that succeed, a catalog and stats requests, a protocol error,
-/// an overload and a deadline miss move the stats counters; each reads
-/// its expected count and equals its series in a `metrics` reply.
+/// with a store, a simulate (repeated: the store answers), a grid sweep
+/// and a size sweep that succeed, a catalog and stats requests, a
+/// protocol error, an overload and a deadline miss move the stats
+/// counters; each reads its expected count and equals its series in a
+/// `metrics` reply. Both sweeps run the one-pass engine, so each counts
+/// its references and cells there.
 #[test]
 fn stats_rows_equal_their_registry_series() {
     let dir = std::env::temp_dir().join(format!("smith85-stats-{}", std::process::id()));
@@ -806,6 +808,8 @@ fn stats_rows_equal_their_registry_series() {
     let sweep =
         r#"{"type":"sweep","workload":"VCCOM","len":20000,"sizes":[1024,4096],"ways":[1,2]}"#;
     assert!(matches!(raw(sweep), Ok(Response::Sweep(_))));
+    let size_sweep = r#"{"type":"sweep","workload":"VCCOM","len":20000,"sizes":[1024,4096]}"#;
+    assert!(matches!(raw(size_sweep), Ok(Response::Sweep(_))));
     // A slow job holds the worker, a job with a 1 ms deadline waits
     // behind it past the deadline, and a third finds the queue full.
     let late = r#"{"type":"simulate","workload":"VCCOM","len":1000,"size":4096,"deadline_ms":1}"#;
@@ -840,16 +844,16 @@ fn stats_rows_equal_their_registry_series() {
     // (stats field, its series, labels, the count where the run fixes it)
     let rows: [(u64, &str, Labels, Option<u64>); 20] = [
         (s.simulate_requests, "serve_requests_total", &kind("simulate"), Some(4)),
-        (s.sweep_requests, "serve_requests_total", &kind("sweep"), Some(1)),
+        (s.sweep_requests, "serve_requests_total", &kind("sweep"), Some(2)),
         (s.catalog_requests, "serve_requests_total", &kind("catalog"), Some(1)),
         (s.stats_requests, "serve_requests_total", &kind("stats"), Some(stats_calls)),
-        (s.completed, "serve_completed_total", &[], Some(4)),
+        (s.completed, "serve_completed_total", &[], Some(5)),
         (s.rejected_overload, "serve_rejected_overload_total", &[], Some(1)),
         (s.protocol_errors, "serve_protocol_errors_total", &[], Some(1)),
         (s.deadline_misses, "serve_deadline_misses_total", &[], Some(1)),
         (s.busy_ms_simulate, "serve_busy_ms_total", &kind("simulate"), None),
         (s.busy_ms_sweep, "serve_busy_ms_total", &kind("sweep"), None),
-        (s.pool.hits, "pool_hits_total", &[], Some(1)),
+        (s.pool.hits, "pool_hits_total", &[], Some(2)),
         (s.pool.misses, "pool_misses_total", &[], Some(2)),
         (s.pool.materialized_bytes, "pool_materialized_bytes_total", &[], None),
         (store.hits, "store_hits_total", &[], None),
@@ -857,8 +861,8 @@ fn stats_rows_equal_their_registry_series() {
         (store.writes, "store_writes_total", &[], None),
         (store.corrupt_quarantined, "store_corrupt_quarantined_total", &[], Some(1)),
         (store.gc_evictions, "store_gc_evictions_total", &[], Some(0)),
-        (one_pass.refs, "one_pass_refs_total", &[], Some(20_000)),
-        (one_pass.grid_cells, "one_pass_grid_cells", &[], Some(4)),
+        (one_pass.refs, "one_pass_refs_total", &[], Some(40_000)),
+        (one_pass.grid_cells, "one_pass_grid_cells", &[], Some(6)),
     ];
     for (value, name, labels, expected) in rows {
         assert_eq!(value, snapshot.counter_value(name, labels), "stats vs {name}{labels:?}");

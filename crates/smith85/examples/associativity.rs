@@ -1,12 +1,12 @@
-//! All associativities in one pass: the per-set generalization of the
-//! stack algorithm. §4.1 waves at the set-associativity effect ("should
-//! be small"); this measures it.
+//! All associativities in one pass: the one-pass engine generalizes the
+//! stack algorithm to every set count at once. §4.1 waves at the
+//! set-associativity effect ("should be small"); this measures it.
 //!
 //! ```text
 //! cargo run --release --example associativity
 //! ```
 
-use smith85::cachesim::{analyze_geometries, AssocProfile};
+use smith85::cachesim::{one_pass_grid, GridSpec};
 use smith85::synth::catalog;
 
 fn main() {
@@ -14,23 +14,26 @@ fn main() {
     let trace = spec.generate(200_000);
     println!("workload: {}\n", spec.name());
 
-    // One pass per set count gives the whole associativity spectrum.
+    // One pass over the grid of every size from 64 sets × 1 way to
+    // 256 sets × 16 ways gives the whole associativity spectrum of each
+    // set count.
     let set_counts = [64usize, 128, 256];
-    let profiles = analyze_geometries(&trace, &set_counts, 16);
+    let ways = vec![1, 2, 4, 8, 16];
+    let sizes = (10..=16).map(|shift| 1usize << shift).collect();
+    let grid = one_pass_grid(trace.as_slice(), &GridSpec::new(sizes, ways)).expect("valid grid");
 
     println!(
         "{:>6} {:>6} {:>9} {:>9}  (LRU, 16-byte lines)",
         "sets", "ways", "size", "miss"
     );
     for &sets in &set_counts {
-        let p: &AssocProfile = &profiles[&sets];
-        for (ways, miss) in p.curve(16) {
+        for (cell, stats) in grid.iter().filter(|(cell, _)| cell.sets == sets) {
             println!(
                 "{:>6} {:>6} {:>9} {:>9.4}",
                 sets,
-                ways,
-                p.cache_bytes(ways),
-                miss
+                cell.ways,
+                cell.size_bytes,
+                stats.miss_ratio()
             );
         }
         println!();

@@ -6,18 +6,20 @@
 //! cargo run --release --example performance_model
 //! ```
 
-use smith85::cachesim::StackAnalyzer;
+use smith85::cachesim::{one_pass_grid, GridSpec};
 use smith85::core::performance::{performance_gain_percent, MachineModel};
 use smith85::synth::catalog;
 
 fn main() {
-    // Miss-ratio curve for a compiler workload, one stack pass.
+    // Miss-ratio curve for a compiler workload, one size sweep.
     let spec = catalog::by_name("FCOMP1").expect("catalog trace");
-    let mut analyzer = StackAnalyzer::new();
-    for access in spec.stream().take(200_000) {
-        analyzer.observe(access);
-    }
-    let profile = analyzer.finish();
+    let sizes = [1024usize, 2048, 4096, 8192, 16384, 32768, 65536];
+    let curve = one_pass_grid(
+        spec.generate(200_000).as_slice(),
+        &GridSpec::fully_associative(sizes.to_vec(), 16),
+    )
+    .expect("valid sizes");
+    let miss_ratio = |size| curve.fully_associative(size).expect("swept size").miss_ratio();
 
     let machine = MachineModel::MICRO_32;
     println!("workload: {} on a generic 32-bit microprocessor\n", spec.name());
@@ -25,13 +27,12 @@ fn main() {
         "{:>8} {:>10} {:>8} {:>8} {:>12}",
         "size", "miss", "CPI", "MIPS", "vs half size"
     );
-    let sizes = [1024usize, 2048, 4096, 8192, 16384, 32768, 65536];
     for (i, &size) in sizes.iter().enumerate() {
-        let miss = profile.miss_ratio(size);
+        let miss = miss_ratio(size);
         let gain = if i == 0 {
             String::new()
         } else {
-            let prev = profile.miss_ratio(sizes[i - 1]);
+            let prev = miss_ratio(sizes[i - 1]);
             format!("+{:.1}%", 100.0 * (machine.speedup(prev, miss) - 1.0))
         };
         println!(

@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use smith85::cachesim::{CacheConfig, Simulator, StackAnalyzer, UnifiedCache, PAPER_SIZES};
+use smith85::cachesim::{one_pass_grid, CacheConfig, GridSpec, Simulator, UnifiedCache, PAPER_SIZES};
 use smith85::synth::catalog;
 
 fn main() {
@@ -27,14 +27,11 @@ fn main() {
     println!("4 KiB unified cache: {}", cache.stats());
 
     // 4. Or get the whole miss-ratio-versus-size curve in one pass with
-    //    the Mattson stack algorithm.
-    let mut analyzer = StackAnalyzer::new();
-    for access in &trace {
-        analyzer.observe(*access);
-    }
-    let profile = analyzer.finish();
-    println!("\nmiss ratio by cache size (single stack pass):");
-    for size in PAPER_SIZES {
-        println!("  {size:>6} B  {:.4}", profile.miss_ratio(size));
+    //    the one-pass engine (Mattson's stack algorithm).
+    let spec = GridSpec::fully_associative(PAPER_SIZES.to_vec(), 16);
+    let curve = one_pass_grid(trace.as_slice(), &spec).expect("valid sizes");
+    println!("\nmiss ratio by cache size (single pass):");
+    for (cell, stats) in curve.iter() {
+        println!("  {:>6} B  {:.4}", cell.size_bytes, stats.miss_ratio());
     }
 }

@@ -2,7 +2,7 @@
 //! the paper's findings — who wins, by roughly what factor, and where the
 //! crossovers fall.
 
-use smith85::cachesim::StackAnalyzer;
+use smith85::cachesim::{one_pass_grid, GridSpec};
 use smith85::synth::{catalog, TraceGroup};
 use smith85::trace::stats::TraceCharacterizer;
 
@@ -14,11 +14,9 @@ fn group_mean_miss(group: TraceGroup, cache_bytes: usize) -> f64 {
     let total: f64 = specs
         .iter()
         .map(|s| {
-            let mut a = StackAnalyzer::new();
-            for access in s.stream().take(LEN) {
-                a.observe(access);
-            }
-            a.finish().miss_ratio(cache_bytes)
+            let spec = GridSpec::fully_associative(vec![cache_bytes], 16);
+            let grid = one_pass_grid(s.generate(LEN).as_slice(), &spec).unwrap();
+            grid.fully_associative(cache_bytes).unwrap().miss_ratio()
         })
         .sum();
     total / specs.len() as f64

@@ -2,7 +2,9 @@
 //! proptest-generated reference streams.
 
 use proptest::prelude::*;
-use smith85::cachesim::{Cache, CacheConfig, Simulator, SplitCache, StackAnalyzer, UnifiedCache};
+use smith85::cachesim::{
+    one_pass_grid, Cache, CacheConfig, GridSpec, Simulator, SplitCache, UnifiedCache,
+};
 use smith85::trace::io::{read_binary, read_text, write_binary, write_text};
 use smith85::trace::{AccessKind, Addr, MemoryAccess, Trace};
 
@@ -26,41 +28,47 @@ fn arb_trace(max_len: usize) -> impl Strategy<Value = Trace> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Mattson's stack algorithm agrees exactly with direct simulation of
-    /// a fully-associative LRU cache, at every size, for any stream.
+    /// Mattson's stack algorithm (the one-pass engine's size sweep)
+    /// agrees exactly with direct simulation of a fully-associative LRU
+    /// cache, at every size, for any stream.
     #[test]
     fn stack_algorithm_matches_direct_simulation(trace in arb_trace(400)) {
-        let mut analyzer = StackAnalyzer::new();
-        for a in &trace {
-            analyzer.observe(*a);
-        }
-        let profile = analyzer.finish();
-        for size in [32usize, 128, 512, 2048] {
+        let sizes = vec![32usize, 128, 512, 2048];
+        let grid = one_pass_grid(trace.as_slice(), &GridSpec::fully_associative(sizes.clone(), 16))
+            .unwrap();
+        for size in sizes {
             let mut cache = Cache::new(CacheConfig::paper_table1(size).unwrap()).unwrap();
             for a in &trace {
                 cache.access(*a);
             }
             prop_assert_eq!(
-                profile.misses(size),
-                cache.stats().total_misses(),
+                grid.fully_associative(size).unwrap(),
+                cache.stats(),
                 "size {}", size
             );
         }
     }
 
-    /// The LRU inclusion property: a larger cache never misses more.
+    /// The LRU inclusion property: a larger fully-associative cache never
+    /// misses more, and at a fixed set count neither does one with more
+    /// ways.
     #[test]
     fn lru_inclusion_monotonicity(trace in arb_trace(400)) {
-        let mut analyzer = StackAnalyzer::new();
-        for a in &trace {
-            analyzer.observe(*a);
-        }
-        let profile = analyzer.finish();
+        let sizes = vec![32usize, 64, 128, 256, 512, 1024, 4096];
+        let mut spec = GridSpec::fully_associative(sizes.clone(), 16);
+        spec.ways = vec![1, 2, 4, 8, 16, 32, 64];
+        let grid = one_pass_grid(trace.as_slice(), &spec).unwrap();
         let mut last = u64::MAX;
-        for size in [32usize, 64, 128, 256, 512, 1024, 4096] {
-            let m = profile.misses(size);
+        for size in sizes {
+            let m = grid.fully_associative(size).unwrap().total_misses();
             prop_assert!(m <= last, "misses grew at size {}", size);
             last = m;
+        }
+        // The column at 2 sets: 32·w bytes in w ways.
+        let mut last = u64::MAX;
+        for (cell, stats) in grid.iter().filter(|(cell, _)| cell.sets == 2) {
+            prop_assert!(stats.total_misses() <= last, "misses grew at {} ways", cell.ways);
+            last = stats.total_misses();
         }
     }
 
